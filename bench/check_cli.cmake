@@ -1,0 +1,26 @@
+# cci_bench CLI checks, run by ctest (see CMakeLists.txt):
+#   -DCCI_BENCH=<exe> -DFIGURES=a,b,c   `cci_bench --list` names exactly a, b, c
+#   -DCCI_BENCH=<exe> -DUNKNOWN=<name>  `cci_bench <name>` exits with code 2
+if(DEFINED UNKNOWN)
+  execute_process(COMMAND ${CCI_BENCH} ${UNKNOWN} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "cci_bench ${UNKNOWN}: exit code ${rc}, expected 2")
+  endif()
+  return()
+endif()
+
+execute_process(COMMAND ${CCI_BENCH} --list RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cci_bench --list: exit code ${rc}")
+endif()
+string(REGEX REPLACE "\t[^\n]*" "" out "${out}")  # keep the name column
+string(STRIP "${out}" out)
+string(REPLACE "\n" ";" listed "${out}")
+string(REPLACE "," ";" expected "${FIGURES}")
+list(SORT listed)
+list(SORT expected)
+if(NOT listed STREQUAL expected)
+  message(FATAL_ERROR "cci_bench --list mismatch\n  listed:   ${listed}\n  expected: ${expected}")
+endif()
+list(LENGTH listed count)
+message(STATUS "cci_bench --list: ${count} figures")

@@ -36,7 +36,7 @@ Outcome run_sweep(double loss_prob, std::size_t bytes) {
   reg.set_enabled(true);
   reg.reset();
 
-  net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+  net::Cluster cluster(net::ClusterSpec{});
   net::FaultInjector faults(cluster);
   if (loss_prob > 0.0)
     faults.loss_window(loss_prob, 0.0);

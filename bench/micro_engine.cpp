@@ -162,7 +162,7 @@ BENCHMARK(BM_EngineTimerChurn);
 void BM_SimulatedPingPong(benchmark::State& state) {
   // How many simulated 4-byte ping-pong iterations per wall second.
   for (auto _ : state) {
-    net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+    net::Cluster cluster(net::ClusterSpec{});
     mpi::World world(cluster, {{0, -1}, {1, -1}});
     mpi::PingPongOptions opt;
     opt.bytes = 4;

@@ -22,7 +22,7 @@ namespace {
 enum class ObsMode { kDisabled, kMetrics, kTracing };
 
 void run_pingpong_workload() {
-  net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+  net::Cluster cluster(net::ClusterSpec{});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
   mpi::PingPongOptions opt;
   opt.bytes = 4;
@@ -71,7 +71,7 @@ void BM_SamplerPingPong(benchmark::State& state) {
     // deltas — the row count is then identical across iterations.
     reg.reset();
     reg.set_enabled(true);
-    net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+    net::Cluster cluster(net::ClusterSpec{});
     mpi::World world(cluster, {{0, -1}, {1, -1}});
     mpi::PingPongOptions opt;
     opt.bytes = 4;

@@ -14,7 +14,7 @@ void BM_RuntimeTaskThroughput(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr(), 2);
+    net::Cluster cluster({.nodes = 2});
     mpi::World world(cluster, {{0, -1}, {1, -1}});
     runtime::RuntimeConfig cfg;
     cfg.workers = workers;

@@ -7,19 +7,55 @@
 #include <iostream>
 #include <memory>
 
+#include "core/result_io.hpp"
+#include "trace/metrics_table.hpp"
+
 #ifdef CCI_SCHED
 #include "sched/explorer.hpp"
 #endif
 
 namespace cci::bench {
 
-void FigureContext::print(const core::Campaign& campaign, const core::CampaignRun& run) {
-  trace::Table table = run.table(campaign);
+BenchObs::BenchObs(std::string bench_name)
+    : bench_(std::move(bench_name)), session_(obs::Session::from_env()) {
+  if (const char* results = std::getenv("CCI_RESULTS")) {
+    results_path_ = results;
+  } else if (session_.tracing()) {
+    results_path_ = session_.path() + ".records.json";
+  }
+  if (!results_path_.empty()) obs::Registry::global().set_enabled(true);
+}
+
+void BenchObs::write_record(const std::vector<std::pair<std::string, double>>& fields) {
+  if (results_path_.empty()) return;
+  std::ofstream os(results_path_, std::ios::app);
+  if (!os) return;
+  auto snap = obs::Registry::global().snapshot();
+  core::write_bench_json(os, bench_, fields, &snap);
+  recorded_ = true;
+}
+
+BenchObs::~BenchObs() {
+  // CCI_METRICS=1 with no trace file and no results path: print the
+  // end-of-run metrics_table so metrics-only runs have an output.
+  if (session_.active() && !session_.tracing() && results_path_.empty() &&
+      obs::Registry::global().enabled()) {
+    std::cout << "\n[cci-obs] end-of-run metrics (" << bench_ << "):\n";
+    trace::metrics_table(obs::Registry::global().snapshot()).print(std::cout);
+  }
+  if (recorded_) std::cerr << "[cci-obs] bench records appended to " << results_path_ << "\n";
+}
+
+void FigureContext::print(const trace::Table& table, const std::string& name) {
   table.print(out_);
   if (csv_ != nullptr) {
-    *csv_ << "# campaign: " << campaign.name() << '\n';
+    *csv_ << "# campaign: " << name << '\n';
     table.print_csv(*csv_);
   }
+}
+
+void FigureContext::print(const core::Campaign& campaign, const core::CampaignRun& run) {
+  print(run.table(campaign), campaign.name());
   if (timeline_ != nullptr && !run.timelines.empty()) {
     run.write_timeline_csv(*timeline_, campaign.name(), !timeline_header_written_);
     timeline_header_written_ = true;
@@ -55,6 +91,12 @@ FigureRegistrar::FigureRegistrar(std::string name, std::string title, std::strin
 }
 
 namespace {
+
+/// Standard banner: which paper element this figure regenerates.
+void banner(const std::string& figure, const std::string& what) {
+  std::cout << "=== " << figure << " — " << what << " ===\n";
+  std::cout << "(simulated cluster; see EXPERIMENTS.md for paper-vs-measured)\n\n";
+}
 
 void usage(std::ostream& os) {
   os << "usage: cci_bench <figure> [--jobs N] [--csv out.csv] [--cache dir]\n"
@@ -304,6 +346,7 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   }
 #endif
 
+  if (!ctx.ran_campaign()) return rc;
   std::cout << "\n[campaign] " << def->name << ": points total=" << engine.points_total()
             << " executed=" << engine.points_executed()
             << " cached=" << engine.points_cached() << " (jobs=" << options.jobs;

@@ -1,22 +1,50 @@
 // Figure registry for the cci_bench multi-tool.
 //
-// Each paper figure registers one FigureDef: a name, banner metadata, and
-// a run function written against the campaign API.  One binary
-// (`cci_bench <figure> [--jobs N] [--csv out.csv] [--cache dir]
-// [--shard i/n] [--seed S]`) drives them all; the historical per-figure
-// binaries survive as thin shims that forward here (run_cli with a fixed
-// figure name), so existing scripts keep working.
+// Each paper figure, ablation and extension registers one FigureDef: a
+// name, banner metadata, and a run function.  One binary (`cci_bench
+// <figure> [--jobs N] [--csv out.csv] [--cache dir] [--shard i/n]
+// [--seed S]`) drives them all.  Figures written against the campaign API
+// get parallelism, caching and sharding from the engine; hand-loop figures
+// print their tables through the same context and get --csv.
 #pragma once
 
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/common.hpp"
 #include "core/campaign.hpp"
+#include "obs/session.hpp"
+#include "trace/table.hpp"
 
 namespace cci::bench {
+
+/// Per-bench observability hookup, driven entirely by the environment:
+///   CCI_TRACE=<path>    Chrome trace (written by the Session destructor)
+///                       plus metrics; records land in "<path>.records.json"
+///                       unless CCI_RESULTS overrides them.
+///   CCI_METRICS=1       metrics only: the end-of-run metrics_table is
+///                       printed on exit (no trace file needed).
+///   CCI_RESULTS=<path>  append one JSON record per write_record() call.
+/// With none of the variables set, everything is a no-op.
+class BenchObs {
+ public:
+  explicit BenchObs(std::string bench_name);
+  ~BenchObs();
+
+  /// Append one JSON record (bench name + fields + current metrics snapshot).
+  void write_record(const std::vector<std::pair<std::string, double>>& fields);
+
+  BenchObs(const BenchObs&) = delete;
+  BenchObs& operator=(const BenchObs&) = delete;
+
+ private:
+  std::string bench_;
+  obs::Session session_;
+  std::string results_path_;
+  bool recorded_ = false;
+};
 
 /// Everything a figure definition needs: the campaign engine (carrying
 /// the CLI's jobs/cache/shard options), stdout, the optional CSV sink,
@@ -28,17 +56,26 @@ class FigureContext {
       : engine_(engine), obs_(obs), out_(out), csv_(csv), timeline_(timeline) {}
 
   /// Run (the local shard of) a campaign through the engine.
-  core::CampaignRun run(const core::Campaign& campaign) { return engine_.run(campaign); }
+  core::CampaignRun run(const core::Campaign& campaign) {
+    ran_campaign_ = true;
+    return engine_.run(campaign);
+  }
 
-  /// Print a finished campaign's table to stdout and, when --csv was
-  /// given, append the same table as CSV (prefixed by the campaign name).
-  /// When --timeline was given, also appends the run's time-resolved
-  /// samples (`campaign,point,time,series,value`; header once per file).
+  /// Print a table to stdout and, when --csv was given, append the same
+  /// table as CSV (prefixed by `name`).
+  void print(const trace::Table& table, const std::string& name);
+
+  /// Print a finished campaign's table (named after the campaign).  When
+  /// --timeline was given, also appends the run's time-resolved samples
+  /// (`campaign,point,time,series,value`; header once per file).
   void print(const core::Campaign& campaign, const core::CampaignRun& run);
 
   core::CampaignEngine& engine() { return engine_; }
   BenchObs& obs() { return obs_; }
   std::ostream& out() { return out_; }
+  /// True once the figure ran a campaign (run_cli then reports the point
+  /// totals; hand-loop figures print exactly their tables).
+  [[nodiscard]] bool ran_campaign() const { return ran_campaign_; }
 
  private:
   core::CampaignEngine& engine_;
@@ -47,6 +84,7 @@ class FigureContext {
   std::ostream* csv_;
   std::ostream* timeline_ = nullptr;
   bool timeline_header_written_ = false;
+  bool ran_campaign_ = false;
 };
 
 using FigureFn = std::function<int(FigureContext&)>;
@@ -72,17 +110,16 @@ class FigureRegistry {
 };
 
 /// Static registrar: each bench/figures/*.cpp defines one at file scope.
-/// obs_name keeps the historical bench name on CCI_RESULTS records for
-/// figures whose shim binary had a different name than the CLI figure.
+/// obs_name keeps the long bench name (e.g. "fig04_memory_contention") on
+/// CCI_RESULTS records for figures whose CLI name is the short one.
 struct FigureRegistrar {
   FigureRegistrar(std::string name, std::string title, std::string what, FigureFn fn,
                   std::string obs_name = "");
 };
 
-/// Entry point shared by cci_bench (figure name from argv) and the
-/// per-figure shims (fixed figure name): parses the campaign flags, sets
-/// up BenchObs + engine, prints the banner, runs the figure, and reports
-/// the campaign point totals.
+/// Runs one figure: parses the campaign flags, sets up BenchObs + engine,
+/// prints the banner, runs the figure, and reports the campaign point
+/// totals when it ran any campaign.
 int run_cli(const std::string& figure, int argc, char** argv);
 
 /// cci_bench main: `cci_bench <figure> [flags]`, `cci_bench --list`.

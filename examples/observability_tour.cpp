@@ -22,7 +22,7 @@ int main() {
   obs::Registry::global().set_enabled(true);
   obs::Registry::global().tracer().set_enabled(true);
 
-  net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+  net::Cluster cluster(net::ClusterSpec{});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
 
   hw::CounterSampler counters(cluster.machine(0), 0.5e-3);

@@ -304,35 +304,43 @@ std::filesystem::path entry_path(const std::string& dir, std::uint64_t key) {
   return std::filesystem::path(dir) / (hex16(key) + ".json");
 }
 
-/// Load a cache entry; true (and `values` filled) only when the file
-/// exists, carries the same schema + key, and has exactly `columns`
-/// values.  Doubles round-trip through %.17g, so a cache hit reproduces
-/// the original table bit-for-bit.
-bool load_cache_entry(const std::string& dir, std::uint64_t key, std::size_t columns,
-                      std::vector<double>& values) {
+/// kRejected: an entry file exists but is unusable (other schema, wrong
+/// key, truncated or malformed); the point is recomputed and re-stored.
+enum class CacheLookup { kMiss, kHit, kRejected };
+
+/// Load a cache entry; kHit (and `values` filled) only when the file
+/// carries the same schema + key and a closed values array of exactly
+/// `columns` values.  Doubles round-trip through %.17g, so a cache hit
+/// reproduces the original table bit-for-bit.
+CacheLookup load_cache_entry(const std::string& dir, std::uint64_t key, std::size_t columns,
+                             std::vector<double>& values) {
   CCI_SCHED_POINT(kCacheRead, key);
   std::ifstream is(entry_path(dir, key));
-  if (!is) return false;
+  if (!is) return CacheLookup::kMiss;
   std::stringstream buffer;
   buffer << is.rdbuf();
   const std::string doc = buffer.str();
   if (doc.find("\"schema\": " + std::to_string(kCampaignSchemaVersion)) == std::string::npos)
-    return false;
-  if (doc.find("\"key\": \"" + hex16(key) + "\"") == std::string::npos) return false;
+    return CacheLookup::kRejected;
+  if (doc.find("\"key\": \"" + hex16(key) + "\"") == std::string::npos)
+    return CacheLookup::kRejected;
   const std::size_t open = doc.find("\"values\": [");
-  if (open == std::string::npos) return false;
+  if (open == std::string::npos) return CacheLookup::kRejected;
   const char* p = doc.c_str() + open + 11;
   values.clear();
   while (true) {
     while (*p == ' ' || *p == ',' || *p == '\n') ++p;
-    if (*p == ']' || *p == '\0') break;
+    if (*p == ']') break;
+    // End of file before the closing bracket: the file was cut off, and
+    // its last number may be a prefix of the stored one.
+    if (*p == '\0') return CacheLookup::kRejected;
     char* end = nullptr;
     double v = std::strtod(p, &end);
-    if (end == p) return false;
+    if (end == p) return CacheLookup::kRejected;
     values.push_back(v);
     p = end;
   }
-  return values.size() == columns;
+  return values.size() == columns ? CacheLookup::kHit : CacheLookup::kRejected;
 }
 
 void store_cache_entry(const std::string& dir, std::uint64_t key,
@@ -362,6 +370,12 @@ void store_cache_entry(const std::string& dir, std::uint64_t key,
       os << (i ? ", " : "") << buf;
     }
     os << "]\n}\n";
+    os.close();
+    if (os.fail()) {
+      // Short write (disk full, I/O error): never publish a partial entry.
+      std::filesystem::remove(tmp, ec);
+      return;
+    }
   }
   CCI_SCHED_POINT(kCacheRename, key);
   std::filesystem::rename(tmp, path, ec);
@@ -606,17 +620,20 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
 
   // Resolve cached points first; only the misses hit the pool.
   std::size_t tmp_swept = 0;
+  std::size_t cache_rejected = 0;
   if (!options_.cache_dir.empty()) tmp_swept = sweep_stale_tmp(options_.cache_dir);
   std::vector<std::size_t> misses;
   misses.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!options_.cache_dir.empty()) {
       keys[i] = cache_key(campaign, run.points[i]);
-      if (load_cache_entry(options_.cache_dir, keys[i], campaign.column_count(),
-                           run.values[i])) {
+      const CacheLookup found = load_cache_entry(options_.cache_dir, keys[i],
+                                                 campaign.column_count(), run.values[i]);
+      if (found == CacheLookup::kHit) {
         run.from_cache[i] = true;
         continue;
       }
+      if (found == CacheLookup::kRejected) ++cache_rejected;
     }
     misses.push_back(i);
   }
@@ -725,6 +742,8 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   reg.counter("campaign.points_cached").add(static_cast<double>(run.cached));
   if (tmp_swept > 0)
     reg.counter("campaign.cache_tmp_swept").add(static_cast<double>(tmp_swept));
+  if (cache_rejected > 0)
+    reg.counter("campaign.cache_rejected").add(static_cast<double>(cache_rejected));
   obs::Tracer& tracer = reg.tracer();
   if (tracer.on()) {
     const obs::TrackId track = tracer.track("campaign.points");

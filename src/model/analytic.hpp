@@ -13,7 +13,7 @@
 //    oversubscribed, every contender gets capacity * demand_i / Σdemand,
 //    the model [12] effectively assumes.
 //
-// Comparing these against the simulator (bench/ablation_sharing_models)
+// Comparing these against the simulator (`cci_bench ablation_sharing_models`)
 // quantifies what the dynamic simulation adds over static models.
 #pragma once
 

@@ -27,8 +27,9 @@ namespace cci::net {
 class FaultState;
 
 /// Everything a Cluster needs, in one spec — new fabric knobs extend this
-/// struct instead of widening the constructor (same collapse `core::Sweep`
-/// callers got with SweepSpec in PR 4).
+/// struct instead of widening the constructor.  The defaults are the
+/// paper's two-node henri + EDR testbed, so `Cluster cluster({.nodes = 4})`
+/// names only what differs.
 struct ClusterSpec {
   hw::MachineConfig machine = hw::MachineConfig::henri();
   NetworkParams network = NetworkParams::ib_edr();
@@ -39,28 +40,12 @@ struct ClusterSpec {
 
 class Cluster {
  public:
-  /// Legacy fabric knob, kept for the back-compat constructor below; new
-  /// code selects `Topology::single_switch(oversubscription)` (or a real
-  /// graph) through ClusterSpec::topology.
-  struct FabricOptions {
-    double oversubscription = 1.0;
-  };
-
   /// Resource chain of one fabric traversal.  Inline up to the longest
   /// route any builder emits (dragonfly via an intermediate group: 13),
   /// so multi-hop paths never heap-allocate per message (PR 5 guard).
   using FabricPath = sim::SmallVec<sim::Resource*, 16>;
 
   explicit Cluster(ClusterSpec spec);
-
-  // Thin back-compat overloads over ClusterSpec.
-  Cluster(hw::MachineConfig config, NetworkParams net, int nodes = 2, std::uint64_t seed = 42)
-      : Cluster(ClusterSpec{std::move(config), std::move(net), Topology::single_switch(),
-                            nodes, seed}) {}
-  Cluster(hw::MachineConfig config, NetworkParams net, int nodes, std::uint64_t seed,
-          FabricOptions fabric)
-      : Cluster(ClusterSpec{std::move(config), std::move(net),
-                            Topology::single_switch(fabric.oversubscription), nodes, seed}) {}
   ~Cluster();
 
   sim::Engine& engine() { return engine_; }
@@ -75,15 +60,6 @@ class Cluster {
   /// Wire-unreliability state (loss/corruption windows, NIC blackouts) the
   /// transport consults per message.  Inert until a FaultInjector arms it.
   FaultState& faults();
-
-  [[deprecated(
-      "single-crossbar accessor from the pre-topology fabric; use "
-      "find_link(\"switch\") for the single-switch crossbar, fabric_path() for "
-      "the resources a transfer crosses, or fabric_resources() for the whole "
-      "switch/link graph")]]
-  sim::Resource* wire() {
-    return switch_xbars_.front();
-  }
 
   /// Node uplink ports, one per direction (ingress/egress contention).
   sim::Resource* tx_port(int node) { return tx_ports_.at(static_cast<std::size_t>(node)); }

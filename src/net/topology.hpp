@@ -15,8 +15,8 @@
 //    fabric (same resources, same names, same order, same paths).
 //  * fat_tree(k, oversub)         — two-level folded Clos: k leaf switches
 //    with k/2 host ports each, k/2 spines, one up and one down link per
-//    (leaf, spine) pair.  oversub scales uplink capacity (< 1 models the
-//    oversubscribed production trees of §"FabricOptions").
+//    (leaf, spine) pair.  oversub scales uplink capacity (< 1 models
+//    oversubscribed production trees).
 //  * dragonfly(groups, routers, hosts) — groups of fully-meshed routers
 //    ("hosts" hosts each), one global link per ordered group pair attached
 //    at a deterministic gateway router.  Global links carry a latency

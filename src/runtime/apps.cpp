@@ -13,12 +13,12 @@ namespace cci::runtime {
 namespace {
 
 /// Shared experiment scaffolding: P-node cluster, world, one runtime/rank
-/// orchestrated by a DistributedRuntime (its healthy join path reproduces
-/// the historical joiner event-for-event).
+/// orchestrated by a DistributedRuntime.
 struct MultiRankApp {
   MultiRankApp(const hw::MachineConfig& machine, const net::NetworkParams& net,
                const RuntimeConfig& rt_config, int workers, int ranks) {
-    cluster = std::make_unique<net::Cluster>(machine, net, ranks);
+    cluster = std::make_unique<net::Cluster>(
+        net::ClusterSpec{.machine = machine, .network = net, .nodes = ranks});
     std::vector<mpi::RankConfig> rc;
     for (int r = 0; r < ranks; ++r) rc.push_back({r, -1});
     world = std::make_unique<mpi::World>(*cluster, rc);

@@ -25,7 +25,6 @@ void DistributedRuntime::declare_dead(int r, const std::string& why) {
 }
 
 void DistributedRuntime::kill_rank(int r, double at) {
-  failure_armed_ = true;
   rt_.at(static_cast<std::size_t>(r))->arm_failover();
   engine().call_at(at, [this, r] {
     rt_[static_cast<std::size_t>(r)]->halt();
@@ -85,11 +84,6 @@ void DistributedRuntime::start_heartbeats() {
 
 // ---- join ------------------------------------------------------------------
 
-sim::Coro DistributedRuntime::legacy_join(std::vector<sim::OneShotEvent*> events) {
-  for (auto* e : events) co_await e->wait();
-  for (auto& r : rt_) r->shutdown();
-}
-
 sim::Coro DistributedRuntime::failure_aware_join(std::vector<sim::OneShotEvent*> events) {
   for (auto* e : events) {
     sim::WhenAny done_or_fail = sim::when_any(engine(), {e, failure_.get()});
@@ -107,11 +101,7 @@ DistributedRuntime::Report DistributedRuntime::run_to_completion() {
   std::vector<sim::OneShotEvent*> done;
   done.reserve(rt_.size());
   for (auto& r : rt_) done.push_back(&r->run());
-  // The unarmed, heartbeat-free joiner is the historical one — same single
-  // spawned process, same sequential awaits, same shutdown order — so
-  // healthy runs stay bitwise-identical.
-  const bool legacy = !failure_armed_ && opts_.heartbeat_interval <= 0.0;
-  engine().spawn(legacy ? legacy_join(std::move(done)) : failure_aware_join(std::move(done)));
+  engine().spawn(failure_aware_join(std::move(done)));
   engine().run();
 
   Report rep;

@@ -1,9 +1,10 @@
 // Multi-rank orchestration with failure detection (fault model, §robustness).
 //
 // DistributedRuntime owns one Runtime per rank of a World and runs the whole
-// job to completion.  On the healthy path it reproduces the historical
-// joiner event-for-event (bitwise-identical simulations).  With faults
-// armed it adds:
+// job to completion.  One failure-aware join serves every run: on the
+// healthy path it awaits the ranks in order and dispatches exactly the
+// simulated events a plain sequential join would.  With faults armed it
+// adds:
 //
 //  * heartbeats: every rank isends a small liveness message to rank 0 at a
 //    fixed interval; rank 0 tracks the last time it heard from each peer;
@@ -67,8 +68,7 @@ class DistributedRuntime {
   void start_heartbeats();
 
   /// Run every rank's task graph and the engine until the job finishes or a
-  /// failure aborts it.  Healthy, unarmed runs reproduce the historical
-  /// sequential joiner exactly.
+  /// failure aborts it.
   Report run_to_completion();
 
   /// Abortable barrier: completes when the collective does, or as soon as a
@@ -85,7 +85,6 @@ class DistributedRuntime {
   sim::Coro hb_sender(int r);
   sim::Coro hb_monitor(int r);
   sim::Coro hb_checker();
-  sim::Coro legacy_join(std::vector<sim::OneShotEvent*> events);
   sim::Coro failure_aware_join(std::vector<sim::OneShotEvent*> events);
   void declare_dead(int r, const std::string& why);
 
@@ -99,7 +98,6 @@ class DistributedRuntime {
   std::vector<bool> dead_;
   int dead_rank_ = -1;
   std::string diagnostic_;
-  bool failure_armed_ = false;  ///< a kill is scheduled: use the aware join
   bool hb_started_ = false;
   /// Keeps barrier inner-completion events alive while collectives that
   /// will never finish (peer died) still reference them.

@@ -373,6 +373,49 @@ TEST(Campaign, StaleCacheTmpFilesAreSweptOnOpen) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Campaign, TruncatedCacheEntryIsRejectedAndRecomputed) {
+  const std::string dir = scratch_dir("truncated");
+  Campaign c = quick_campaign();
+  CampaignRun cold = CampaignEngine(opts(1, dir)).run(c);
+  std::ostringstream cold_table;
+  cold.table(c).print(cold_table);
+
+  // Cut one entry inside its last value: `"values": [1.5, 2` still parses
+  // as the right number of columns, but the last one is wrong.
+  const std::filesystem::path victim = std::filesystem::directory_iterator(dir)->path();
+  std::string doc;
+  {
+    std::ifstream is(victim);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    doc = buffer.str();
+  }
+  const std::size_t last = doc.rfind(", ");
+  ASSERT_NE(last, std::string::npos);
+  {
+    std::ofstream os(victim, std::ios::trunc);
+    os << doc.substr(0, last + 3);
+  }
+
+  obs::Registry& reg = obs::Registry::process();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  reg.reset();
+  CampaignRun warm = CampaignEngine(opts(1, dir)).run(c);
+  EXPECT_EQ(warm.executed, 1u);  // the cut entry is a miss, recomputed
+  EXPECT_EQ(warm.cached, 5u);
+  std::ostringstream warm_table;
+  warm.table(c).print(warm_table);
+  EXPECT_EQ(warm_table.str(), cold_table.str());
+  EXPECT_EQ(reg.counter("campaign.cache_rejected").value(), 1.0);
+  reg.reset();
+  reg.set_enabled(was_enabled);
+
+  // The recomputed point was stored again, whole.
+  EXPECT_EQ(CampaignEngine(opts(1, dir)).run(c).executed, 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Campaign, ConcurrentCacheWritersUseUniqueTmpsAndConverge) {
   const std::string dir = scratch_dir("tmprace");
   Campaign c = quick_campaign();

@@ -84,7 +84,7 @@ TEST(Gpu, GpuCopyAndNetworkDmaContendOnTheSameController) {
   // The three-way fight the paper's future work asks about: network DMA,
   // GPU copy and STREAM all share NUMA 0's controller.  Two DMA streams
   // alone fit in the controller (23 < 45 GB/s); scarcity needs the cores.
-  net::Cluster cluster(MachineConfig::henri(), net::NetworkParams::ib_edr());
+  net::Cluster cluster(net::ClusterSpec{});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
   GpuDevice gpu(cluster.machine(0), GpuConfig{});
 

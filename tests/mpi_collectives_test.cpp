@@ -8,13 +8,11 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
 
 struct CollRig {
   explicit CollRig(int nodes)
-      : cluster(MachineConfig::henri(), NetworkParams::ib_edr(), nodes) {
+      : cluster({.nodes = nodes}) {
     std::vector<RankConfig> ranks;
     for (int n = 0; n < nodes; ++n) ranks.push_back({n, -1});
     world = std::make_unique<World>(cluster, ranks);

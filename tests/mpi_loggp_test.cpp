@@ -7,12 +7,11 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
+using net::ClusterSpec;
 
 TEST(LogGP, GapMatchesAsymptoticBandwidth) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   World world(cluster, {{0, -1}, {1, -1}});
   std::vector<std::size_t> sizes{4, 1024, 1u << 20, 8u << 20, 32u << 20, 64u << 20};
   auto times = measure_one_way_times(world, sizes);
@@ -25,7 +24,7 @@ TEST(LogGP, GapMatchesAsymptoticBandwidth) {
 }
 
 TEST(LogGP, TwoFrequencyFitSeparatesOverheadFromLatency) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   auto p = fit_loggp_two_frequencies(cluster, 1.0e9, 2.3e9, /*comm_core=*/35);
   // Construction: o_send+o_recv = 2300 cycles -> o ~ 1150 cycles.
   // At 2.3 GHz: o ~ 0.5 us; L is the frequency-independent remainder.
@@ -37,7 +36,7 @@ TEST(LogGP, TwoFrequencyFitSeparatesOverheadFromLatency) {
 }
 
 TEST(LogGP, MeasuredTimesAreMonotoneInSize) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   World world(cluster, {{0, -1}, {1, -1}});
   std::vector<std::size_t> sizes{4, 64, 4096, 65536, 1u << 20, 16u << 20};
   auto times = measure_one_way_times(world, sizes);

@@ -6,12 +6,12 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
+using net::ClusterSpec;
 using net::NetworkParams;
 
 struct NetpipeFixture : public ::testing::Test {
-  NetpipeFixture() : cluster(MachineConfig::henri(), NetworkParams::ib_edr()),
+  NetpipeFixture() : cluster(ClusterSpec{}),
                      world(cluster, {{0, -1}, {1, -1}}) {}
   Cluster cluster;
   World world;
@@ -65,7 +65,7 @@ TEST(NetpipeMistuned, ExpensiveHandshakeShowsAsACliff) {
   // threshold — the classic NetPIPE cliff at the protocol switch.
   auto params = NetworkParams::ib_edr();
   params.control_latency = 20e-6;
-  Cluster cluster(MachineConfig::henri(), params);
+  Cluster cluster({.network = params});
   World world(cluster, {{0, -1}, {1, -1}});
   NetpipeOptions opt;
   opt.perturbation = 0;

@@ -9,12 +9,11 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
+using net::ClusterSpec;
 
 TEST(Overlap, PureWaitOverlapsNothingButCostsNothing) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   World world(cluster, {{0, -1}, {1, -1}});
   OverlapOptions opt;
   opt.bytes = 4 << 20;
@@ -25,7 +24,7 @@ TEST(Overlap, PureWaitOverlapsNothingButCostsNothing) {
 }
 
 TEST(Overlap, CpuBoundComputationOverlapsWell) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   World world(cluster, {{0, -1}, {1, -1}});
   OverlapOptions opt;
   opt.bytes = 8 << 20;
@@ -39,7 +38,7 @@ TEST(Overlap, CpuBoundComputationOverlapsWell) {
 
 TEST(Overlap, MemoryBoundComputationDegradesOverlap) {
   auto ratio_with = [](const hw::KernelTraits& kernel, int cores) {
-    Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+    Cluster cluster(ClusterSpec{});
     World world(cluster, {{0, -1}, {1, -1}});
     OverlapOptions opt;
     opt.bytes = 8 << 20;

@@ -14,16 +14,15 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
+using net::ClusterSpec;
 using net::FaultInjector;
-using net::NetworkParams;
 
 constexpr std::size_t kEagerBytes = 4 * 1024;     // below every eager threshold
 constexpr std::size_t kRndvBytes = 1 << 20;       // rendezvous everywhere
 
 struct Rig {
-  Rig() : cluster(MachineConfig::henri(), NetworkParams::ib_edr()),
+  Rig() : cluster(ClusterSpec{}),
           world(cluster, {{0, -1}, {1, -1}}) {
     obs::Registry::global().set_enabled(true);
     obs::Registry::global().reset();

@@ -11,9 +11,8 @@
 namespace cci::mpi {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
+using net::ClusterSpec;
 
 class RandomTraffic : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -22,7 +21,7 @@ TEST_P(RandomTraffic, AllMessagesDelivered) {
   // posted in random order and at random times: everything must complete.
   sim::Rng rng(GetParam());
   const int nodes = 2 + static_cast<int>(rng.below(3));
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr(), nodes);
+  Cluster cluster({.nodes = nodes});
   std::vector<RankConfig> rc;
   for (int n = 0; n < nodes; ++n) rc.push_back({n, -1});
   World world(cluster, rc);
@@ -63,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraffic, ::testing::Values(3ull, 17ull, 23
 
 TEST(WorldProperty, SameSeedSameLatencies) {
   auto run_once = [] {
-    Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2, /*seed=*/1234);
+    Cluster cluster({.nodes = 2, .seed = 1234});
     World world(cluster, {{0, -1}, {1, -1}});
     PingPongOptions opt;
     opt.bytes = 4096;
@@ -81,7 +80,7 @@ TEST(WorldProperty, SameSeedSameLatencies) {
 
 TEST(WorldProperty, DifferentSeedsDifferentNoise) {
   auto run_with_seed = [](std::uint64_t seed) {
-    Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2, seed);
+    Cluster cluster({.nodes = 2, .seed = seed});
     World world(cluster, {{0, -1}, {1, -1}});
     PingPongOptions opt;
     opt.bytes = 4;
@@ -102,7 +101,7 @@ TEST(WorldProperty, DifferentSeedsDifferentNoise) {
 TEST(WorldProperty, SameChannelMessagesMatchInOrder) {
   // Two same-tag messages on one channel: receives complete in post order
   // with sizes matching the send order (MPI non-overtaking).
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   World world(cluster, {{0, -1}, {1, -1}});
   std::vector<int> completion_order;
   cluster.engine().spawn([](World& w, std::vector<int>& order) -> sim::Coro {

@@ -13,12 +13,11 @@ namespace cci::mpi {
 namespace {
 
 using hw::CpuPolicy;
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
+using net::ClusterSpec;
 
 std::unique_ptr<Cluster> henri_cluster() {
-  return std::make_unique<Cluster>(MachineConfig::henri(), NetworkParams::ib_edr());
+  return std::make_unique<Cluster>(ClusterSpec{});
 }
 
 double median(std::vector<double> v) {

@@ -8,8 +8,6 @@
 namespace cci::net {
 namespace {
 
-using hw::MachineConfig;
-
 struct Flow {
   int src, dst;
   mpi::RequestPtr sreq, rreq;
@@ -42,12 +40,12 @@ std::vector<double> run_flows(Cluster& cluster, mpi::World& world,
 TEST(Fabric, DisjointPairsGetFullBisection) {
   // 0->1 and 2->3 simultaneously: a non-blocking switch gives both full
   // speed — same completion time as a single transfer.
-  Cluster four(MachineConfig::henri(), NetworkParams::ib_edr(), 4);
+  Cluster four({.nodes = 4});
   mpi::World world4(four, {{0, -1}, {1, -1}, {2, -1}, {3, -1}});
   run_flows(four, world4, {{0, 1}, {2, 3}});
   double t_pair = four.engine().now();
 
-  Cluster two(MachineConfig::henri(), NetworkParams::ib_edr(), 2);
+  Cluster two({.nodes = 2});
   mpi::World world2(two, {{0, -1}, {1, -1}});
   run_flows(two, world2, {{0, 1}});
   double t_single = two.engine().now();
@@ -56,12 +54,12 @@ TEST(Fabric, DisjointPairsGetFullBisection) {
 
 TEST(Fabric, IncastSharesTheReceiverPort) {
   // 1->0 and 2->0: both squeeze through node 0's rx port (and its NIC).
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 3);
+  Cluster cluster({.nodes = 3});
   mpi::World world(cluster, {{0, -1}, {1, -1}, {2, -1}});
   run_flows(cluster, world, {{1, 0}, {2, 0}});
   double t_incast = cluster.engine().now();
 
-  Cluster solo(MachineConfig::henri(), NetworkParams::ib_edr(), 3);
+  Cluster solo({.nodes = 3});
   mpi::World world1(solo, {{0, -1}, {1, -1}, {2, -1}});
   run_flows(solo, world1, {{1, 0}});
   double t_solo = solo.engine().now();
@@ -77,14 +75,14 @@ TEST(Fabric, OversubscribedCrossbarThrottlesDisjointPairs) {
   run_flows(cluster, world, {{0, 1}, {2, 3}});
   double t_oversub = cluster.engine().now();
 
-  Cluster healthy(MachineConfig::henri(), NetworkParams::ib_edr(), 4);
+  Cluster healthy({.nodes = 4});
   mpi::World world2(healthy, {{0, -1}, {1, -1}, {2, -1}, {3, -1}});
   run_flows(healthy, world2, {{0, 1}, {2, 3}});
   EXPECT_GT(t_oversub, 1.5 * healthy.engine().now());
 }
 
 TEST(Fabric, MessageTraceRecordsProtocolAndWindows) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2);
+  Cluster cluster({.nodes = 2});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
   world.enable_message_trace(true);
   world.irecv(1, 0, 7, mpi::MsgView{64, 0, 0});

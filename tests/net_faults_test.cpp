@@ -14,7 +14,7 @@ namespace {
 using hw::MachineConfig;
 
 double bw_with(const std::function<void(Cluster&, FaultInjector&)>& inject) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   FaultInjector faults(cluster);
   inject(cluster, faults);
   mpi::World world(cluster, {{0, -1}, {1, -1}});
@@ -40,7 +40,7 @@ TEST(Faults, CrossbarDegradationBecomesTheBottleneck) {
 TEST(Faults, NicDegradationRecovers) {
   // Degrade early, recover mid-run: the sample spread must straddle both
   // regimes (deciles far apart), and the median sit between them.
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   FaultInjector faults(cluster);
   faults.degrade_nic(0, 0.0, 0.3, /*recover_at=*/0.08);
   faults.degrade_nic(1, 0.0, 0.3, /*recover_at=*/0.08);
@@ -61,7 +61,7 @@ TEST(Faults, NicDegradationRecovers) {
 }
 
 TEST(Faults, MemCtrlFaultHitsOnlyItsNode) {
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   FaultInjector faults(cluster);
   faults.degrade_mem_ctrl(0, 0, 0.0, 0.1);
   cluster.engine().run(0.001);  // deliver the scheduled injection
@@ -74,7 +74,7 @@ TEST(Faults, ThrottledNodeSlowsSmallMessages) {
   (void)healthy;
   // Latency version: throttling the sender's clocks stretches o.
   auto latency_with = [](bool throttle) {
-    Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+    Cluster cluster(ClusterSpec{});
     FaultInjector faults(cluster);
     if (throttle) {
       faults.throttle_node(0, 0.0);
@@ -96,7 +96,7 @@ TEST(Faults, RestoreIsDeltaTrackedNotFactorScaled) {
   // between inject and restore (the uncore refresh does exactly this).  A
   // `capacity / factor` restore would scale the external write; the delta
   // restore must add back exactly what the fault removed.
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   sim::Resource* wire = cluster.find_link("switch");
   const double c0 = wire->capacity();
   FaultInjector faults(cluster);
@@ -110,7 +110,7 @@ TEST(Faults, RestoreIsDeltaTrackedNotFactorScaled) {
 TEST(Faults, OverlappingWindowsRestoreExactly) {
   // Two nested degradations of the same resource: each restore returns the
   // delta it took, so after both recoveries the capacity is bit-exact.
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   sim::Resource* wire = cluster.find_link("switch");
   const double c0 = wire->capacity();
   FaultInjector faults(cluster);
@@ -125,7 +125,7 @@ TEST(Faults, OverlappingWindowsRestoreExactly) {
 TEST(Faults, RestoreClocksReinstatesPriorPolicy) {
   // kPerformance before the throttle must come back as kPerformance, not
   // the historical hardcoded kOndemand.
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   auto& gov = cluster.machine(0).governor();
   gov.set_policy(hw::CpuPolicy::kPerformance);
   FaultInjector faults(cluster);
@@ -137,7 +137,7 @@ TEST(Faults, RestoreClocksReinstatesPriorPolicy) {
 TEST(Faults, RestoreClocksReinstatesUserspacePin) {
   // A userspace pin (the paper's fixed-frequency experiments) must return
   // to the pinned frequency, not just the policy enum.
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   auto& gov = cluster.machine(0).governor();
   gov.pin_core_freq(2.3e9);
   FaultInjector faults(cluster);
@@ -181,7 +181,7 @@ TEST(FaultPlans, InjectorRecordsWhatItApplies) {
   cfg.horizon = 0.5;
   FaultPlan plan = generate_fault_plan(cfg);
   ASSERT_FALSE(plan.empty());
-  Cluster cluster(MachineConfig::henri(), NetworkParams::ib_edr());
+  Cluster cluster(ClusterSpec{});
   FaultInjector faults(cluster);
   faults.apply(plan);
   EXPECT_EQ(faults.plan(), plan);

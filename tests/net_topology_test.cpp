@@ -18,7 +18,6 @@
 namespace cci::net {
 namespace {
 
-using hw::MachineConfig;
 
 ClusterSpec spec_with(Topology t, int nodes, std::uint64_t seed = 42) {
   ClusterSpec spec;
@@ -139,7 +138,7 @@ TEST(Topology, MinRemoteDelayScalesWithTheCrossGroupLinkClass) {
 // ---- single-switch compatibility --------------------------------------------
 
 TEST(Fabric, SingleSwitchSpecMatchesLegacyClusterExactly) {
-  Cluster legacy(MachineConfig::henri(), NetworkParams::ib_edr(), 4, 42);
+  Cluster legacy({.nodes = 4, .seed = 42});
   Cluster topo(spec_with(Topology::single_switch(), 4));
   // Same solver resource table: same count, and the fabric is one crossbar
   // with the same name and capacity.

@@ -17,7 +17,7 @@ namespace cci {
 namespace {
 
 void run_pingpong() {
-  net::Cluster cluster(hw::MachineConfig::henri(), net::NetworkParams::ib_edr());
+  net::Cluster cluster(net::ClusterSpec{});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
   runtime::RuntimeConfig cfg = runtime::RuntimeConfig::for_machine("henri");
   cfg.workers = 4;

@@ -10,14 +10,12 @@
 namespace cci::runtime {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
 
 const hw::KernelTraits kFlops{"f", 8.0, 0.0, hw::VectorClass::kScalar};
 
 struct Rig {
-  Rig() : cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2),
+  Rig() : cluster({.nodes = 2}),
           world(cluster, {{0, -1}, {1, -1}}) {}
   Cluster cluster;
   mpi::World world;
@@ -78,6 +76,49 @@ TEST(Failover, HealthyDistributedRunWithHeartbeatsCompletes) {
   EXPECT_GT(rep.makespan, 0.0);
   EXPECT_EQ(drt.runtime(0).tasks_completed(), 4);
   EXPECT_EQ(drt.runtime(1).tasks_completed(), 4);
+}
+
+/// Two-rank graph with a message: rank 0 computes, sends 1 MiB to rank 1
+/// and runs a long task; rank 1 receives, then computes.  Rank 0 finishes
+/// last, so a sequential join finds rank 1's event already set.
+void build_send_recv_graph(Runtime& rt0, Runtime& rt1) {
+  Task* a = rt0.add_task({"a", kFlops, 5e7}, 0);
+  Runtime::add_dependency(a, rt0.add_send(1, 7, mpi::MsgView{1 << 20, 0, 0}));
+  rt0.add_task({"long", kFlops, 4e8}, 0);
+  Task* r = rt1.add_recv(0, 7, mpi::MsgView{1 << 20, 0, 0});
+  Runtime::add_dependency(r, rt1.add_task({"b", kFlops, 5e7}, 0));
+}
+
+TEST(Failover, HealthyJoinDispatchesTheSameEventsAsASequentialJoin) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+
+  // Reference: the plain sequential joiner, written out.
+  Rig ref;
+  Runtime ref0(ref.world, 0, cfg);
+  Runtime ref1(ref.world, 1, cfg);
+  build_send_recv_graph(ref0, ref1);
+  sim::OneShotEvent& done0 = ref0.run();
+  sim::OneShotEvent& done1 = ref1.run();
+  ref.cluster.engine().spawn([](sim::OneShotEvent& d0, sim::OneShotEvent& d1, Runtime& r0,
+                                Runtime& r1) -> sim::Coro {
+    co_await d0.wait();
+    co_await d1.wait();
+    r0.shutdown();
+    r1.shutdown();
+  }(done0, done1, ref0, ref1));
+  ref.cluster.engine().run();
+
+  // DistributedRuntime's failure-aware join: healthy, unarmed, no heartbeats.
+  Rig rig;
+  DistributedRuntime drt(rig.world, cfg);
+  build_send_recv_graph(drt.runtime(0), drt.runtime(1));
+  DistributedRuntime::Report rep = drt.run_to_completion();
+
+  ASSERT_TRUE(rep.completed);
+  EXPECT_EQ(drt.runtime(1).tasks_completed(), 2);
+  EXPECT_EQ(rep.makespan, ref.cluster.engine().now());
+  EXPECT_EQ(rig.cluster.engine().events_dispatched(), ref.cluster.engine().events_dispatched());
 }
 
 TEST(Failover, SilentRankIsDeclaredDeadByHeartbeats) {

@@ -16,7 +16,7 @@ using net::Cluster;
 using net::NetworkParams;
 
 struct Rig {
-  Rig() : cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2),
+  Rig() : cluster({.nodes = 2}),
           world(cluster, {{0, -1}, {1, -1}}) {}
   Cluster cluster;
   mpi::World world;

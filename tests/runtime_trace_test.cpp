@@ -9,12 +9,10 @@
 namespace cci::runtime {
 namespace {
 
-using hw::MachineConfig;
 using net::Cluster;
-using net::NetworkParams;
 
 struct TraceRig {
-  TraceRig() : cluster(MachineConfig::henri(), NetworkParams::ib_edr(), 2),
+  TraceRig() : cluster({.nodes = 2}),
                world(cluster, {{0, -1}, {1, -1}}) {}
   Cluster cluster;
   mpi::World world;
