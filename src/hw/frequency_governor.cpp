@@ -14,20 +14,24 @@ FrequencyGovernor::FrequencyGovernor(Machine& machine)
       vclass_(static_cast<std::size_t>(machine.config().total_cores()), VectorClass::kScalar),
       freq_(static_cast<std::size_t>(machine.config().total_cores()), 0.0),
       uncore_freq_(static_cast<std::size_t>(machine.config().sockets), 0.0),
-      transition_gen_(static_cast<std::size_t>(machine.config().total_cores()), 0) {
-  obs::Registry& reg = obs::Registry::global();
+      transition_gen_(static_cast<std::size_t>(machine.config().total_cores()), 0),
+      obs_reg_(&obs::Registry::global()) {
+  if (obs_reg_->enabled()) bind_obs();
+  recompute_all();
+}
+
+void FrequencyGovernor::bind_obs() {
   char buf[128];
   obs_core_hz_.reserve(freq_.size());
-  for (int c = 0; c < machine.config().total_cores(); ++c) {
-    std::snprintf(buf, sizeof buf, "hw.freq.%score%d_hz", machine.prefix_.c_str(), c);
-    obs_core_hz_.push_back(&reg.gauge(buf));
+  for (int c = 0; c < machine_.config().total_cores(); ++c) {
+    std::snprintf(buf, sizeof buf, "hw.freq.%score%d_hz", machine_.prefix_.c_str(), c);
+    obs_core_hz_.push_back(&obs_reg_->gauge(buf));
   }
   obs_uncore_hz_.reserve(uncore_freq_.size());
-  for (int s = 0; s < machine.config().sockets; ++s) {
-    std::snprintf(buf, sizeof buf, "hw.freq.%suncore%d_hz", machine.prefix_.c_str(), s);
-    obs_uncore_hz_.push_back(&reg.gauge(buf));
+  for (int s = 0; s < machine_.config().sockets; ++s) {
+    std::snprintf(buf, sizeof buf, "hw.freq.%suncore%d_hz", machine_.prefix_.c_str(), s);
+    obs_uncore_hz_.push_back(&obs_reg_->gauge(buf));
   }
-  recompute_all();
 }
 
 void FrequencyGovernor::set_policy(CpuPolicy policy) {
@@ -135,7 +139,7 @@ void FrequencyGovernor::apply_core_freq(int core, double hz) {
   if (ramp <= 0.0 || freq_[idx] == 0.0) {
     freq_[idx] = hz;
     machine_.core(core)->set_capacity(hz);
-    obs_core_hz_[idx]->set(hz);
+    publish_hz(obs_core_hz_, idx, hz);
     if (trace_) trace_(core, hz);
     return;
   }
@@ -146,7 +150,7 @@ void FrequencyGovernor::apply_core_freq(int core, double hz) {
     if (transition_gen_[idx] != gen) return;  // superseded
     freq_[idx] = hz;
     machine_.core(core)->set_capacity(hz);
-    obs_core_hz_[idx]->set(hz);
+    publish_hz(obs_core_hz_, idx, hz);
     if (trace_) trace_(core, hz);
   });
 }
@@ -155,7 +159,7 @@ void FrequencyGovernor::apply_uncore(int socket, double hz) {
   auto idx = static_cast<std::size_t>(socket);
   if (uncore_freq_[idx] == hz) return;
   uncore_freq_[idx] = hz;
-  obs_uncore_hz_[idx]->set(hz);
+  publish_hz(obs_uncore_hz_, idx, hz);
   const auto& cfg = machine_.config();
   // Memory-controller capacity scales with uncore frequency.
   double span = cfg.uncore_freq_max_hz - cfg.uncore_freq_min_hz;

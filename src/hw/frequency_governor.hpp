@@ -74,6 +74,16 @@ class FrequencyGovernor {
   void recompute_all();
   void apply_core_freq(int core, double hz);
   void apply_uncore(int socket, double hz);
+  /// Resolve every core and uncore gauge of this machine in obs_reg_.
+  void bind_obs();
+  /// `gauges[idx]->set(hz)`: a single branch while obs_reg_ is off (DVFS
+  /// transitions are hot); the first write that finds it on binds all of
+  /// the machine's gauges.
+  void publish_hz(std::vector<obs::Gauge*>& gauges, std::size_t idx, double hz) {
+    if (!obs_reg_->enabled()) return;
+    if (obs_core_hz_.empty()) bind_obs();
+    gauges[idx]->set(hz);
+  }
 
   Machine& machine_;
   CpuPolicy policy_ = CpuPolicy::kOndemand;
@@ -88,6 +98,10 @@ class FrequencyGovernor {
   // Frequency timelines (`hw.freq.<prefix>core<N>_hz` / `...uncore<S>_hz`):
   // the machine prefix keeps multi-node clusters collision-free.  Updated at
   // the instant a transition *lands*, so the sampler sees the ramp latency.
+  // Bound at construction when the registry captured there is enabled,
+  // otherwise at the first frequency write that finds it on (both vectors
+  // stay empty until then).
+  obs::Registry* obs_reg_;
   std::vector<obs::Gauge*> obs_core_hz_;
   std::vector<obs::Gauge*> obs_uncore_hz_;
   TraceFn trace_;

@@ -1,16 +1,55 @@
 #include "hw/machine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "hw/frequency_governor.hpp"
 
 namespace cci::hw {
 
+namespace {
+
+/// Throws std::invalid_argument naming the first field the node model
+/// cannot instantiate: the derived helpers divide by numa_per_socket and
+/// cores_per_numa, and capacity fields end up in FlowModel resources.
+void validate(const MachineConfig& c) {
+  auto fail = [&c](const std::string& what) {
+    throw std::invalid_argument("Machine '" + c.name + "': " + what);
+  };
+  if (c.sockets != 2)
+    fail("sockets = " + std::to_string(c.sockets) + ", the node model is dual-socket");
+  if (c.numa_per_socket < 1) fail("numa_per_socket must be >= 1");
+  if (c.cores_per_numa < 1) fail("cores_per_numa must be >= 1");
+  if (c.nic_numa < 0 || c.nic_numa >= c.numa_count())
+    fail("nic_numa = " + std::to_string(c.nic_numa) + " outside [0, " +
+         std::to_string(c.numa_count()) + ")");
+  // Every field a core, memory-controller or link capacity is computed from.
+  const std::pair<const char*, double> capacities[] = {
+      {"core_freq_min_hz", c.core_freq_min_hz},
+      {"core_freq_nominal_hz", c.core_freq_nominal_hz},
+      {"comm_core_freq_hz", c.comm_core_freq_hz},
+      {"uncore_freq_min_hz", c.uncore_freq_min_hz},
+      {"uncore_freq_max_hz", c.uncore_freq_max_hz},
+      {"uncore_min_mem_scale", c.uncore_min_mem_scale},
+      {"mem_bw_per_numa", c.mem_bw_per_numa},
+      {"cross_socket_bw", c.cross_socket_bw},
+      {"intra_socket_bw", c.intra_socket_bw},
+  };
+  for (const auto& [field, v] : capacities)
+    if (!std::isfinite(v) || v < 0.0) fail(std::string(field) + " must be finite and >= 0");
+  for (const auto* table : {&c.turbo_scalar, &c.turbo_avx2, &c.turbo_avx512})
+    for (const TurboStep& step : *table)
+      if (!std::isfinite(step.freq_hz) || step.freq_hz < 0.0)
+        fail("turbo table frequencies must be finite and >= 0");
+}
+
+}  // namespace
+
 Machine::Machine(sim::FlowModel& model, MachineConfig config, std::string prefix)
     : model_(model), config_(std::move(config)), prefix_(std::move(prefix)) {
-  assert(config_.sockets == 2 && "the node model assumes dual-socket machines");
+  validate(config_);
   const int n_cores = config_.total_cores();
   cores_.reserve(static_cast<std::size_t>(n_cores));
   for (int i = 0; i < n_cores; ++i) {

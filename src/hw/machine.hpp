@@ -19,7 +19,11 @@ class FrequencyGovernor;
 class Machine {
  public:
   /// Builds all resources inside `model`; `prefix` namespaces resource
-  /// names so several nodes can share one model (e.g. "node0.").
+  /// names so several nodes can share one model (e.g. "node0.").  Throws
+  /// std::invalid_argument before building anything when `config` is not a
+  /// dual-socket node with >= 1 NUMA node per socket and >= 1 core per NUMA
+  /// node, when nic_numa is not one of its NUMA nodes, or when a capacity
+  /// field is negative or not finite.
   Machine(sim::FlowModel& model, MachineConfig config, std::string prefix = "");
   ~Machine();
   Machine(const Machine&) = delete;

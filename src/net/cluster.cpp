@@ -269,6 +269,10 @@ std::vector<int> Cluster::resource_groups() const {
   return groups;
 }
 
+void Nic::bind_obs() {
+  obs_queue_depth_ = &obs_reg_->gauge("net." + dma_engine_->name() + ".queue_depth");
+}
+
 void Nic::refresh_dma_capacity() {
   const auto& cfg = machine_.config();
   double u = machine_.governor().uncore_freq(socket());

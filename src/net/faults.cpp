@@ -98,6 +98,31 @@ bool kind_from_name(const std::string& name, FaultEvent::Kind& out) {
   return false;
 }
 
+/// Kinds whose `value` is a capacity factor or a probability.  Blackouts
+/// and throttles record 1.0 and never read it.
+bool reads_value(FaultEvent::Kind kind) {
+  return kind != FaultEvent::Kind::kNicBlackout && kind != FaultEvent::Kind::kNodeThrottle;
+}
+
+/// Why the injector cannot apply `e`, or nullptr when it can.  A negative
+/// capacity or an out-of-range probability would otherwise reach
+/// Resource::set_capacity / FaultState, whose only guards are asserts.
+const char* invalid_reason(const FaultEvent& e) {
+  if (!std::isfinite(e.at) || !std::isfinite(e.until) || !std::isfinite(e.value))
+    return "at, until and value must be finite";
+  if (e.at < 0.0) return "at must be >= 0";
+  if (e.until >= 0.0 && e.until < e.at) return "until must be >= at (or < 0 for no recovery)";
+  if (reads_value(e.kind) && !(e.value >= 0.0 && e.value <= 1.0))
+    return "value must be in [0, 1]";
+  return nullptr;
+}
+
+void check_injectable(const FaultEvent& e) {
+  if (const char* why = invalid_reason(e))
+    throw std::invalid_argument("FaultInjector: " + std::string(kind_name(e.kind)) + ": " +
+                                why);
+}
+
 }  // namespace
 
 std::string FaultPlan::serialize() const {
@@ -122,10 +147,13 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     if (line.empty() || line[0] == '#') continue;
     char kind_buf[64];
     FaultEvent e;
-    if (std::sscanf(line.c_str(), "%63s at=%lg until=%lg node=%d numa=%d value=%lg",
-                    kind_buf, &e.at, &e.until, &e.node, &e.numa, &e.value) != 6 ||
-        !kind_from_name(kind_buf, e.kind))
+    int consumed = -1;
+    if (std::sscanf(line.c_str(), "%63s at=%lg until=%lg node=%d numa=%d value=%lg %n",
+                    kind_buf, &e.at, &e.until, &e.node, &e.numa, &e.value, &consumed) != 6 ||
+        static_cast<std::size_t>(consumed) != line.size() || !kind_from_name(kind_buf, e.kind))
       throw std::runtime_error("FaultPlan::parse: malformed line: " + line);
+    if (const char* why = invalid_reason(e))
+      throw std::runtime_error("FaultPlan::parse: " + std::string(why) + ": " + line);
     plan.add(e);
   }
   return plan;
@@ -202,6 +230,11 @@ FaultPlan generate_fault_plan(const FaultScheduleConfig& cfg) {
 
 // ---- FaultInjector ---------------------------------------------------------
 
+void FaultInjector::record(const FaultEvent& e) {
+  check_injectable(e);
+  plan_.add(e);
+}
+
 void FaultInjector::schedule(sim::Resource* r, sim::Time at, double factor,
                              sim::Time recover_at) {
   // Delta tracking: remember how much capacity this fault removed and give
@@ -218,7 +251,7 @@ void FaultInjector::schedule(sim::Resource* r, sim::Time at, double factor,
 }
 
 void FaultInjector::degrade_wire(sim::Time at, double factor, sim::Time recover_at) {
-  plan_.add({FaultEvent::Kind::kWireDegrade, at, recover_at, -1, 0, factor});
+  record({FaultEvent::Kind::kWireDegrade, at, recover_at, -1, 0, factor});
   // Fabric-wide degradation: every crossbar and inter-switch link.  On the
   // single-switch topology this is exactly the one historical crossbar.
   for (sim::Resource* r : cluster_.fabric_resources()) schedule(r, at, factor, recover_at);
@@ -226,12 +259,12 @@ void FaultInjector::degrade_wire(sim::Time at, double factor, sim::Time recover_
 
 void FaultInjector::degrade_mem_ctrl(int node, int numa, sim::Time at, double factor,
                                      sim::Time recover_at) {
-  plan_.add({FaultEvent::Kind::kMemCtrlDegrade, at, recover_at, node, numa, factor});
+  record({FaultEvent::Kind::kMemCtrlDegrade, at, recover_at, node, numa, factor});
   schedule(cluster_.machine(node).mem_ctrl(numa), at, factor, recover_at);
 }
 
 void FaultInjector::degrade_nic(int node, sim::Time at, double factor, sim::Time recover_at) {
-  plan_.add({FaultEvent::Kind::kNicDegrade, at, recover_at, node, 0, factor});
+  record({FaultEvent::Kind::kNicDegrade, at, recover_at, node, 0, factor});
   cluster_.engine().call_at(
       at, [this, node, factor] { cluster_.nic(node).set_degradation(factor); });
   if (recover_at >= 0.0)
@@ -240,7 +273,7 @@ void FaultInjector::degrade_nic(int node, sim::Time at, double factor, sim::Time
 }
 
 void FaultInjector::throttle_node(int node, sim::Time at, sim::Time recover_at) {
-  plan_.add({FaultEvent::Kind::kNodeThrottle, at, recover_at, node, 0, 1.0});
+  record({FaultEvent::Kind::kNodeThrottle, at, recover_at, node, 0, 1.0});
   cluster_.engine().call_at(at, [this, node] {
     auto& m = cluster_.machine(node);
     SavedClocks& saved = saved_clocks_[node];
@@ -255,6 +288,8 @@ void FaultInjector::throttle_node(int node, sim::Time at, sim::Time recover_at) 
 }
 
 void FaultInjector::restore_clocks(int node, sim::Time at) {
+  if (!std::isfinite(at) || at < 0.0)
+    throw std::invalid_argument("FaultInjector: restore_clocks: at must be finite and >= 0");
   cluster_.engine().call_at(at, [this, node] {
     auto& gov = cluster_.machine(node).governor();
     auto it = saved_clocks_.find(node);
@@ -271,7 +306,7 @@ void FaultInjector::restore_clocks(int node, sim::Time at) {
 }
 
 void FaultInjector::loss_window(double p, sim::Time at, sim::Time until) {
-  plan_.add({FaultEvent::Kind::kLossWindow, at, until, -1, 0, p});
+  record({FaultEvent::Kind::kLossWindow, at, until, -1, 0, p});
   cluster_.faults().arm();
   cluster_.engine().call_at(at, [this, p] { cluster_.faults().push_loss(p); });
   if (until >= 0.0)
@@ -279,7 +314,7 @@ void FaultInjector::loss_window(double p, sim::Time at, sim::Time until) {
 }
 
 void FaultInjector::corrupt_window(double p, sim::Time at, sim::Time until) {
-  plan_.add({FaultEvent::Kind::kCorruptWindow, at, until, -1, 0, p});
+  record({FaultEvent::Kind::kCorruptWindow, at, until, -1, 0, p});
   cluster_.faults().arm();
   cluster_.engine().call_at(at, [this, p] { cluster_.faults().push_corrupt(p); });
   if (until >= 0.0)
@@ -287,7 +322,7 @@ void FaultInjector::corrupt_window(double p, sim::Time at, sim::Time until) {
 }
 
 void FaultInjector::blackout_nic(int node, sim::Time at, sim::Time until) {
-  plan_.add({FaultEvent::Kind::kNicBlackout, at, until, node, 0, 1.0});
+  record({FaultEvent::Kind::kNicBlackout, at, until, node, 0, 1.0});
   cluster_.faults().arm();
   cluster_.engine().call_at(at, [this, node] { cluster_.faults().begin_blackout(node); });
   if (until >= 0.0)
@@ -295,6 +330,9 @@ void FaultInjector::blackout_nic(int node, sim::Time at, sim::Time until) {
 }
 
 void FaultInjector::apply(const FaultPlan& plan) {
+  // Check every event first (blackouts and throttles never reach an entry
+  // point with their value), so a bad plan schedules nothing at all.
+  for (const FaultEvent& e : plan.events()) check_injectable(e);
   for (const FaultEvent& e : plan.events()) {
     switch (e.kind) {
       case FaultEvent::Kind::kWireDegrade:

@@ -132,7 +132,10 @@ class FaultPlan {
   /// One line per event; doubles printed with %.17g so parse(serialize())
   /// reproduces the plan bit-for-bit.
   [[nodiscard]] std::string serialize() const;
-  /// Inverse of serialize(); throws std::runtime_error on malformed input.
+  /// Inverse of serialize(); throws std::runtime_error naming the line on
+  /// malformed input and on events the injector cannot apply: non-finite
+  /// at/until/value, at < 0, 0 <= until < at, or (for kinds that read
+  /// `value`) a capacity factor or probability outside [0, 1].
   static FaultPlan parse(const std::string& text);
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
@@ -176,7 +179,9 @@ FaultPlan generate_fault_plan(const FaultScheduleConfig& config);
 
 /// Schedules fault events on the cluster's engine and records everything it
 /// injects into a FaultPlan.  The injector must outlive the simulation run
-/// (scheduled callbacks reference it).
+/// (scheduled callbacks reference it).  Every entry point applies the
+/// FaultPlan::parse checks to its arguments and throws
+/// std::invalid_argument, scheduling nothing, when they fail.
 class FaultInjector {
  public:
   explicit FaultInjector(Cluster& cluster) : cluster_(cluster) {}
@@ -214,6 +219,8 @@ class FaultInjector {
   // ---- plans ---------------------------------------------------------------
   /// Inject every event of a plan (generated or parsed).  The injector's
   /// own plan() records them again, so replays compare equal to the input.
+  /// Throws std::invalid_argument before scheduling anything when any
+  /// event fails the FaultPlan::parse checks.
   void apply(const FaultPlan& plan);
   /// Everything this injector has scheduled, in scheduling order.
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
@@ -224,6 +231,8 @@ class FaultInjector {
   /// correct under overlapping faults and absolute capacity writes from
   /// other subsystems, where a `capacity / factor` restore double-counts.
   void schedule(sim::Resource* r, sim::Time at, double factor, sim::Time recover_at);
+  /// Validate `e` (std::invalid_argument) and append it to plan_.
+  void record(const FaultEvent& e);
 
   Cluster& cluster_;
   FaultPlan plan_;

@@ -15,8 +15,9 @@ class Nic {
       : machine_(machine),
         params_(params),
         dma_engine_(machine.model().add_resource(prefix + "nic-dma", params.dma_bw_max_uncore)),
-        obs_queue_depth_(
-            &obs::Registry::global().gauge("net." + prefix + "nic-dma.queue_depth")) {}
+        obs_reg_(&obs::Registry::global()) {
+    if (obs_reg_->enabled()) bind_obs();
+  }
 
   hw::Machine& machine() { return machine_; }
   const NetworkParams& params() const { return params_; }
@@ -30,8 +31,8 @@ class Nic {
   /// Transfer bracketing for the `net.<prefix>nic-dma.queue_depth` gauge:
   /// number of copies/DMAs concurrently in flight on this engine, sampled
   /// into per-resource timelines by the obs::Sampler.
-  void dma_begin() { obs_queue_depth_->set(static_cast<double>(++dma_inflight_)); }
-  void dma_end() { obs_queue_depth_->set(static_cast<double>(--dma_inflight_)); }
+  void dma_begin() { publish_queue_depth(++dma_inflight_); }
+  void dma_end() { publish_queue_depth(--dma_inflight_); }
   [[nodiscard]] int dma_inflight() const { return dma_inflight_; }
 
   /// Re-derive DMA capacity from the current uncore frequency of the NIC's
@@ -60,10 +61,22 @@ class Nic {
   void clear_registration_cache() { reg_cache_.clear(); }
 
  private:
+  /// Resolve the queue-depth gauge in obs_reg_.  It is named after the DMA
+  /// resource, so binding late needs no stored prefix.
+  void bind_obs();
+  /// Bound at construction when the registry captured there is enabled,
+  /// otherwise at the first transfer that finds it on.
+  void publish_queue_depth(int depth) {
+    if (!obs_reg_->enabled()) return;
+    if (obs_queue_depth_ == nullptr) bind_obs();
+    obs_queue_depth_->set(static_cast<double>(depth));
+  }
+
   hw::Machine& machine_;
   NetworkParams params_;
   sim::Resource* dma_engine_;
-  obs::Gauge* obs_queue_depth_;
+  obs::Registry* obs_reg_;
+  obs::Gauge* obs_queue_depth_ = nullptr;
   int dma_inflight_ = 0;
   double degradation_ = 1.0;
   std::unordered_set<std::uint64_t> reg_cache_;

@@ -13,7 +13,7 @@
 //    identical simulations produce byte-identical snapshots;
 //  * stable handles — metric objects live as long as their registry and are
 //    never invalidated by reset(), so instrumented objects may cache raw
-//    pointers at construction time.
+//    pointers at construction time or bind them on first enabled use.
 //
 // The simulator is single-threaded by construction (one discrete-event loop),
 // so the registry performs no locking.

@@ -25,6 +25,18 @@ constexpr const char* kKindNames[] = {
 };
 constexpr std::size_t kKindCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
 
+/// PCT base priority of a thread: a seeded hash of its session name
+/// (FNV-1a, then the splitmix64 finalizer), so it does not depend on which
+/// thread the OS happened to start first.
+long long pct_priority(std::uint64_t seed, const std::string& name) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : name) h = (h ^ c) * 1099511628211ULL;
+  std::uint64_t z = seed ^ h;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<long long>((z ^ (z >> 31)) >> 1);
+}
+
 }  // namespace
 
 const char* kind_name(Kind k) {
@@ -348,7 +360,11 @@ struct Session::Impl {
     ts.st = ThreadState::St::kParked;
     ts.kind = Kind::kThreadBegin;
     ts.id = 0;
-    priority.emplace(ts.name, static_cast<long long>(rng() >> 1));
+    // One draw per registration, as before, keeps every mode's random
+    // stream unchanged; registration order is an OS race, so the PCT
+    // priority itself must not come from it.
+    rng();
+    priority.emplace(ts.name, pct_priority(opts.seed, ts.name));
     const auto it = threads.emplace(tid, std::move(ts)).first;
     ++progress_gen;
     decide_locked();

@@ -27,6 +27,7 @@ FlowModel::FlowModel(Engine& engine) : engine_(engine), activity_pool_("activity
   obs_components_solved_ = &obs_reg_->counter("sim.flow.components_solved");
   obs_started_ = &obs_reg_->counter("sim.flow.activities_started");
   obs_solve_wall_us_ = &obs_reg_->histogram("sim.flow.solve_wall_us");
+  obs_bound_ = obs_reg_->enabled();
   if (const char* env = std::getenv("CCI_SIM_INCREMENTAL"))
     incremental_ = !(env[0] == '0' && env[1] == '\0');
   // Watchdog support: when a run stalls, name every activity still in
@@ -74,18 +75,27 @@ Resource* FlowModel::add_resource(std::string name, double capacity) {
   const std::size_t solver_index = solver_.add_resource(capacity);
   assert(solver_index == r->index_);
   (void)solver_index;
+  if (obs_bound_) bind_resource_obs(*r);
+  return r;
+}
+
+void FlowModel::bind_resource_obs(Resource& r) {
   // Metric names assembled in a stack buffer; the registry's heterogeneous
   // string_view lookup means no temporary std::string on re-registration.
   char buf[192];
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.work_units", r->name().c_str());
-  r->obs_work_ = &obs_reg_->counter(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.utilization", r->name().c_str());
-  r->obs_util_ = &obs_reg_->gauge(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.pressure", r->name().c_str());
-  r->obs_pressure_ = &obs_reg_->gauge(buf);
-  r->obs_load_series_ = "sim.resource." + r->name() + ".load";
-  r->obs_track_series_ = "sim.res." + r->name();
-  return r;
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.work_units", r.name().c_str());
+  r.obs_work_ = &obs_reg_->counter(buf);
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.utilization", r.name().c_str());
+  r.obs_util_ = &obs_reg_->gauge(buf);
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.pressure", r.name().c_str());
+  r.obs_pressure_ = &obs_reg_->gauge(buf);
+  r.obs_load_series_ = "sim.resource." + r.name() + ".load";
+  r.obs_track_series_ = "sim.res." + r.name();
+}
+
+void FlowModel::bind_obs() {
+  obs_bound_ = true;
+  for (auto& r : resources_) bind_resource_obs(*r);
 }
 
 ActivityPtr FlowModel::start(ActivitySpec spec) {
@@ -140,6 +150,7 @@ void FlowModel::cancel(const ActivityPtr& activity) {
 void FlowModel::trace_activity(const Activity& act, const char* suffix) {
   obs::Tracer& tracer = obs_reg_->tracer();
   if (!tracer.on()) return;
+  if (!obs_bound_) bind_obs();
   const auto& spec = act.spec();
   static const std::string kUnbound = "sim.res.unbound";
   const std::string& series = spec.demands.empty()
@@ -171,6 +182,7 @@ void FlowModel::advance() {
   const Time now = engine_.now();
   const Time dt = now - last_advance_;
   if (dt > 0.0 && obs_reg_->enabled()) {
+    if (!obs_bound_) bind_obs();
     // Work-unit integral per resource: loads were constant since the last
     // change point, so load * dt is exact (bytes moved per controller).
     for (auto& r : resources_)
@@ -355,6 +367,7 @@ void FlowModel::reallocate() {
   obs::Tracer& tracer = obs_reg_->tracer();
   const bool tracing = tracer.on();
   const bool obs_on = obs_reg_->enabled();
+  if ((obs_on || tracing) && !obs_bound_) bind_obs();
   for (std::size_t ridx : solver_.touched_resources()) {
     Resource* r = resources_[ridx].get();
     r->load_ = solver_.load(ridx);

@@ -124,6 +124,14 @@ class FlowModel {
   /// their first demanded resource.
   void trace_activity(const Activity& act, const char* suffix);
 
+  /// Resolve `r`'s `sim.resource.<name>.*` handles and series names in
+  /// obs_reg_.  Runs at add_resource() once the model is bound; an unbound
+  /// model defers every resource to bind_obs().
+  void bind_resource_obs(Resource& r);
+  /// Late binding: the first advance()/reallocate()/trace_activity() that
+  /// finds the registry or the tracer on binds every resource at once.
+  void bind_obs();
+
   Engine& engine_;
   MaxMinSolver solver_;
   SlabPool<Activity> activity_pool_;  ///< stats: sim.pool.activity.*
@@ -140,6 +148,10 @@ class FlowModel {
   InterferenceProfiler* profiler_ = nullptr;
 
   obs::Registry* obs_reg_;
+  /// Per-resource handles resolved: set at construction when obs_reg_ is
+  /// enabled, otherwise at the first use that can read them.  A disabled
+  /// registry never sees the model's per-resource names.
+  bool obs_bound_ = false;
   obs::Counter* obs_resolves_;
   obs::Counter* obs_resolves_full_;
   obs::Counter* obs_resolves_partial_;

@@ -48,8 +48,9 @@ class Resource {
   double pressure_ = 0.0;
   // Observability: work-unit integral (bytes for links/controllers, cycles
   // for cores) plus the cached names of the load counter-sample series and
-  // the span track activities are traced on (built once at add_resource, so
-  // tracing never concatenates on the hot path).
+  // the span track activities are traced on (built once when the owning
+  // model binds its metrics, so tracing never concatenates on the hot path).
+  // All null/empty while the model is unbound (registry and tracer off).
   obs::Counter* obs_work_ = nullptr;
   obs::Gauge* obs_util_ = nullptr;      ///< sim.resource.<name>.utilization
   obs::Gauge* obs_pressure_ = nullptr;  ///< sim.resource.<name>.pressure

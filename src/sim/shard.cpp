@@ -341,7 +341,9 @@ Time ShardGroup::run(Time until) {
 }
 
 void ShardGroup::merge_obs(obs::Registry& dst) {
-  if (n_ == 1) return;
+  // A disabled destination records nothing, and merge_from would still
+  // create every shard metric in it by name.
+  if (n_ == 1 || !dst.enabled()) return;
   for (auto& sh : shards_) {
     dst.merge_from(*sh->registry);
     sh->registry->reset();

@@ -134,7 +134,7 @@ class ShardGroup {
 
   /// Fold every shard registry into `dst` (commutative merge_from) and
   /// reset the shard registries.  No-op when shards() == 1 — metrics
-  /// already accrued to the caller's registry.
+  /// already accrued to the caller's registry — or when `dst` is disabled.
   void merge_obs(obs::Registry& dst);
 
   // ---- boundary proxies (cross-shard fabric) --------------------------------

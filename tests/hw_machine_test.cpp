@@ -1,6 +1,12 @@
 // Machine topology, path resolution, contention pressure, latency model.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "hw/machine.hpp"
 #include "hw/frequency_governor.hpp"
 #include "hw/workload.hpp"
@@ -228,6 +234,63 @@ TEST_F(Governor, TraceReportsTransitions) {
   }
   EXPECT_TRUE(saw_core3);
   EXPECT_TRUE(saw_uncore0);
+}
+
+TEST(MachineValidation, EveryPresetConstructs) {
+  for (const MachineConfig& cfg : MachineConfig::all_presets()) {
+    sim::Engine engine;
+    sim::FlowModel model(engine);
+    EXPECT_NO_THROW(Machine(model, cfg, "node0.")) << cfg.name;
+  }
+}
+
+TEST(MachineValidation, OneBrokenFieldAtATimeThrowsBeforeBuilding) {
+  struct Break {
+    std::string what;
+    std::function<void(MachineConfig&)> apply;
+  };
+  std::vector<Break> breaks = {
+      {"sockets=1", [](MachineConfig& c) { c.sockets = 1; }},
+      {"sockets=4", [](MachineConfig& c) { c.sockets = 4; }},
+      {"numa_per_socket=0", [](MachineConfig& c) { c.numa_per_socket = 0; }},
+      {"numa_per_socket=-1", [](MachineConfig& c) { c.numa_per_socket = -1; }},
+      {"cores_per_numa=0", [](MachineConfig& c) { c.cores_per_numa = 0; }},
+      {"nic_numa=-1", [](MachineConfig& c) { c.nic_numa = -1; }},
+      {"nic_numa=numa_count", [](MachineConfig& c) { c.nic_numa = c.numa_count(); }},
+  };
+  // Every capacity field, each negative, NaN and infinite in turn.
+  const std::vector<std::pair<std::string, double MachineConfig::*>> capacities = {
+      {"core_freq_min_hz", &MachineConfig::core_freq_min_hz},
+      {"core_freq_nominal_hz", &MachineConfig::core_freq_nominal_hz},
+      {"comm_core_freq_hz", &MachineConfig::comm_core_freq_hz},
+      {"uncore_freq_min_hz", &MachineConfig::uncore_freq_min_hz},
+      {"uncore_freq_max_hz", &MachineConfig::uncore_freq_max_hz},
+      {"uncore_min_mem_scale", &MachineConfig::uncore_min_mem_scale},
+      {"mem_bw_per_numa", &MachineConfig::mem_bw_per_numa},
+      {"cross_socket_bw", &MachineConfig::cross_socket_bw},
+      {"intra_socket_bw", &MachineConfig::intra_socket_bw},
+  };
+  const double bad_values[] = {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+  for (const auto& [field, member] : capacities)
+    for (double v : bad_values)
+      breaks.push_back({field + "=" + std::to_string(v),
+                        [member = member, v](MachineConfig& c) { c.*member = v; }});
+  for (double v : bad_values)
+    breaks.push_back({"turbo_avx512[0]=" + std::to_string(v),
+                      [v](MachineConfig& c) { c.turbo_avx512.at(0).freq_hz = v; }});
+
+  for (const MachineConfig& preset : MachineConfig::all_presets()) {
+    for (const Break& b : breaks) {
+      MachineConfig cfg = preset;
+      b.apply(cfg);
+      sim::Engine engine;
+      sim::FlowModel model(engine);
+      EXPECT_THROW(Machine(model, cfg, "node0."), std::invalid_argument)
+          << preset.name << ": " << b.what;
+      EXPECT_EQ(model.solver().resource_count(), 0u) << preset.name << ": " << b.what;
+    }
+  }
 }
 
 }  // namespace

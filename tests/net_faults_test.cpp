@@ -1,7 +1,11 @@
 // Fault injection + DVFS transition latency.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "hw/frequency_governor.hpp"
 #include "mpi/pingpong.hpp"
@@ -172,6 +176,106 @@ TEST(FaultPlans, SerializeParseRoundTripsBitForBit) {
   EXPECT_EQ(plan, FaultPlan::parse(text));
   EXPECT_EQ(text, plan.serialize());
   EXPECT_THROW(FaultPlan::parse("not-a-kind at=0"), std::runtime_error);
+}
+
+TEST(FaultPlans, GeneratedPlansRoundTripAndEveryBadFieldThrows) {
+  // Seeded generated input: random schedule configs must round-trip bit for
+  // bit, and one bad field substituted into any valid line must be refused
+  // by the parser (runtime_error) and by the injector (invalid_argument).
+  using Kind = FaultEvent::Kind;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Mutation {
+    std::string what;
+    std::function<bool(FaultEvent&)> apply;  ///< false: not applicable
+  };
+  std::vector<Mutation> mutations;
+  auto assign = [&mutations](const char* field, double FaultEvent::*member, double v) {
+    mutations.push_back({std::string(field) + "=" + std::to_string(v),
+                         [member, v](FaultEvent& e) {
+                           e.*member = v;
+                           return true;
+                         }});
+  };
+  for (double v : {kNan, kInf, -kInf}) {
+    assign("at", &FaultEvent::at, v);
+    assign("until", &FaultEvent::until, v);
+    assign("value", &FaultEvent::value, v);
+  }
+  assign("at", &FaultEvent::at, -1e-3);
+  mutations.push_back({"until inside [0, at)", [](FaultEvent& e) {
+                         if (!(e.at > 0.0)) return false;
+                         e.until = e.at / 2.0;
+                         return true;
+                       }});
+  for (double v : {-0.25, 1.5})
+    mutations.push_back({"value=" + std::to_string(v), [v](FaultEvent& e) {
+                           if (e.kind == Kind::kNicBlackout || e.kind == Kind::kNodeThrottle)
+                             return false;
+                           e.value = v;
+                           return true;
+                         }});
+
+  sim::Rng rng(20210816);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    FaultScheduleConfig cfg;
+    cfg.seed = rng.next_u64();
+    cfg.horizon = rng.uniform(0.05, 0.5);
+    cfg.interarrival = trial % 2 == 0 ? FaultScheduleConfig::Dist::kExponential
+                                      : FaultScheduleConfig::Dist::kWeibull;
+    cfg.nodes = 2;
+    const FaultPlan plan = generate_fault_plan(cfg);
+    const std::string text = plan.serialize();
+    EXPECT_EQ(FaultPlan::parse(text), plan) << "seed " << cfg.seed;
+    EXPECT_EQ(FaultPlan::parse(text).serialize(), text) << "seed " << cfg.seed;
+
+    // The generator never emits memory-controller faults; cover them too.
+    std::vector<FaultEvent> events = plan.events();
+    events.push_back({Kind::kMemCtrlDegrade, rng.uniform(0.0, 0.1), 0.2, 1, 1, 0.5});
+    Cluster cluster(ClusterSpec{});
+    FaultInjector injector(cluster);
+    for (const FaultEvent& good : events) {
+      for (const Mutation& m : mutations) {
+        FaultEvent bad = good;
+        if (!m.apply(bad)) continue;
+        FaultPlan one;
+        one.add(bad);
+        const std::string line = one.serialize();
+        EXPECT_THROW(FaultPlan::parse(line), std::runtime_error) << m.what << ": " << line;
+        EXPECT_THROW(injector.apply(one), std::invalid_argument) << m.what << ": " << line;
+        ++rejected;
+      }
+    }
+    EXPECT_TRUE(injector.plan().empty()) << "a refused event was recorded";
+  }
+  EXPECT_GT(rejected, 100u);
+}
+
+TEST(FaultPlans, ParseAcceptsBoundaryValuesAndRefusesGarbage) {
+  // Valid edges: no recovery, recovery at onset, full outage, certain loss.
+  const std::string ok =
+      "wire-degrade at=0 until=-1 node=-1 numa=0 value=0\n"
+      "nic-degrade at=0.5 until=0.5 node=1 numa=0 value=1\n"
+      "loss-window at=0 until=1 node=-1 numa=0 value=1\n"
+      "node-throttle at=0 until=1 node=0 numa=0 value=7\n";  // value unread
+  EXPECT_EQ(FaultPlan::parse(ok).size(), 4u);
+  for (const char* bad : {
+           "wire-degrade at=0 until=-1 node=-1 numa=0 value=-1",
+           "wire-degrade at=1e999 until=-1 node=-1 numa=0 value=0.5",
+           "loss-window at=0 until=1 node=-1 numa=0 value=nan",
+           "corrupt-window at=0 until=1 node=-1 numa=0 value=inf",
+           "nic-blackout at=-0.5 until=1 node=0 numa=0 value=1",
+           "nic-degrade at=0.2 until=0.1 node=0 numa=0 value=0.5",
+           "wire-degrade at=0 until=-1 node=-1 numa=0 value=0.5x",
+       }) {
+    EXPECT_THROW(FaultPlan::parse(bad), std::runtime_error) << bad;
+    try {
+      (void)FaultPlan::parse(bad);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(FaultPlans, InjectorRecordsWhatItApplies) {

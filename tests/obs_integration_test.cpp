@@ -2,10 +2,19 @@
 // ping-pong must leave spans from at least three layers (sim resource
 // activity, MPI message lifecycle, runtime comm/poll) in the global
 // tracer, and the registry must hold the headline counters.  The same
-// run with observability disabled must record nothing.
+// run with observability disabled must record nothing.  Per-object
+// metrics (resources, governors, NICs) bind only when a registry can read
+// them: eagerly when it is on at construction, at first use otherwise.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <string>
+
+#include "core/fabric_lab.hpp"
+#include "hw/frequency_governor.hpp"
 #include "hw/machine.hpp"
+#include "mpi/pingpong.hpp"
 #include "mpi/world.hpp"
 #include "net/cluster.hpp"
 #include "obs/metrics.hpp"
@@ -105,6 +114,113 @@ TEST(ObsIntegration, IdenticalRunsProduceIdenticalSnapshots) {
 
   reg.reset();
   reg.set_enabled(false);
+}
+
+std::set<std::string> metric_names(const obs::Registry& reg) {
+  std::set<std::string> names;
+  for (const obs::Snapshot::Entry& e : reg.snapshot().entries) names.insert(e.name);
+  return names;
+}
+
+bool is_per_object(const std::string& name) {
+  return name.starts_with("sim.resource.") || name.starts_with("hw.freq.") ||
+         name.ends_with("nic-dma.queue_depth");
+}
+
+/// Two-rank rendezvous ping-pong: loads the flow model's resources and
+/// runs a DMA on both NICs.
+void run_rendezvous_pingpong(net::Cluster& cluster, mpi::World& world) {
+  mpi::PingPongOptions opt;
+  opt.bytes = 1 << 20;
+  opt.iterations = 2;
+  opt.warmup = 0;
+  mpi::PingPong pp(world, 0, 1, opt);
+  pp.start();
+  cluster.engine().run();
+}
+
+TEST(ObsIntegration, DisabledRegistryGainsNoPerObjectMetrics) {
+  auto& reg = obs::Registry::process();
+  reg.set_enabled(false);
+  reg.tracer().set_enabled(false);
+  const std::set<std::string> before = metric_names(reg);
+  {
+    // 16 groups x 8 routers x 8 hosts: ~48k resources, 1024 governors and
+    // NICs, none of which may reach a registry nobody reads.
+    net::Cluster cluster({.topology = net::Topology::dragonfly(16, 8, 8), .nodes = 1024});
+    mpi::World world(cluster, {{0, -1}, {1023, -1}});
+    cluster.machine(0).governor().core_busy(3, hw::VectorClass::kAvx512);
+    run_rendezvous_pingpong(cluster, world);
+  }
+  {
+    // Shard workers install private registries, disabled like this one;
+    // merge_obs must not carry their names over either.
+    core::Scenario s;
+    s.topology = net::Topology::dragonfly(4, 2, 2);
+    core::JobSpec even, odd;
+    even.label = "even";
+    odd.label = "odd";
+    even.pattern = odd.pattern = core::TrafficPattern::kRing;
+    even.iterations = odd.iterations = 1;
+    for (int n = 0; n < 16; ++n) (n % 2 == 0 ? even : odd).nodes.push_back(n);
+    s.jobs = {even, odd};
+    core::FabricLab lab(s);
+    const core::FabricReport r = lab.run_sharded(4);
+    ASSERT_EQ(r.shards, 4);
+    ASSERT_GT(r.total_bytes, 0.0);
+  }
+  for (const std::string& name : metric_names(reg)) {
+    if (before.count(name) == 0) {
+      EXPECT_FALSE(is_per_object(name)) << name;
+    }
+  }
+}
+
+/// Build a two-node cluster with `reg` off or on, turn it on, then run
+/// every per-object owner once: a busy core moves each node's governor,
+/// and a rendezvous ping-pong loads resources and both NICs.
+struct LateRun {
+  std::set<std::string> names;
+  std::optional<double> core_hz;   ///< hw.freq.node0.core3_hz
+  std::optional<double> dma_work;  ///< sim.resource.node0.nic-dma.work_units
+  double governor_hz = 0.0;        ///< node0 core3 as the governor reports it
+};
+
+LateRun run_every_owner(bool enabled_at_construction) {
+  obs::Registry reg;
+  reg.set_enabled(enabled_at_construction);
+  obs::Registry::ScopedThreadLocal scope(reg);
+  net::Cluster cluster(net::ClusterSpec{});
+  mpi::World world(cluster, {{0, -1}, {1, -1}});
+  reg.set_enabled(true);
+  for (int node = 0; node < cluster.node_count(); ++node)
+    cluster.machine(node).governor().core_busy(3, hw::VectorClass::kAvx512);
+  run_rendezvous_pingpong(cluster, world);
+
+  const obs::Snapshot snap = reg.snapshot();
+  LateRun out;
+  out.names = metric_names(reg);
+  out.core_hz = snap.try_value_of("hw.freq.node0.core3_hz");
+  out.dma_work =
+      snap.try_value_of("sim.resource." + cluster.nic(0).dma_engine()->name() + ".work_units");
+  out.governor_hz = cluster.machine(0).governor().core_freq(3);
+  return out;
+}
+
+TEST(ObsIntegration, RegistryEnabledAfterConstructionBindsEveryOwner) {
+  const LateRun late = run_every_owner(/*enabled_at_construction=*/false);
+  ASSERT_TRUE(late.core_hz.has_value()) << "governor transition did not bind";
+  EXPECT_GT(late.governor_hz, hw::MachineConfig::henri().core_freq_min_hz);
+  EXPECT_DOUBLE_EQ(*late.core_hz, late.governor_hz);
+  ASSERT_TRUE(late.dma_work.has_value()) << "loaded resource did not bind";
+  EXPECT_GT(*late.dma_work, 0.0);
+
+  // Late binding registers exactly what eager registration would have.
+  const LateRun eager = run_every_owner(/*enabled_at_construction=*/true);
+  EXPECT_EQ(late.names, eager.names);
+  std::size_t per_object = 0;
+  for (const std::string& name : late.names) per_object += is_per_object(name) ? 1 : 0;
+  EXPECT_GT(per_object, 0u);
 }
 
 }  // namespace
