@@ -17,6 +17,10 @@
 //       allocating construct to the dispatch path, independent of runner
 //       speed — a machine-portable proxy for events/sec regressions.
 //
+// BM_EagerPingPong guards the MPI layer on top of that loop the same way:
+// allocs_per_msg_steady (zero baseline) counts operator new per eager
+// message of a warmed isend/irecv ping-pong.
+//
 // This binary replaces global operator new/delete with counting versions,
 // so it must stay a standalone benchmark (never linked into another tool).
 #include <benchmark/benchmark.h>
@@ -32,6 +36,8 @@
 #include <vector>
 
 #include "core/fabric_lab.hpp"
+#include "mpi/world.hpp"
+#include "net/cluster.hpp"
 #include "sim/flow_model.hpp"
 #include "sim/pool.hpp"
 #include "sim/shard.hpp"
@@ -161,6 +167,67 @@ void BM_SimThroughputMalloc(benchmark::State& state) {
   state.counters["allocs_per_event_malloc"] = allocs_per_event(false);
 }
 BENCHMARK(BM_SimThroughputMalloc);
+
+// ---- eager MPI ping-pong ----------------------------------------------------
+//
+// The paper protocol's side-by-side hot loop in miniature: two ranks of a
+// 2-node World bounce a 4 B eager message with isend/irecv, no computation.
+// Counter:
+//
+//   allocs_per_msg_steady — operator-new calls per message over a round the
+//       same size as the warm-up round.  Requests and arrivals come from the
+//       World's slab pools and wake-ups queue bare coroutine handles, so
+//       this is exactly 0 (zero baseline, tolerance 0).  items_per_second
+//       is messages per second.
+
+constexpr int kRoundTrips = 512;  ///< per round; two messages each
+
+sim::Coro ping_side(mpi::World& world, int me, int peer, int round_trips, bool initiator) {
+  const mpi::MsgView msg{4, 0, 0};
+  for (int i = 0; i < round_trips; ++i) {
+    if (initiator) {
+      co_await *world.isend(me, peer, 0, msg);
+      co_await *world.irecv(me, peer, 1, msg);
+    } else {
+      co_await *world.irecv(me, peer, 0, msg);
+      co_await *world.isend(me, peer, 1, msg);
+    }
+  }
+}
+
+struct PingPongSim {
+  net::Cluster cluster{net::ClusterSpec{}};
+  mpi::World world{cluster, {{0, -1}, {1, -1}}};
+
+  void round(int round_trips) {
+    cluster.engine().spawn(ping_side(world, 0, 1, round_trips, true));
+    cluster.engine().spawn(ping_side(world, 1, 0, round_trips, false));
+    cluster.engine().run();
+  }
+};
+
+/// Deterministic counter pass: operator-new calls per message, once warm.
+double allocs_per_msg() {
+  PingPongSim s;
+  s.round(kRoundTrips);  // warm: pools, frames, event-queue nodes
+  const std::uint64_t allocs0 = g_allocs;
+  s.round(kRoundTrips);
+  return static_cast<double>(g_allocs - allocs0) / (2.0 * kRoundTrips);
+}
+
+void BM_EagerPingPong(benchmark::State& state) {
+  PingPongSim s;
+  s.round(kRoundTrips);
+  std::int64_t messages = 0;
+  for (auto _ : state) {
+    s.round(kRoundTrips);
+    benchmark::DoNotOptimize(s.cluster.engine().now());
+    messages += 2 * kRoundTrips;
+  }
+  state.SetItemsProcessed(messages);
+  state.counters["allocs_per_msg_steady"] = allocs_per_msg();
+}
+BENCHMARK(BM_EagerPingPong);
 
 // ---- conservative-window shard scaling --------------------------------------
 //

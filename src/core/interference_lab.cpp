@@ -1,5 +1,6 @@
 #include "core/interference_lab.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -39,14 +40,28 @@ ComputePhase InterferenceLab::summarize(const ComputeTeam& team) {
   return phase;
 }
 
-CommPhase InterferenceLab::summarize(const mpi::PingPong& pp, std::size_t bytes) {
+trace::Stats InterferenceLab::bandwidth_stats(const std::vector<double>& sorted_latencies,
+                                              std::size_t bytes) {
+  // IEEE division rounds monotonically, so bytes / lat never increases as
+  // lat grows: the positive latencies read backwards give the bandwidths
+  // already ascending, with no second sort and no bandwidth array.
+  // Non-positive latencies sit at the front, past the end of the walk.
+  const std::size_t last = sorted_latencies.size() - 1;
+  const auto n = static_cast<std::size_t>(
+      sorted_latencies.end() -
+      std::upper_bound(sorted_latencies.begin(), sorted_latencies.end(), 0.0));
+  return trace::Stats::of_sorted(n, [&](std::size_t i) {
+    return static_cast<double>(bytes) / sorted_latencies[last - i];
+  });
+}
+
+CommPhase InterferenceLab::summarize(std::vector<double> latencies, std::size_t bytes) {
+  // Sorted in place: a side-by-side phase can hold a few hundred thousand
+  // samples, and the summary makes no copy of them.
+  std::sort(latencies.begin(), latencies.end());
   CommPhase phase;
-  phase.latency = trace::Stats::of(pp.latencies());
-  std::vector<double> bws;
-  bws.reserve(pp.latencies().size());
-  for (double lat : pp.latencies())
-    if (lat > 0) bws.push_back(static_cast<double>(bytes) / lat);
-  phase.bandwidth = trace::Stats::of(std::move(bws));
+  phase.latency = trace::Stats::of_sorted(latencies);
+  phase.bandwidth = bandwidth_stats(latencies, bytes);
   return phase;
 }
 
@@ -61,7 +76,7 @@ CommPhase InterferenceLab::run_comm_alone(int tag_base) {
   mpi::PingPong pp(*world_, 0, 1, opt);
   pp.start();
   cluster_->engine().run();
-  return summarize(pp, opt.bytes);
+  return summarize(pp.take_latencies(), opt.bytes);
 }
 
 ComputePhase InterferenceLab::run_compute_alone() {
@@ -89,7 +104,7 @@ void InterferenceLab::run_together(ComputePhase& compute, CommPhase& comm, int t
     pp.start();
     cluster_->engine().run();
     compute = {};
-    comm = summarize(pp, opt.bytes);
+    comm = summarize(pp.take_latencies(), opt.bytes);
     return;
   }
 
@@ -107,7 +122,7 @@ void InterferenceLab::run_together(ComputePhase& compute, CommPhase& comm, int t
   }(*team0, *team1, pp));
   cluster_->engine().run();
   compute = summarize(*team0);
-  comm = summarize(pp, opt.bytes);
+  comm = summarize(pp.take_latencies(), opt.bytes);
 }
 
 SideBySideResult InterferenceLab::run() {

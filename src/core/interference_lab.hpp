@@ -9,7 +9,9 @@
 // medians and deciles exactly as the paper plots them.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "core/compute_team.hpp"
 #include "core/scenario.hpp"
@@ -67,10 +69,16 @@ class InterferenceLab {
   void set_attribution(bool on) { attribution_ = on; }
   [[nodiscard]] bool attribution() const { return attribution_; }
 
+  /// Ping-pong bandwidth summary: Stats of bytes / lat over the positive
+  /// entries of an ascending-sorted latency vector, bitwise equal to
+  /// Stats::of over the same bandwidths in any order.
+  static trace::Stats bandwidth_stats(const std::vector<double>& sorted_latencies,
+                                      std::size_t bytes);
+
  private:
   std::unique_ptr<ComputeTeam> make_team(int node);
   static ComputePhase summarize(const ComputeTeam& team);
-  static CommPhase summarize(const mpi::PingPong& pp, std::size_t bytes);
+  static CommPhase summarize(std::vector<double> latencies, std::size_t bytes);
 
   Scenario scenario_;
   std::unique_ptr<net::Cluster> cluster_;

@@ -1,10 +1,18 @@
 // Message descriptors and requests for the mini-MPI.
+//
+// Requests are slab-pooled: World::isend/irecv serve them from a
+// World-owned sim::SlabPool, and RequestPtr is the pool's intrusive
+// refcount (sim::RcPtr), so posting an operation costs no heap allocation
+// once the pool is warm.  A RequestPtr may outlive its World: the pool
+// orphans slabs that still hold live requests, and the last release frees
+// them (see sim/pool.hpp).  Like every sim object, a request belongs to the
+// thread that runs its World.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
+#include "sim/pool.hpp"
 #include "sim/sync.hpp"
 
 namespace cci::mpi {
@@ -35,7 +43,7 @@ enum class MpiStatus {
 /// Completion handle for a nonblocking operation; `co_await *req` waits.
 /// Always check `status()` after a wait when faults may be armed: a request
 /// completes (event set) on failure too, carrying the error here.
-class Request {
+class Request : public sim::RcPooled<Request> {
  public:
   explicit Request(sim::Engine& engine) : done_(engine) {}
   sim::OneShotEvent& done() { return done_; }
@@ -55,6 +63,6 @@ class Request {
   MpiStatus status_ = MpiStatus::kOk;
 };
 
-using RequestPtr = std::shared_ptr<Request>;
+using RequestPtr = sim::RcPtr<Request>;
 
 }  // namespace cci::mpi

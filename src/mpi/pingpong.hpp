@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -37,6 +38,8 @@ class PingPong {
 
   /// Per-iteration half-RTT latencies (seconds), warmup excluded.
   [[nodiscard]] const std::vector<double>& latencies() const { return latencies_; }
+  /// Moves the latencies out, leaving latencies() empty.
+  std::vector<double> take_latencies() { return std::exchange(latencies_, {}); }
   /// Per-iteration bandwidths (B/s).
   [[nodiscard]] std::vector<double> bandwidths() const;
 

@@ -108,13 +108,13 @@ double World::pio_latency(int rank, std::size_t bytes) {
 }
 
 RequestPtr World::isend(int src_rank, int dst_rank, int tag, MsgView msg) {
-  auto req = std::make_shared<Request>(engine());
+  RequestPtr req = request_pool_.make(engine());
   engine().spawn(send_process(src_rank, dst_rank, tag, msg, req));
   return req;
 }
 
 RequestPtr World::irecv(int rank_id, int src_rank, int tag, MsgView msg) {
-  auto req = std::make_shared<Request>(engine());
+  RequestPtr req = request_pool_.make(engine());
   RankState& R = rank(rank_id);
   // Tag-matching pressure at post time (perf-counter view of the MPI queues).
   obs_posted_depth_->record(static_cast<double>(R.posted.size()));
@@ -122,11 +122,11 @@ RequestPtr World::irecv(int rank_id, int src_rank, int tag, MsgView msg) {
   // Try the unexpected queue first, in arrival order.
   for (auto it = R.unexpected.begin(); it != R.unexpected.end(); ++it) {
     if (!matches(src_rank, tag, (*it)->src, (*it)->tag)) continue;
-    ArrivalPtr arr = *it;
+    ArrivalPtr arr = std::move(*it);
     R.unexpected.erase(it);
     arr->recv_msg = msg;
     arr->recv_req = req;
-    arr->matched->set();
+    arr->matched.set();
     if (arr->status != MpiStatus::kOk) {
       req->fail(arr->status);  // poison: the sender already gave up
       return req;
@@ -145,7 +145,7 @@ void World::arrive(int dst_rank, const ArrivalPtr& arrival) {
     arrival->recv_msg = it->msg;
     arrival->recv_req = it->req;
     R.posted.erase(it);
-    arrival->matched->set();
+    arrival->matched.set();
     if (arrival->status != MpiStatus::kOk) {
       arrival->recv_req->fail(arrival->status);  // poison: sender gave up
       return;
@@ -195,11 +195,10 @@ sim::Coro World::send_process(int src_rank, int dst_rank, int tag, MsgView msg,
 
   co_await engine().sleep(sw_delay(src_rank, np.send_overhead_cycles));
 
-  auto arrival = std::make_shared<Arrival>();
+  ArrivalPtr arrival = arrival_pool_.make(engine());
   arrival->src = src_rank;
   arrival->tag = tag;
   arrival->bytes = msg.bytes;
-  arrival->matched = std::make_unique<sim::OneShotEvent>(engine());
 
   if (reliable()) {
     // Fault model armed: both protocols switch to the acknowledged
@@ -264,7 +263,7 @@ sim::Coro World::send_process(int src_rank, int dst_rank, int tag, MsgView msg,
   const sim::Time hs_start = engine().now();
   co_await engine().sleep(control_delay());  // RTS travels to the receiver
   arrive(dst_rank, arrival);
-  co_await arrival->matched->wait();         // receiver posted a matching recv
+  co_await arrival->matched.wait();          // receiver posted a matching recv
   co_await engine().sleep(control_delay());  // CTS travels back
   const sim::Time hs_end = engine().now();
 
@@ -522,7 +521,7 @@ sim::Coro World::reliable_rndv_send(int src_rank, int dst_rank, int tag, MsgView
 
   // The wait for a matching receive is application behaviour, not a fault:
   // it stays unbounded, exactly as in the legacy protocol.
-  co_await arrival->matched->wait();
+  co_await arrival->matched.wait();
 
   // ---- CTS: receiver-driven retransmit, same control-scale timer -----------
   rto = initial_rto(0);

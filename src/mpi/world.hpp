@@ -26,10 +26,15 @@
 // of hanging, and cancellation of in-flight DMA flows when a NIC blacks
 // out.  With the fault model unarmed, the legacy fire-and-forget path runs
 // verbatim (bitwise-identical event stream, no extra RNG draws).
+//
+// Memory: requests and arrivals come from World-owned slab pools, so a
+// steady eager ping-pong makes no heap allocation per message.  The pools
+// are deliberately not registered with the engine: a World may outlive its
+// Cluster's engine (FabricLab::run rebuilds the Cluster first), so ~World
+// never touches it.
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "mpi/message.hpp"
@@ -109,17 +114,18 @@ class World {
   /// payload after the wire, or a rendezvous RTS.  A non-kOk status marks a
   /// "poison" arrival: the sender gave up before delivering, and the
   /// matching receive must fail instead of waiting forever.
-  struct Arrival {
+  struct Arrival : sim::RcPooled<Arrival> {
+    explicit Arrival(sim::Engine& engine) : matched(engine) {}
     int src = 0;
     int tag = 0;
     std::size_t bytes = 0;
     bool eager = true;
     MpiStatus status = MpiStatus::kOk;
-    std::unique_ptr<sim::OneShotEvent> matched;  // set when a recv matches
-    MsgView recv_msg;                            // filled at match time
+    sim::OneShotEvent matched;  // set when a recv matches
+    MsgView recv_msg;           // filled at match time
     RequestPtr recv_req;
   };
-  using ArrivalPtr = std::shared_ptr<Arrival>;
+  using ArrivalPtr = sim::RcPtr<Arrival>;
 
   struct PostedRecv {
     int src;
@@ -189,6 +195,11 @@ class World {
 
   net::Cluster& cluster_;
   net::FaultState* faults_ = nullptr;
+  // Declared before ranks_ so queued requests and arrivals recycle into
+  // live pools at teardown; stragglers (coroutine frames the engine
+  // destroys later, RequestPtrs held by callers) take the orphan path.
+  sim::SlabPool<Request> request_pool_{"mpi_request"};
+  sim::SlabPool<Arrival> arrival_pool_{"mpi_arrival"};
   std::vector<RankState> ranks_;
   std::vector<InflightDma> inflight_dma_;
   bool message_trace_enabled_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
@@ -9,6 +10,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <system_error>
 #include <thread>
 
 namespace cci::sched {
@@ -640,52 +642,99 @@ std::string Trace::serialize() const {
   return os.str();
 }
 
+namespace {
+
+/// Whitespace-separated tokens of one trace line.
+std::vector<std::string> line_tokens(const std::string& line) {
+  std::istringstream is(line);
+  std::vector<std::string> out;
+  std::string tok;
+  while (is >> tok) out.push_back(tok);
+  return out;
+}
+
+/// Canonical unsigned decimal only: digits, no sign, no leading zero, no
+/// overflow — exactly the text serialize() writes, so anything accepted
+/// re-serializes byte-identically and "-1" cannot wrap to 2^64 - 1.
+template <class U>
+bool parse_decimal(const std::string& tok, U& out) {
+  if (tok.empty() || (tok.size() > 1 && tok[0] == '0')) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+[[noreturn]] void bad_line(std::size_t line_no, const std::string& line,
+                           const std::string& why) {
+  throw std::runtime_error("sched trace: line " + std::to_string(line_no) + ": " + why +
+                           " in '" + line + "'");
+}
+
+}  // namespace
+
 Trace Trace::parse(const std::string& text) {
   std::istringstream is(text);
   std::string line;
   if (!std::getline(is, line)) throw std::runtime_error("sched trace: empty input");
-  std::istringstream header(line);
-  std::string magic;
-  std::string version;
-  std::string shape;
-  header >> magic >> version >> shape;
-  if (magic != "cci-sched-trace" || version != "v1" ||
-      (shape != "full" && shape != "overrides"))
-    throw std::runtime_error("sched trace: bad header '" + line + "'");
+  const std::vector<std::string> header = line_tokens(line);
+  if (header.size() != 3 || header[0] != "cci-sched-trace" || header[1] != "v1" ||
+      (header[2] != "full" && header[2] != "overrides"))
+    throw std::runtime_error("sched trace: line 1: bad header '" + line + "'");
   Trace t;
-  t.sparse = shape == "overrides";
+  t.sparse = header[2] == "overrides";
+  // One line shape per trace: "override <step> <thread>" or
+  // "step <step> <thread> <kind> <id> <runnable,...>".
+  const std::string tag = t.sparse ? "override" : "step";
+  const std::size_t fields = t.sparse ? 3 : 6;
   bool saw_end = false;
+  bool any_step = false;
+  std::size_t last_step = 0;
+  std::size_t line_no = 1;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "end") {
+    ++line_no;
+    const std::vector<std::string> tok = line_tokens(line);
+    if (saw_end) {
+      if (!tok.empty()) bad_line(line_no, line, "text after 'end'");
+      continue;
+    }
+    if (tok.empty() || tok[0][0] == '#') continue;
+    if (tok[0] == "end") {
+      if (tok.size() > 1) bad_line(line_no, line, "trailing token '" + tok[1] + "'");
       saw_end = true;
-      break;
+      continue;
     }
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "override") {
-      std::size_t s = 0;
-      std::string thread;
-      if (!(ls >> s >> thread))
-        throw std::runtime_error("sched trace: bad override line '" + line + "'");
-      t.overrides[s] = thread;
-    } else if (tag == "step") {
-      Decision d;
-      std::string kind_tok;
-      std::string runnable_tok;
-      if (!(ls >> d.step >> d.thread >> kind_tok >> d.id >> runnable_tok))
-        throw std::runtime_error("sched trace: bad step line '" + line + "'");
-      if (!kind_from_name(kind_tok.c_str(), d.kind))
-        throw std::runtime_error("sched trace: unknown kind '" + kind_tok + "'");
-      std::istringstream rs(runnable_tok);
-      std::string name;
-      while (std::getline(rs, name, ','))
-        if (!name.empty()) d.runnable.push_back(name);
-      t.steps.push_back(std::move(d));
-    } else {
-      throw std::runtime_error("sched trace: unknown line '" + line + "'");
+    if (tok[0] != "step" && tok[0] != "override") bad_line(line_no, line, "unknown line");
+    if (tok[0] != tag)
+      bad_line(line_no, line, "'" + tok[0] + "' line in a " + header[2] + " trace");
+    if (tok.size() < fields) bad_line(line_no, line, "missing fields");
+    if (tok.size() > fields) bad_line(line_no, line, "trailing token '" + tok[fields] + "'");
+    std::size_t step = 0;
+    if (!parse_decimal(tok[1], step)) bad_line(line_no, line, "bad step '" + tok[1] + "'");
+    if (any_step && step <= last_step)
+      bad_line(line_no, line,
+               "step " + tok[1] + " does not follow step " + std::to_string(last_step));
+    any_step = true;
+    last_step = step;
+    if (t.sparse) {
+      t.overrides.emplace(step, tok[2]);
+      continue;
     }
+    Decision d;
+    d.step = step;
+    d.thread = tok[2];
+    if (!kind_from_name(tok[3].c_str(), d.kind))
+      bad_line(line_no, line, "unknown kind '" + tok[3] + "'");
+    if (!parse_decimal(tok[4], d.id)) bad_line(line_no, line, "bad id '" + tok[4] + "'");
+    std::size_t from = 0;
+    for (;;) {
+      const std::size_t comma = tok[5].find(',', from);
+      std::string name = tok[5].substr(from, comma - from);
+      if (name.empty()) bad_line(line_no, line, "empty name in runnable list");
+      d.runnable.push_back(std::move(name));
+      if (comma == std::string::npos) break;
+      from = comma + 1;
+    }
+    t.steps.push_back(std::move(d));
   }
   if (!saw_end) throw std::runtime_error("sched trace: truncated (no 'end' line)");
   return t;

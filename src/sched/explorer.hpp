@@ -65,7 +65,12 @@ struct Trace {
   /// Versioned plain-text round-trip (the schedule analogue of the %.17g
   /// result-cache contract: what is written is exactly what replays).
   [[nodiscard]] std::string serialize() const;
-  static Trace parse(const std::string& text);  ///< throws std::runtime_error
+  /// Strict inverse of serialize(): accepts only lines of the header's
+  /// shape, canonical unsigned numbers, strictly increasing steps, no
+  /// trailing tokens and nothing after `end`.  Anything else throws a
+  /// std::runtime_error naming the line, so a parsed trace always
+  /// re-serializes byte-identically.
+  static Trace parse(const std::string& text);
   void save(const std::string& path) const;     ///< throws on I/O failure
   static Trace load(const std::string& path);   ///< throws on I/O or parse failure
 };

@@ -6,12 +6,19 @@
 // run in scheduling order, and nothing in the engine consults wall-clock
 // time or global RNG state.
 //
+// Dispatch: process wake-ups (spawn, sleep/sleep_until/yield, resume_soon)
+// queue the bare coroutine handle, not a std::function wrapping it; only
+// call_at/call_in carry a callback.  run() prunes the queue once per event
+// through EventQueue::peek() + pop().  run(until) stops at the horizon
+// without ever moving the clock backwards.
+//
 // Memory: the engine also owns the slab pools behind the hot path —
 // process-completion records, combinator wait nodes — plus the symbol table
 // that interns activity/resource labels to 4-byte ids.  Pool stats are
 // published through obs as `sim.pool.*` when a run() drains.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstdio>
@@ -63,7 +70,10 @@ class Engine {
 
   /// Time of the earliest pending event, or kNever if the queue is empty.
   /// The shard scheduler uses this to compute conservative window horizons.
-  [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
+  [[nodiscard]] Time next_event_time() const {
+    Time t = kNever;
+    return queue_.peek(t) ? t : kNever;
+  }
 
   /// Events actually pending (excludes lazily-cancelled heap slots).
   [[nodiscard]] std::size_t queue_live_size() const { return queue_.live_size(); }
@@ -94,7 +104,7 @@ class Engine {
     Coro::promise_type& p = h.promise();
     p.engine = this;
     p.state = state_pool_.make();
-    call_at(start_at < 0 ? now_ : start_at, [h] { h.resume(); });
+    resume_at(start_at < 0 ? now_ : start_at, h);
     obs_spawns_->add(1);
     ++live_processes_;
     p.live_prev = nullptr;
@@ -129,16 +139,18 @@ class Engine {
   }
 
   /// Run until the event queue drains or the optional horizon is reached.
-  /// Returns the final simulated time.
+  /// Stopping at a horizon advances the clock to it, but a horizon already
+  /// in the past leaves the clock where it is.  Returns the final simulated
+  /// time.
   Time run(Time until = kNever) {
     const bool guarded = watchdog_.any();
     std::uint64_t run_events = 0;
     std::uint64_t instant_events = 0;
     Time instant = now_;
-    while (!queue_.empty()) {
-      Time t = queue_.next_time();
+    Time t = kNever;
+    while (queue_.peek(t)) {
       if (t > until) {
-        now_ = until;
+        now_ = std::max(now_, until);
         if (sampler_ != nullptr) sampler_->advance_to(now_);
         publish_pool_stats();
         return now_;
@@ -166,13 +178,13 @@ class Engine {
         // before it would surface as a bogus stall report.
         if ((run_events & 4095u) == 0) queue_.check_live_size();
       }
-      auto [time, fn] = queue_.pop();
-      assert(time >= now_ - kTimeEpsilon);
-      now_ = std::max(now_, time);
+      EventQueue::Event ev = queue_.pop();
+      assert(ev.time >= now_ - kTimeEpsilon);
+      now_ = std::max(now_, ev.time);
       ++events_dispatched_;
       obs_events_->add(1);
       obs_heap_depth_->record(static_cast<double>(queue_.size_estimate()));
-      fn();
+      ev.run();
     }
     if (guarded && watchdog_.report_blocked_on_drain && live_processes_ > 0)
       trip(StallReason::kBlockedProcesses, run_events);
@@ -245,20 +257,22 @@ class Engine {
     Engine* engine;
     Time wake_at;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      engine->call_at(wake_at, [h] { h.resume(); });
-    }
+    void await_suspend(std::coroutine_handle<> h) { engine->resume_at(wake_at, h); }
     void await_resume() const noexcept {}
   };
 
   /// Resume a suspended coroutine from the event loop at the current time.
   /// Used by synchronisation primitives so wake-ups are serialized through
   /// the queue instead of nesting resumes.
-  void resume_soon(std::coroutine_handle<> h) {
-    call_at(now_, [h] { h.resume(); });
-  }
+  void resume_soon(std::coroutine_handle<> h) { resume_at(now_, h); }
 
  private:
+  /// Queue a bare resume of `h` at absolute time `t` (>= now()).
+  void resume_at(Time t, std::coroutine_handle<> h) {
+    assert(t >= now_ - kTimeEpsilon);
+    queue_.schedule_resume(t, h);
+  }
+
   [[noreturn]] void trip(StallReason reason, std::uint64_t run_events) {
     obs_watchdog_trips_->add(1);
     std::vector<std::string> blocked;

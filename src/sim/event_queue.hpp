@@ -1,9 +1,20 @@
 // A cancellable timer queue: the single ordering structure of the engine.
 //
-// Entries are (time, sequence, callback) nodes in an index-tracked binary
+// Entries are (time, sequence, action) nodes in an index-tracked binary
 // heap.  Sequence numbers give deterministic FIFO ordering among entries
 // scheduled for the same instant, which is what makes whole simulations
 // reproducible run-to-run.
+//
+// An action is either a std::function callback (schedule) or a bare
+// coroutine handle to resume (schedule_resume).  Process wake-ups — spawn,
+// sleep, yield, resume_soon — are the bulk of all events, and a handle
+// entry costs none of the std::function construct/move/destroy a wrapping
+// lambda would.  Both kinds share the pooled nodes and one sequence
+// counter, so mixing them never changes the dispatch order.
+//
+// Dispatch is a peek() + pop() pair: peek() prunes cancelled entries off
+// the top once and reports the earliest live time; pop() then removes that
+// entry without pruning again.
 //
 // Churn control (the engine's re-solve loop retimes one timer per change
 // point, thousands of times per simulated second):
@@ -22,6 +33,7 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -57,6 +69,7 @@ class EventQueue {
       Time time = kNever;
       std::uint64_t seq = 0;
       std::uint64_t gen = 0;  ///< bumped on recycle; stale handles go inert
+      std::coroutine_handle<> resume;  ///< set: resume entry (fn unused)
       Callback fn;
       EventQueue* owner = nullptr;
       Entry* next_free = nullptr;  ///< intrusive free-list link
@@ -68,16 +81,31 @@ class EventQueue {
     std::uint64_t gen_ = 0;
   };
 
+  /// A popped event: run() resumes the coroutine or calls the callback.
+  struct Event {
+    Time time = kNever;
+    std::coroutine_handle<> resume;
+    Callback fn;
+    void run() {
+      if (resume)
+        resume.resume();
+      else
+        fn();
+    }
+  };
+
   /// Schedule `fn` to run at absolute time `t`.
   Handle schedule(Time t, Callback fn) {
-    Entry* e = alloc_entry();
-    e->time = t;
-    e->seq = next_seq_++;
+    Entry* e = push(t);
     e->fn = std::move(fn);
-    e->state = Handle::State::kPending;
-    e->heap_pos = heap_.size();
-    heap_.push_back(e);
-    sift_up(e->heap_pos);
+    return Handle(e, e->gen);
+  }
+
+  /// Schedule coroutine `h` to be resumed at absolute time `t`.  Same
+  /// ordering and handle semantics as schedule(), without a Callback.
+  Handle schedule_resume(Time t, std::coroutine_handle<> h) {
+    Entry* e = push(t);
+    e->resume = h;
     return Handle(e, e->gen);
   }
 
@@ -100,24 +128,23 @@ class EventQueue {
     return true;
   }
 
-  [[nodiscard]] bool empty() const {
+  /// Prune cancelled entries off the top; true when a live event remains,
+  /// with its time stored in `t`.
+  [[nodiscard]] bool peek(Time& t) const {
     prune();
-    return heap_.empty();
+    if (heap_.empty()) return false;
+    t = heap_.front()->time;
+    return true;
   }
 
-  /// Time of the earliest live event, or kNever if none.
-  [[nodiscard]] Time next_time() const {
-    prune();
-    return heap_.empty() ? kNever : heap_.front()->time;
-  }
-
-  /// Pop and return the earliest live event's callback, marking it fired.
-  /// Precondition: !empty().
-  std::pair<Time, Callback> pop() {
-    prune();
+  /// Remove and return the event the last peek() reported, marking it
+  /// fired.  Precondition: that peek() returned true and the queue has not
+  /// changed since.
+  Event pop() {
     Entry* e = heap_.front();
+    assert(e->state == Handle::State::kPending);
     remove_at(0);
-    std::pair<Time, Callback> out{e->time, std::move(e->fn)};
+    Event out{e->time, e->resume, std::move(e->fn)};
     e->state = Handle::State::kFired;
     free_entry(e);
     return out;
@@ -150,6 +177,19 @@ class EventQueue {
  private:
   using Entry = Handle::Entry;
 
+  /// Take a node, stamp (t, seq) and sift it into the heap; the caller
+  /// fills in the action.
+  Entry* push(Time t) {
+    Entry* e = alloc_entry();
+    e->time = t;
+    e->seq = next_seq_++;
+    e->state = Handle::State::kPending;
+    e->heap_pos = heap_.size();
+    heap_.push_back(e);
+    sift_up(e->heap_pos);
+    return e;
+  }
+
   Entry* alloc_entry() {
     Entry* e;
     if (free_head_) {
@@ -166,6 +206,7 @@ class EventQueue {
 
   void free_entry(Entry* e) {
     ++e->gen;  // invalidate outstanding handles
+    e->resume = nullptr;
     e->fn = nullptr;
     e->state = Handle::State::kFree;
     e->next_free = free_head_;
@@ -229,8 +270,8 @@ class EventQueue {
     }
   }
 
-  /// Drop cancelled entries sitting at the top so next_time()/pop() see a
-  /// live event.
+  /// Drop cancelled entries sitting at the top so peek()/pop() see a live
+  /// event.
   void prune() const {
     while (!heap_.empty() && heap_.front()->state == Handle::State::kCancelled) {
       Entry* e = heap_.front();

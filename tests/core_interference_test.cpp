@@ -3,6 +3,13 @@
 // onsets and orderings, not absolute numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/interference_lab.hpp"
 #include "kernels/primes.hpp"
 #include "kernels/stream.hpp"
@@ -155,6 +162,53 @@ TEST_P(IntensitySweep, HighIntensityRestoresBandwidth) {
 
 INSTANTIATE_TEST_SUITE_P(FlopPerByte, IntensitySweep,
                          ::testing::Values(0.25, 1.0, 30.0, 100.0));
+
+TEST(InterferenceSummary, BackwardsBandwidthWalkMatchesStatsOfBitwise) {
+  // The lab derives bandwidths from the sorted latencies by walking them
+  // backwards; the reference is the direct derivation over the samples in
+  // measurement order, non-positive latencies dropped, then Stats::of.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::mt19937_64 rng(5);
+  const std::size_t sizes[] = {0, 4, 4096, std::size_t{64} << 20};
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t bytes = sizes[static_cast<std::size_t>(round) % 4];
+    std::vector<double> lat;
+    const std::size_t n = 1 + rng() % 300;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t pick = rng() % 16;
+      if (pick == 0 && round % 2 == 0) {
+        lat.push_back(0.0);  // dropped: a zero-length iteration
+      } else if (pick == 1 && round % 2 == 0) {
+        lat.push_back(-1e-9);  // dropped: non-positive
+      } else if (pick < 5 && !lat.empty()) {
+        lat.push_back(lat[rng() % lat.size()]);  // a tie
+      } else {
+        lat.push_back(1e-7 + static_cast<double>(rng() % 1000000) * 1.37e-12);
+      }
+    }
+    std::vector<double> bws;
+    for (double l : lat)
+      if (l > 0) bws.push_back(static_cast<double>(bytes) / l);
+    const trace::Stats want = trace::Stats::of(bws);
+    std::vector<double> sorted = lat;
+    std::sort(sorted.begin(), sorted.end());
+    const trace::Stats got = InterferenceLab::bandwidth_stats(sorted, bytes);
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(got.n, want.n);
+    EXPECT_EQ(bits(got.median), bits(want.median));
+    EXPECT_EQ(bits(got.decile1), bits(want.decile1));
+    EXPECT_EQ(bits(got.decile9), bits(want.decile9));
+    EXPECT_EQ(bits(got.mean), bits(want.mean));
+    EXPECT_EQ(bits(got.min), bits(want.min));
+    EXPECT_EQ(bits(got.max), bits(want.max));
+  }
+}
+
+TEST(InterferenceSummary, AllNonPositiveLatenciesGiveEmptyBandwidth) {
+  const trace::Stats s = InterferenceLab::bandwidth_stats({-2.0, -1.0, 0.0}, 4);
+  EXPECT_EQ(s.n, 0u);
+  EXPECT_EQ(s.median, 0.0);
+}
 
 }  // namespace
 }  // namespace cci::core

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
+#include <vector>
 
 #include "hw/frequency_governor.hpp"
 #include "mpi/pingpong.hpp"
 #include "mpi/world.hpp"
+#include "sim/pool.hpp"
 
 namespace cci::mpi {
 namespace {
@@ -93,6 +96,75 @@ TEST(World, WildcardsMatch) {
   }(world));
   cluster->engine().run();
   EXPECT_TRUE(got);
+}
+
+/// Post a completed eager exchange, a never-matched receive and a
+/// rendezvous send whose receive never comes (its coroutine frame stays
+/// parked in the engine, holding pooled objects), then destroy the World
+/// and the Cluster in the given order.  The requests handed out must stay
+/// readable afterwards, whichever path their slabs took.
+void requests_outlive_their_world(bool pooled, bool cluster_first) {
+  sim::set_pools_enabled(pooled);
+  RequestPtr sent;
+  RequestPtr received;
+  RequestPtr unmatched;
+  RequestPtr rndv;
+  {
+    auto cluster = henri_cluster();
+    auto world = std::make_unique<World>(*cluster, std::vector<RankConfig>{{0, -1}, {1, -1}});
+    sent = world->isend(0, 1, 1, MsgView{64, 0, 0});
+    received = world->irecv(1, 0, 1, MsgView{64, 0, 0});
+    unmatched = world->irecv(1, 0, 2, MsgView{64, 0, 0});
+    rndv = world->isend(0, 1, 3, MsgView{std::size_t{8} << 20, 0, 0});
+    cluster->engine().run();
+    ASSERT_TRUE(sent->test());
+    ASSERT_TRUE(received->test());
+    ASSERT_FALSE(unmatched->test());
+    ASSERT_FALSE(rndv->test());
+    // FabricLab::run rebuilds its Cluster before its World, so a World must
+    // survive its engine; InterferenceLab tears down the other way round.
+    if (cluster_first) cluster.reset();
+    world.reset();
+  }
+  EXPECT_TRUE(sent->test());
+  EXPECT_TRUE(sent->ok());
+  EXPECT_TRUE(received->test());
+  EXPECT_EQ(received->status(), MpiStatus::kOk);
+  EXPECT_FALSE(unmatched->test());
+  EXPECT_FALSE(rndv->test());
+  EXPECT_TRUE(rndv->ok());
+  // The last references free the orphaned slabs (pools on) or the objects
+  // themselves (pools off); the sanitizer jobs check both.
+  sent.reset();
+  received.reset();
+  unmatched.reset();
+  rndv.reset();
+  sim::set_pools_enabled(true);
+}
+
+TEST(World, RequestOutlivesWorldWithPoolsOn) {
+  requests_outlive_their_world(/*pooled=*/true, /*cluster_first=*/false);
+  requests_outlive_their_world(/*pooled=*/true, /*cluster_first=*/true);
+}
+
+TEST(World, RequestOutlivesWorldWithPoolsOff) {
+  requests_outlive_their_world(/*pooled=*/false, /*cluster_first=*/false);
+  requests_outlive_their_world(/*pooled=*/false, /*cluster_first=*/true);
+}
+
+TEST(PingPong, TakeLatenciesMovesTheSamplesOut) {
+  auto cluster = henri_cluster();
+  World world(*cluster, {{0, -1}, {1, -1}});
+  PingPongOptions opt;
+  opt.iterations = 7;
+  PingPong pp(world, 0, 1, opt);
+  pp.start();
+  cluster->engine().run();
+  const std::vector<double> seen = pp.latencies();
+  ASSERT_EQ(seen.size(), 7u);
+  EXPECT_EQ(pp.take_latencies(), seen);
+  EXPECT_TRUE(pp.latencies().empty());
+  EXPECT_TRUE(pp.take_latencies().empty());
 }
 
 TEST(World, RegistrationCostPaidOncePerBuffer) {

@@ -7,7 +7,10 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -96,6 +99,155 @@ TEST(SchedTrace, ParseRejectsGarbage) {
   EXPECT_THROW(Trace::parse("cci-sched-trace v1 full\n"), std::runtime_error);  // no end
   EXPECT_THROW(Trace::parse("cci-sched-trace v1 full\nstep x\nend\n"),
                std::runtime_error);
+}
+
+TEST(SchedTrace, ParseRejectsEachMalformationNamingTheLine) {
+  const std::string full = "cci-sched-trace v1 full\n";
+  const std::string sparse = "cci-sched-trace v1 overrides\n";
+  const struct {
+    std::string text;
+    std::string line;  ///< the error must name this line number
+  } cases[] = {
+      {sparse + "override 3 t1 junk\nend\n", "line 2"},              // trailing token
+      {"cci-sched-trace v1 full junk\nend\n", "line 1"},              // header garbage
+      {sparse + "override -1 t1\nend\n", "line 2"},                   // negative step
+      {sparse + "override 3 a\noverride 3 b\nend\n", "line 3"},       // duplicate step
+      {sparse + "override 5 a\noverride 3 b\nend\n", "line 3"},       // decreasing step
+      {full + "override 3 t1\nend\n", "line 2"},                      // other shape
+      {sparse + "step 0 main cache_read 1 main\nend\n", "line 2"},    // other shape
+      {sparse + "override 3 t1\nend\nmore\n", "line 4"},              // after end
+      {full + "step 0 main cache_read -1 main\nend\n", "line 2"},     // negative id
+      {full + "step 0 main cache_read 1 main,\nend\n", "line 2"},     // empty name
+      {full + "step 00 main cache_read 1 main\nend\n", "line 2"},     // non-canonical
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)Trace::parse(c.text);
+      ADD_FAILURE() << "accepted:\n" << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.line), std::string::npos)
+          << e.what() << "\nfor:\n" << c.text;
+    }
+  }
+}
+
+/// Seeded generator of valid traces of either shape: steps strictly
+/// increasing with gaps, any kind, ids across the whole u64 range, and a
+/// name-sorted runnable set that contains the granted thread.
+Trace random_trace(std::mt19937_64& rng, bool sparse) {
+  static const std::vector<std::string> kNames = {"a", "b#2", "campaign.worker.1", "main",
+                                                  "shard.3"};
+  Trace t;
+  t.sparse = sparse;
+  std::size_t step = rng() % 3;
+  const int n = static_cast<int>(rng() % 10);  // 0 = header + end only
+  for (int i = 0; i < n; ++i) {
+    const std::string& thread = kNames[rng() % kNames.size()];
+    if (sparse) {
+      t.overrides[step] = thread;
+    } else {
+      Decision d;
+      d.step = step;
+      d.thread = thread;
+      d.kind = static_cast<Kind>(rng() % (static_cast<int>(Kind::kBlockedExit) + 1));
+      d.id = rng() % 3 == 0 ? rng() : rng() % 100;
+      for (const std::string& name : kNames)
+        if (name == thread || rng() % 2 == 0) d.runnable.push_back(name);
+      t.steps.push_back(std::move(d));
+    }
+    step += 1 + (rng() % 4 == 0 ? rng() % 1000 : 0);
+  }
+  return t;
+}
+
+using TokenLines = std::vector<std::vector<std::string>>;
+
+TokenLines split_tokens(const std::string& text) {
+  TokenLines lines;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    std::istringstream ls(line);
+    std::vector<std::string> toks;
+    std::string tok;
+    while (ls >> tok) toks.push_back(tok);
+    lines.push_back(std::move(toks));
+  }
+  return lines;
+}
+
+std::string join_tokens(const TokenLines& lines) {
+  std::string out;
+  for (const auto& toks : lines) {
+    for (std::size_t j = 0; j < toks.size(); ++j) out += (j != 0 ? " " : "") + toks[j];
+    out += '\n';
+  }
+  return out;
+}
+
+/// Replacements for token (i, j) that no valid trace can contain there.
+/// Thread names are free-form, so they get none: deletion and insertion
+/// still cover them.
+std::vector<std::string> invalid_replacements(const TokenLines& lines, std::size_t i,
+                                              std::size_t j, bool sparse) {
+  const std::string& tok = lines[i][j];
+  if (i == 0 || i + 1 == lines.size()) return {"?junk"};  // header, end
+  switch (j) {
+    case 0:  // line tag
+      return {"?junk", sparse ? "step" : "override"};
+    case 1: {  // step number
+      std::vector<std::string> out = {"-1", "+1", "0" + tok, "?junk"};
+      if (i > 1) {
+        out.push_back(lines[i - 1][1]);  // duplicate of the previous step
+        out.push_back("0");              // not after the previous step
+      }
+      return out;
+    }
+    case 2:  // thread
+      return {};
+    case 3:  // kind
+      return {"?junk"};
+    case 4:  // id
+      return {"-1", "0" + tok, "?junk"};
+    default:  // runnable list
+      return {tok + ",", "," + tok};
+  }
+}
+
+TEST(SchedTrace, GeneratedTracesRoundTripAndEveryTokenCorruptionThrows) {
+  std::mt19937_64 rng(2024);
+  int corruptions = 0;
+  for (int round = 0; round < 200; ++round) {
+    const bool sparse = round % 2 == 1;
+    const std::string text = random_trace(rng, sparse).serialize();
+    ASSERT_EQ(Trace::parse(text).serialize(), text) << text;
+    const TokenLines lines = split_tokens(text);
+    ASSERT_EQ(join_tokens(lines), text);
+    const auto expect_rejected = [&](const TokenLines& bad, const std::string& what) {
+      ++corruptions;
+      EXPECT_THROW((void)Trace::parse(join_tokens(bad)), std::runtime_error)
+          << what << " accepted:\n" << join_tokens(bad);
+    };
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      for (std::size_t j = 0; j < lines[i].size(); ++j) {
+        TokenLines del = lines;
+        del[i].erase(del[i].begin() + static_cast<std::ptrdiff_t>(j));
+        expect_rejected(del, "deleting '" + lines[i][j] + "'");
+        TokenLines ins = lines;
+        ins[i].insert(ins[i].begin() + static_cast<std::ptrdiff_t>(j) + 1, "?junk");
+        expect_rejected(ins, "inserting after '" + lines[i][j] + "'");
+        for (const std::string& r : invalid_replacements(lines, i, j, sparse)) {
+          TokenLines rep = lines;
+          rep[i][j] = r;
+          expect_rejected(rep, "replacing '" + lines[i][j] + "' by '" + r + "'");
+        }
+      }
+    }
+    TokenLines after_end = lines;
+    after_end.push_back({"?junk"});
+    expect_rejected(after_end, "text after end");
+  }
+  EXPECT_GT(corruptions, 2000);
 }
 
 TEST(SchedSession, PointsAreNoOpsWithoutASession) {

@@ -52,6 +52,21 @@ TEST(Engine, RunUntilStopsAtHorizon) {
   EXPECT_TRUE(late);
 }
 
+TEST(Engine, RunUntilAPastHorizonNeverRewindsTheClock) {
+  // A horizon behind the clock must leave it alone: rewinding would let the
+  // still-pending event at 20 appear to lie further ahead than it does.
+  Engine engine;
+  std::vector<Time> fired;
+  engine.call_at(10.0, [&] { fired.push_back(engine.now()); });
+  engine.call_at(20.0, [&] { fired.push_back(engine.now()); });
+  EXPECT_EQ(engine.run(15.0), 15.0);
+  EXPECT_EQ(engine.run(5.0), 15.0);
+  EXPECT_EQ(engine.now(), 15.0);
+  EXPECT_EQ(engine.next_event_time(), 20.0);
+  EXPECT_EQ(engine.run(), 20.0);
+  EXPECT_EQ(fired, (std::vector<Time>{10.0, 20.0}));
+}
+
 Coro sleeper(Engine& engine, std::vector<Time>& wakes) {
   co_await engine.sleep(1.5);
   wakes.push_back(engine.now());

@@ -1,7 +1,11 @@
-// EventQueue: retime semantics, cancelled-entry compaction, node recycling.
+// EventQueue: retime semantics, cancelled-entry compaction, node recycling,
+// and the resume-entry dispatch path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
+#include <exception>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -10,6 +14,49 @@
 
 namespace cci::sim {
 namespace {
+
+/// Dispatch loop in miniature: peek() + pop() the earliest live event and
+/// return its time (kNever once the queue is drained).
+Time pop_next(EventQueue& q) {
+  Time t = kNever;
+  if (!q.peek(t)) return kNever;
+  return q.pop().time;
+}
+
+/// Run every pending event in order, the way Engine::run dispatches them.
+void drain(EventQueue& q) {
+  Time t = kNever;
+  while (q.peek(t)) q.pop().run();
+}
+
+/// Minimal coroutine type owning its frame: created suspended, runs when
+/// the queue resumes it, then parks at its final suspend point.
+struct Probe {
+  struct promise_type {
+    Probe get_return_object() {
+      return Probe{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+  explicit Probe(std::coroutine_handle<promise_type> handle) : h(handle) {}
+  Probe(Probe&& o) noexcept : h(std::exchange(o.h, {})) {}
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+  Probe& operator=(Probe&&) = delete;
+  ~Probe() {
+    if (h) h.destroy();
+  }
+  std::coroutine_handle<promise_type> h;
+};
+
+/// Appends `id` to `log` when resumed.
+Probe log_on_resume(std::vector<int>& log, int id) {
+  log.push_back(id);
+  co_return;
+}
 
 TEST(EventQueue, CancelRescheduleDoesNotGrowHeapUnboundedly) {
   // The engine's old change-point pattern: cancel the completion timer and
@@ -41,10 +88,7 @@ TEST(EventQueue, RetimeMovesEventAndKeepsCallback) {
   auto a = q.schedule(1.0, [&] { order.push_back(1); });
   q.schedule(2.0, [&] { order.push_back(2); });
   ASSERT_TRUE(q.retime(a, 3.0));  // 1 -> after 2
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-  }
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -56,10 +100,7 @@ TEST(EventQueue, RetimeResequencesLikeAFreshSchedule) {
   auto a = q.schedule(1.0, [&] { order.push_back(1); });
   q.schedule(5.0, [&] { order.push_back(2); });
   ASSERT_TRUE(q.retime(a, 5.0));
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-  }
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }
 
@@ -69,7 +110,7 @@ TEST(EventQueue, RetimeFailsOnFiredCancelledOrInertHandles) {
   EXPECT_FALSE(q.retime(inert, 1.0));
 
   auto fired = q.schedule(1.0, [] {});
-  (void)q.pop();
+  (void)pop_next(q);
   EXPECT_FALSE(q.retime(fired, 2.0));
   EXPECT_FALSE(fired.pending());
 
@@ -81,7 +122,7 @@ TEST(EventQueue, RetimeFailsOnFiredCancelledOrInertHandles) {
 TEST(EventQueue, RecycledNodesDoNotResurrectOldHandles) {
   EventQueue q;
   auto h1 = q.schedule(1.0, [] {});
-  (void)q.pop();  // node goes to the free-list
+  (void)pop_next(q);  // node goes to the free-list
   auto h2 = q.schedule(2.0, [] {});  // recycles the same node
   EXPECT_FALSE(h1.pending());
   EXPECT_TRUE(h2.pending());
@@ -112,7 +153,7 @@ TEST(EventQueue, CompactionPreservesPopOrder) {
   std::sort(surviving.begin(), surviving.end());
   EXPECT_EQ(q.live_size(), surviving.size());
   std::vector<double> popped;
-  while (!q.empty()) popped.push_back(q.pop().first);
+  for (Time t = pop_next(q); t != kNever; t = pop_next(q)) popped.push_back(t);
   EXPECT_EQ(popped, surviving);
 }
 
@@ -143,7 +184,7 @@ TEST(EventQueue, RetimeBurstSweepsCancelledEntriesLeftByPops) {
   ASSERT_EQ(q.live_size(), 101u);
   // Pop the 100 near entries: the heap shrinks to 81 slots of which 80 are
   // cancelled — way past the bound, with no cancel left to notice it.
-  for (int i = 0; i < 100; ++i) (void)q.pop();
+  for (int i = 0; i < 100; ++i) (void)pop_next(q);
   ASSERT_EQ(q.live_size(), 1u);
   ASSERT_GT(q.size_estimate(), 40u);
   EXPECT_TRUE(q.retime(live_far, 3e9));
@@ -162,9 +203,69 @@ TEST(EventQueue, CheckLiveSizeAuditHoldsThroughChurn) {
     for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
     for (std::size_t i = 1; i < handles.size(); i += 3)
       q.retime(handles[i], rng.uniform(0.0, 100.0));
-    for (int i = 0; i < 5 && !q.empty(); ++i) (void)q.pop();
+    for (int i = 0; i < 5; ++i) (void)pop_next(q);
     ASSERT_NO_THROW(q.check_live_size()) << "round " << round;
   }
+}
+
+TEST(EventQueue, ResumeAndCallbackEntriesShareOneFifoOrder) {
+  // Both entry kinds draw from one sequence counter: at one instant they
+  // interleave exactly in scheduling order, whatever their kind.
+  EventQueue q;
+  std::vector<int> log;
+  Probe r1 = log_on_resume(log, 1);
+  Probe r3 = log_on_resume(log, 3);
+  Probe r5 = log_on_resume(log, 5);
+  q.schedule(2.0, [&] { log.push_back(6); });  // later instant, scheduled first
+  q.schedule_resume(1.0, r1.h);
+  q.schedule(1.0, [&] { log.push_back(2); });
+  q.schedule_resume(1.0, r3.h);
+  q.schedule(1.0, [&] { log.push_back(4); });
+  q.schedule_resume(1.0, r5.h);
+  q.schedule(0.5, [&] { log.push_back(0); });  // earlier instant, scheduled last
+  drain(q);
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(r1.h.done() && r3.h.done() && r5.h.done());
+}
+
+TEST(EventQueue, CancelledCallbackAmongResumeEntriesIsPruned) {
+  EventQueue q;
+  std::vector<int> log;
+  std::vector<Probe> probes;
+  for (int i = 0; i < 8; ++i) probes.push_back(log_on_resume(log, i));
+  // A cancelled callback at the very top, and more between resume entries.
+  auto top = q.schedule(0.5, [&] { log.push_back(-1); });
+  std::vector<EventQueue::Handle> cancelled;
+  for (int i = 0; i < 8; ++i) {
+    q.schedule_resume(1.0, probes[static_cast<std::size_t>(i)].h);
+    cancelled.push_back(q.schedule(1.0, [&] { log.push_back(-1); }));
+  }
+  top.cancel();
+  for (auto& h : cancelled) h.cancel();
+  EXPECT_EQ(q.live_size(), 8u);
+  ASSERT_NO_THROW(q.check_live_size());
+  Time t = kNever;
+  ASSERT_TRUE(q.peek(t));
+  EXPECT_EQ(t, 1.0);  // the cancelled top entry was pruned, not reported
+  ASSERT_NO_THROW(q.check_live_size());
+  drain(q);
+  EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(q.live_size(), 0u);
+  EXPECT_EQ(q.size_estimate(), 0u);
+  ASSERT_NO_THROW(q.check_live_size());
+}
+
+TEST(EventQueue, CancelledResumeEntryNeverResumes) {
+  EventQueue q;
+  std::vector<int> log;
+  Probe p = log_on_resume(log, 1);
+  auto h = q.schedule_resume(1.0, p.h);
+  EXPECT_TRUE(h.pending());
+  EXPECT_TRUE(q.retime(h, 2.0));
+  h.cancel();
+  drain(q);
+  EXPECT_TRUE(log.empty());
+  EXPECT_FALSE(p.h.done());
 }
 
 TEST(EngineRetime, RetimedCallbackFiresAtNewTime) {

@@ -1,7 +1,14 @@
 // Stats, tables, frequency traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/freq_trace.hpp"
 #include "trace/stats.hpp"
@@ -20,6 +27,42 @@ TEST(Stats, MedianAndDeciles) {
   EXPECT_NEAR(s.mean, 50.5, 1e-9);
   EXPECT_EQ(s.min, 1.0);
   EXPECT_EQ(s.max, 100.0);
+}
+
+/// Field-by-field bit equality: EXPECT_EQ on doubles would let -0 pass
+/// for +0 and miss nothing else, but "bitwise" is the contract here.
+void expect_bitwise_equal(const Stats& a, const Stats& b) {
+  EXPECT_EQ(a.n, b.n);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(a.median), bits(b.median));
+  EXPECT_EQ(bits(a.decile1), bits(b.decile1));
+  EXPECT_EQ(bits(a.decile9), bits(b.decile9));
+  EXPECT_EQ(bits(a.mean), bits(b.mean));
+  EXPECT_EQ(bits(a.min), bits(b.min));
+  EXPECT_EQ(bits(a.max), bits(b.max));
+}
+
+TEST(Stats, OfSortedMatchesOfOnAnyShuffleBitwise) {
+  // Wide dynamic range and repeated values: the mean's rounding depends on
+  // summation order, so this only holds because both sum in sorted order.
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = round < 3 ? static_cast<std::size_t>(round) : 1 + rng() % 500;
+    std::vector<double> samples;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng() % 4 == 0) {
+        samples.push_back(samples[rng() % samples.size()]);  // a tie
+        continue;
+      }
+      const double u = static_cast<double>(rng() >> 11) * 0x1p-53;
+      samples.push_back(std::ldexp(1.0 + u, static_cast<int>(rng() % 60) - 30));
+    }
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    std::shuffle(samples.begin(), samples.end(), rng);
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_bitwise_equal(Stats::of_sorted(sorted), Stats::of(samples));
+  }
 }
 
 TEST(Stats, EmptyAndSingleton) {
