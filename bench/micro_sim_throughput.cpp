@@ -19,7 +19,9 @@
 //
 // BM_EagerPingPong guards the MPI layer on top of that loop the same way:
 // allocs_per_msg_steady (zero baseline) counts operator new per eager
-// message of a warmed isend/irecv ping-pong.
+// message of a warmed isend/irecv ping-pong, and queued_events_per_msg
+// counts the events per message that went through the event queue rather
+// than running in place.
 //
 // This binary replaces global operator new/delete with counting versions,
 // so it must stay a standalone benchmark (never linked into another tool).
@@ -179,6 +181,11 @@ BENCHMARK(BM_SimThroughputMalloc);
 //       World's slab pools and wake-ups queue bare coroutine handles, so
 //       this is exactly 0 (zero baseline, tolerance 0).  items_per_second
 //       is messages per second.
+//   queued_events_per_msg — events per message over the same round that
+//       were pushed onto the event queue: Engine::events_dispatched() minus
+//       Engine::events_in_place().  Sleeps that are already the earliest
+//       event run in place and do not count.  A pure function of the
+//       fixed workload (tolerance 0).
 
 constexpr int kRoundTrips = 512;  ///< per round; two messages each
 
@@ -206,13 +213,26 @@ struct PingPongSim {
   }
 };
 
-/// Deterministic counter pass: operator-new calls per message, once warm.
-double allocs_per_msg() {
+struct PingPongCounters {
+  double allocs_per_msg = 0.0;
+  double queued_events_per_msg = 0.0;
+};
+
+/// Deterministic counter pass over one round, once warm.
+PingPongCounters pingpong_counters() {
   PingPongSim s;
   s.round(kRoundTrips);  // warm: pools, frames, event-queue nodes
+  const sim::Engine& eng = s.cluster.engine();
   const std::uint64_t allocs0 = g_allocs;
+  const std::uint64_t queued0 = eng.events_dispatched() - eng.events_in_place();
   s.round(kRoundTrips);
-  return static_cast<double>(g_allocs - allocs0) / (2.0 * kRoundTrips);
+  const double messages = 2.0 * kRoundTrips;
+  PingPongCounters c;
+  c.allocs_per_msg = static_cast<double>(g_allocs - allocs0) / messages;
+  c.queued_events_per_msg =
+      static_cast<double>(eng.events_dispatched() - eng.events_in_place() - queued0) /
+      messages;
+  return c;
 }
 
 void BM_EagerPingPong(benchmark::State& state) {
@@ -225,7 +245,9 @@ void BM_EagerPingPong(benchmark::State& state) {
     messages += 2 * kRoundTrips;
   }
   state.SetItemsProcessed(messages);
-  state.counters["allocs_per_msg_steady"] = allocs_per_msg();
+  const PingPongCounters c = pingpong_counters();
+  state.counters["allocs_per_msg_steady"] = c.allocs_per_msg;
+  state.counters["queued_events_per_msg"] = c.queued_events_per_msg;
 }
 BENCHMARK(BM_EagerPingPong);
 

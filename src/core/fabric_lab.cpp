@@ -1,7 +1,10 @@
 #include "core/fabric_lab.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "net/fabric_graph.hpp"
@@ -104,6 +107,46 @@ sim::Coro link_probe(sim::Engine& eng, double period, RunState* st) {
   }
 }
 
+/// The scenario's tenants — one default two-node pair when it lists none —
+/// each checked, naming the tenant and field of the first violation.  An
+/// unchecked negative iteration count would wrap the delivery countdown
+/// and a non-positive load would silently mean back-to-back injection.
+std::vector<JobSpec> checked_jobs(const Scenario& scenario) {
+  std::vector<JobSpec> jobs = scenario.jobs;
+  if (jobs.empty()) {
+    JobSpec j;
+    j.nodes = {0, 1};
+    jobs.push_back(std::move(j));
+  }
+  for (const JobSpec& job : jobs) {
+    const auto reject = [&job](const std::string& what) {
+      throw std::invalid_argument("FabricLab: tenant '" + job.label + "': " + what);
+    };
+    if (job.iterations < 1)
+      reject("iterations must be >= 1, got " + std::to_string(job.iterations));
+    if (!std::isfinite(job.offered_load) || job.offered_load <= 0.0)
+      reject("offered_load must be finite and > 0, got " +
+             std::to_string(job.offered_load));
+    if (job.nodes.empty()) reject("nodes must not be empty");
+    for (int n : job.nodes)
+      if (n < 0) reject("nodes holds negative node index " + std::to_string(n));
+  }
+  return jobs;
+}
+
+/// Cluster size the tenants need (at least the default pair's two nodes).
+int node_count(const std::vector<JobSpec>& jobs) {
+  int nodes = 2;
+  for (const JobSpec& j : jobs)
+    for (int n : j.nodes) nodes = std::max(nodes, n + 1);
+  return nodes;
+}
+
+/// Open-loop injection period of one job's streams.
+double injection_gap(const JobSpec& job, double wire_rate) {
+  return static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load);
+}
+
 /// Streams of one job under its traffic pattern.
 std::vector<std::pair<int, int>> stream_pairs(const JobSpec& job) {
   std::vector<std::pair<int, int>> pairs;
@@ -136,15 +179,8 @@ FabricReport FabricLab::run(std::string_view only) {
 }
 
 FabricReport FabricLab::run(const std::vector<std::string>& labels) {
-  std::vector<JobSpec> jobs = scenario_.jobs;
-  if (jobs.empty()) {
-    JobSpec j;
-    j.nodes = {0, 1};
-    jobs.push_back(std::move(j));
-  }
-  int nodes = 2;
-  for (const JobSpec& j : jobs)
-    for (int n : j.nodes) nodes = std::max(nodes, n + 1);
+  const std::vector<JobSpec> jobs = checked_jobs(scenario_);
+  const int nodes = node_count(jobs);
 
   cluster_ = std::make_unique<net::Cluster>(net::ClusterSpec{
       scenario_.machine, scenario_.network, scenario_.topology, nodes, scenario_.seed});
@@ -183,9 +219,7 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
       s.dst_rank = world_rank[j][static_cast<std::size_t>(dst)];
       s.bytes = job.message_bytes;
       s.iterations = job.iterations;
-      s.gap = job.offered_load > 0.0
-                  ? static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load)
-                  : 0.0;
+      s.gap = injection_gap(job, wire_rate);
       s.tag = next_tag;
       next_tag += 2;
       s.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);
@@ -204,10 +238,8 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   if (!st.links.empty() && st.remaining > 0) {
     double period = 0.0;
     for (const JobSpec& job : jobs) {
-      if (job.offered_load <= 0.0 || job.iterations <= 0) continue;
       if (stream_pairs(job).empty()) continue;
-      const double gap =
-          static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load);
+      const double gap = injection_gap(job, wire_rate);
       period = period > 0.0 ? std::min(period, gap) : gap;
     }
     if (period > 0.0)
@@ -317,15 +349,8 @@ sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
 }  // namespace
 
 FabricReport FabricLab::run_sharded(int shards) {
-  std::vector<JobSpec> jobs = scenario_.jobs;
-  if (jobs.empty()) {
-    JobSpec j;
-    j.nodes = {0, 1};
-    jobs.push_back(std::move(j));
-  }
-  int nodes = 2;
-  for (const JobSpec& j : jobs)
-    for (int n : j.nodes) nodes = std::max(nodes, n + 1);
+  const std::vector<JobSpec> jobs = checked_jobs(scenario_);
+  const int nodes = node_count(jobs);
   if (shards <= 0) shards = sim::configured_shards();
 
   const net::Topology& topo = scenario_.topology;
@@ -354,10 +379,7 @@ FabricReport FabricLab::run_sharded(int shards) {
       st.spec.dst_rank = dst;
       st.spec.bytes = job.message_bytes;
       st.spec.iterations = job.iterations;
-      st.spec.gap = job.offered_load > 0.0
-                        ? static_cast<double>(job.message_bytes) /
-                              (wire_rate * job.offered_load)
-                        : 0.0;
+      st.spec.gap = injection_gap(job, wire_rate);
       st.spec.tag = next_tag;
       next_tag += 2;
       st.spec.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);

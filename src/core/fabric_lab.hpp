@@ -78,7 +78,10 @@ class FabricLab {
   /// Run the scenario's jobs to completion on a fresh cluster and report.
   /// A non-empty `only` runs just the tenant with that label on the same
   /// fabric — the "alone" baseline of the victim/aggressor slowdown
-  /// matrix, with identical placement and routing.
+  /// matrix, with identical placement and routing.  Every run entry point
+  /// throws std::invalid_argument, naming the tenant and field, for a
+  /// tenant with iterations < 1, a non-finite or non-positive
+  /// offered_load, no nodes, or a negative node index.
   FabricReport run(std::string_view only = {});
   /// Run only the tenants whose labels appear in `labels` (empty = all):
   /// the "together" cells of the slowdown matrix pair a victim with one

@@ -40,10 +40,10 @@ inline const char* to_string(TrafficPattern p) {
 /// with an empty `jobs` list are the paper's single-job experiments.
 struct JobSpec {
   std::string label = "job";
-  std::vector<int> nodes;              ///< rank -> cluster node
+  std::vector<int> nodes;              ///< rank -> cluster node (non-empty, >= 0)
   std::size_t message_bytes = 1 << 20;  ///< rendezvous-sized by default
-  int iterations = 4;                   ///< send windows per stream
-  double offered_load = 1.0;            ///< injection rate, fraction of wire bw
+  int iterations = 4;                   ///< send windows per stream (>= 1)
+  double offered_load = 1.0;            ///< injection rate, fraction of wire bw (> 0)
   TrafficPattern pattern = TrafficPattern::kPairs;
 };
 

@@ -82,8 +82,9 @@ sim::Coro Coll::allreduce(int rank, MsgView msg, sim::OneShotEvent* done) {
 
 sim::Coro Coll::barrier(int rank, sim::OneShotEvent* done) {
   // A barrier is a zero-payload allreduce; run it as a child process.
-  auto ref = world_.engine().spawn(allreduce(rank, MsgView{4, 0, 0}, nullptr));
-  co_await ref;
+  sim::OneShotEvent finished(world_.engine());
+  world_.engine().spawn(allreduce(rank, MsgView{4, 0, 0}, &finished));
+  co_await finished;
   if (done) done->set();
 }
 

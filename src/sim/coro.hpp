@@ -5,15 +5,13 @@
 // the coroutine frame and resumes it from the event loop.  A process
 // suspends by `co_await`-ing engine awaitables (sleep, activity completion,
 // mailbox receive, ...) and terminates by returning; the engine destroys the
-// frame at final suspension and wakes any joiner.
+// frame at final suspension.  A process leaves no completion record behind
+// and cannot be joined: a parent that must wait for a child hands it a
+// OneShotEvent to set just before it returns.
 //
 // Hot-path memory (see docs/PERFORMANCE.md):
 //  * coroutine frames come from the thread-local FrameArena via the custom
 //    operator new/delete on promise_type — recycled, not malloc'd;
-//  * the ProcessState completion record is slab-pooled and intrusively
-//    refcounted (RcPtr); it is created lazily at spawn time, because the
-//    promise is constructed before any engine is known and unspawned
-//    coroutines never need one;
 //  * live processes form an intrusive doubly-linked list through their
 //    promises, so the engine tracks them without a hash set.
 //
@@ -33,20 +31,10 @@ namespace cci::sim {
 
 class Engine;
 
-/// Shared completion record that outlives the coroutine frame, so joiners
-/// holding a ProcessRef can still observe completion after frame destruction.
-/// Pooled by the engine; 2 inline joiner slots cover the common 0–1 case.
-struct ProcessState : RcPooled<ProcessState> {
-  bool done = false;
-  SmallVec<std::coroutine_handle<>, 2> joiners;
-};
-
 class Coro {
  public:
   struct promise_type {
     Engine* engine = nullptr;
-    /// Created by Engine::spawn from its state pool; empty until then.
-    RcPtr<ProcessState> state;
     /// Intrusive links in the engine's live-process list (valid once
     /// spawned; the engine destroys still-live frames at teardown).
     promise_type* live_prev = nullptr;
@@ -71,7 +59,7 @@ class Coro {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       // Defined in engine.hpp (needs Engine): notifies the engine, which
-      // wakes joiners and destroys the frame.
+      // unlinks and destroys the frame.
       inline void await_suspend(std::coroutine_handle<promise_type> h) noexcept;
       void await_resume() noexcept {}
     };
@@ -108,27 +96,6 @@ class Coro {
   std::coroutine_handle<promise_type> release() { return std::exchange(handle_, {}); }
 
   std::coroutine_handle<promise_type> handle_;
-};
-
-/// Lightweight reference to a spawned process; `co_await ref` joins it.
-class ProcessRef {
- public:
-  ProcessRef() = default;
-
-  [[nodiscard]] bool done() const { return !state_ || state_->done; }
-
-  struct JoinAwaiter {
-    RcPtr<ProcessState> state;
-    bool await_ready() const noexcept { return !state || state->done; }
-    void await_suspend(std::coroutine_handle<> h) { state->joiners.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-  JoinAwaiter operator co_await() const { return JoinAwaiter{state_}; }
-
- private:
-  friend class Engine;
-  explicit ProcessRef(RcPtr<ProcessState> s) : state_(std::move(s)) {}
-  RcPtr<ProcessState> state_;
 };
 
 }  // namespace cci::sim

@@ -12,10 +12,27 @@
 // through EventQueue::peek() + pop().  run(until) stops at the horizon
 // without ever moving the clock backwards.
 //
-// Memory: the engine also owns the slab pools behind the hot path —
-// process-completion records, combinator wait nodes — plus the symbol table
-// that interns activity/resource labels to 4-byte ids.  Pool stats are
-// published through obs as `sim.pool.*` when a run() drains.
+// In-place wake-ups: most sleeps are already the earliest pending event,
+// so queueing one would push it onto the heap only for run() to pop it
+// straight back.  A sleep/yield runs in place instead — the coroutine
+// continues without suspending — when it comes from the coroutine run()
+// is resuming right now, is due at or before the run() horizon, and is
+// strictly earlier than the queue's top entry (live or cancelled).  The
+// engine then does the run loop's per-event bookkeeping itself: sampler,
+// clock, dispatch counters and the heap-depth sample.  This cannot reorder
+// events: a fresh entry would carry the largest sequence number, so it
+// pops next exactly when its time is below the top entry's.  While a
+// watchdog is armed every wake-up goes through the queue, so run() does
+// all the counting and SimStalled is still thrown from run(), never from
+// inside a process.
+//
+// Processes finish through their final suspend, which unlinks and destroys
+// the frame; there is no completion record to join.  A parent that waits
+// for a child passes it a OneShotEvent (sim/sync.hpp) to set.
+//
+// Memory: the engine also owns the combinator wait-node pool and the symbol
+// table that interns activity/resource labels to 4-byte ids.  Pool stats
+// are published through obs as `sim.pool.*` when a run() drains.
 #pragma once
 
 #include <algorithm>
@@ -41,14 +58,12 @@ namespace cci::sim {
 
 class Engine {
  public:
-  Engine()
-      : state_pool_("process_state"), wait_pool_("wait_node") {
+  Engine() : wait_pool_("wait_node") {
     obs::Registry& reg = obs::Registry::global();
     obs_events_ = &reg.counter("sim.engine.events_dispatched");
     obs_spawns_ = &reg.counter("sim.engine.processes_spawned");
     obs_heap_depth_ = &reg.histogram("sim.engine.heap_depth");
     obs_watchdog_trips_ = &reg.counter("sim.watchdog_trips");
-    register_pool(&state_pool_);
     register_pool(&wait_pool_);
     register_pool(&FrameArena::local());
   }
@@ -98,12 +113,11 @@ class Engine {
   }
 
   /// Spawn a process: the coroutine starts from the event loop at the
-  /// current time (or at `start_at` if given).  Returns a joinable ref.
-  ProcessRef spawn(Coro coro, Time start_at = -1.0) {
+  /// current time (or at `start_at` if given).
+  void spawn(Coro coro, Time start_at = -1.0) {
     auto h = coro.release();
     Coro::promise_type& p = h.promise();
     p.engine = this;
-    p.state = state_pool_.make();
     resume_at(start_at < 0 ? now_ : start_at, h);
     obs_spawns_->add(1);
     ++live_processes_;
@@ -111,7 +125,6 @@ class Engine {
     p.live_next = live_head_;
     if (live_head_ != nullptr) live_head_->live_prev = &p;
     live_head_ = &p;
-    return ProcessRef(p.state);
   }
 
   /// Opt into watchdog limits for subsequent run() calls.  When a limit is
@@ -144,6 +157,8 @@ class Engine {
   /// time.
   Time run(Time until = kNever) {
     const bool guarded = watchdog_.any();
+    until_ = until;
+    guarded_ = guarded;
     std::uint64_t run_events = 0;
     std::uint64_t instant_events = 0;
     Time instant = now_;
@@ -179,12 +194,10 @@ class Engine {
         if ((run_events & 4095u) == 0) queue_.check_live_size();
       }
       EventQueue::Event ev = queue_.pop();
-      assert(ev.time >= now_ - kTimeEpsilon);
-      now_ = std::max(now_, ev.time);
-      ++events_dispatched_;
-      obs_events_->add(1);
-      obs_heap_depth_->record(static_cast<double>(queue_.size_estimate()));
+      note_dispatch(ev.time);
+      running_ = ev.resume;
       ev.run();
+      running_ = nullptr;
     }
     if (guarded && watchdog_.report_blocked_on_drain && live_processes_ > 0)
       trip(StallReason::kBlockedProcesses, run_events);
@@ -197,8 +210,12 @@ class Engine {
   [[nodiscard]] int live_processes() const { return live_processes_; }
 
   /// Raw events dispatched over this engine's lifetime (bench throughput
-  /// denominator; independent of the obs enabled flag).
+  /// denominator; independent of the obs enabled flag).  Includes the
+  /// wake-ups run in place.
   [[nodiscard]] std::uint64_t events_dispatched() const { return events_dispatched_; }
+  /// The subset of events_dispatched() that ran in place, never touching
+  /// the queue.
+  [[nodiscard]] std::uint64_t events_in_place() const { return events_in_place_; }
 
   // ---- labels -----------------------------------------------------------
 
@@ -257,7 +274,12 @@ class Engine {
     Engine* engine;
     Time wake_at;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { engine->resume_at(wake_at, h); }
+    /// False (continue without suspending) when the wake-up ran in place.
+    bool await_suspend(std::coroutine_handle<> h) {
+      if (engine->dispatch_in_place(wake_at, h)) return false;
+      engine->resume_at(wake_at, h);
+      return true;
+    }
     void await_resume() const noexcept {}
   };
 
@@ -271,6 +293,31 @@ class Engine {
   void resume_at(Time t, std::coroutine_handle<> h) {
     assert(t >= now_ - kTimeEpsilon);
     queue_.schedule_resume(t, h);
+  }
+
+  /// The run loop's per-event bookkeeping, shared by run() and the
+  /// in-place path so the two cannot drift: clock, dispatch counters and
+  /// the heap-depth sample.
+  void note_dispatch(Time t) {
+    assert(t >= now_ - kTimeEpsilon);
+    now_ = std::max(now_, t);
+    ++events_dispatched_;
+    obs_events_->add(1);
+    obs_heap_depth_->record(static_cast<double>(queue_.size_estimate()));
+  }
+
+  /// The in-place path (see the header comment): true when `h`'s wake-up
+  /// at `t` is the event run() would dispatch next, after doing that
+  /// dispatch's bookkeeping.  Under a watchdog every wake-up goes through
+  /// the queue, so run() alone counts events and trips.
+  bool dispatch_in_place(Time t, std::coroutine_handle<> h) {
+    if (guarded_ || h != running_ || t > until_ || !queue_.earlier_than_top(t))
+      return false;
+    if (sampler_ != nullptr) sampler_->advance_to(t);
+    // The depth recorded is what pop() would have left: nothing was pushed.
+    note_dispatch(t);
+    ++events_in_place_;
+    return true;
   }
 
   [[noreturn]] void trip(StallReason reason, std::uint64_t run_events) {
@@ -296,12 +343,6 @@ class Engine {
   friend struct Coro::promise_type::FinalAwaiter;
   void on_process_done(std::coroutine_handle<Coro::promise_type> h) {
     Coro::promise_type& p = h.promise();
-    // Move the ref out so the state drops back to the pool with the last
-    // outside ProcessRef (or right here if nobody joined).
-    RcPtr<ProcessState> state = std::move(p.state);
-    state->done = true;
-    for (auto joiner : state->joiners) resume_soon(joiner);
-    state->joiners.clear();
     --live_processes_;
     if (p.live_prev != nullptr)
       p.live_prev->live_next = p.live_next;
@@ -324,11 +365,15 @@ class Engine {
   EventQueue queue_;
   int live_processes_ = 0;
   std::uint64_t events_dispatched_ = 0;
+  std::uint64_t events_in_place_ = 0;
   Coro::promise_type* live_head_ = nullptr;  ///< intrusive live-process list
+  // State of the active run(), shared with the in-place path.
+  std::coroutine_handle<> running_;  ///< coroutine run() is resuming, if any
+  Time until_ = kNever;
+  bool guarded_ = false;  ///< run() has a watchdog armed
   WatchdogConfig watchdog_;
   obs::Sampler* sampler_ = nullptr;
   std::vector<StallInspector> stall_inspectors_;
-  SlabPool<ProcessState> state_pool_;
   SlabPool<WaitNode> wait_pool_;
   SymbolTable symbols_;
   std::vector<PoolChannel> pool_channels_;

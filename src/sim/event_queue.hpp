@@ -14,7 +14,9 @@
 //
 // Dispatch is a peek() + pop() pair: peek() prunes cancelled entries off
 // the top once and reports the earliest live time; pop() then removes that
-// entry without pruning again.
+// entry without pruning again.  earlier_than_top() answers, without
+// touching the heap, whether a fresh entry would pop next — the engine's
+// test for running a wake-up in place.
 //
 // Churn control (the engine's re-solve loop retimes one timer per change
 // point, thousands of times per simulated second):
@@ -148,6 +150,13 @@ class EventQueue {
     e->state = Handle::State::kFired;
     free_entry(e);
     return out;
+  }
+
+  /// True when an entry scheduled now at time `t` would pop before every
+  /// queued one: the heap is empty, or `t` is strictly earlier than the top
+  /// entry, live or cancelled.  Prunes nothing.
+  [[nodiscard]] bool earlier_than_top(Time t) const {
+    return heap_.empty() || t < heap_.front()->time;
   }
 
   /// Heap slots currently occupied (live + not-yet-swept cancelled).

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 namespace cci::sim {
@@ -28,8 +27,6 @@ FlowModel::FlowModel(Engine& engine) : engine_(engine), activity_pool_("activity
   obs_started_ = &obs_reg_->counter("sim.flow.activities_started");
   obs_solve_wall_us_ = &obs_reg_->histogram("sim.flow.solve_wall_us");
   obs_bound_ = obs_reg_->enabled();
-  if (const char* env = std::getenv("CCI_SIM_INCREMENTAL"))
-    incremental_ = !(env[0] == '0' && env[1] == '\0');
   // Watchdog support: when a run stalls, name every activity still in
   // flight — a rate of zero marks the flows the deadlock is stuck on
   // (capacity gone, blackout, ...).  Registered once; the model outlives

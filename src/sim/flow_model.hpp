@@ -49,9 +49,9 @@ class FlowModel {
 
   [[nodiscard]] std::size_t running_count() const { return running_.size(); }
 
-  /// Toggle connected-component partial re-solves (on by default).  The
-  /// CCI_SIM_INCREMENTAL=0 environment variable forces the from-scratch
-  /// reference path; useful for A/B determinism checks.
+  /// Toggle connected-component partial re-solves (on by default).  Off
+  /// forces the from-scratch reference path; useful for A/B determinism
+  /// checks.
   void set_incremental(bool on) { incremental_ = on; }
   [[nodiscard]] bool incremental() const { return incremental_; }
 

@@ -1,8 +1,8 @@
 // Slab pools for the discrete-event hot path.
 //
 // Everything the steady-state event loop touches per event — coroutine
-// frames, process-completion records, activities, combinator wake-up nodes —
-// comes from the typed recyclers in this header instead of the global heap:
+// frames, activities, combinator wake-up nodes — comes from the typed
+// recyclers in this header instead of the global heap:
 //
 //  * SlabPool<T>   — fixed-type slab allocator with an intrusive free list.
 //    Objects are handed out as intrusively refcounted RcPtr<T> (no separate
@@ -14,8 +14,8 @@
 //    via a custom operator new/delete on Coro::promise_type.  One arena per
 //    thread, so campaign workers never contend and frames recycle across
 //    engine instances.
-//  * SmallVec<T,N> — inline small-vector for joiner/waiter/demand lists
-//    whose overwhelmingly common size is 0–2 entries.
+//  * SmallVec<T,N> — inline small-vector for waiter/demand lists whose
+//    overwhelmingly common size is 0–2 entries.
 //
 // CCI_SIM_POOLS=0 (or set_pools_enabled(false)) routes every request to the
 // global heap instead — the A/B reference path for the throughput bench and
@@ -395,7 +395,7 @@ class FrameArena : public PoolBase {
 };
 
 /// Vector with N inline slots; spills to the heap only past N elements.
-/// Covers the joiner/waiter/demand lists whose common size is 0–2.
+/// Covers the waiter/demand lists whose common size is 0–2.
 template <class T, std::size_t N>
 class SmallVec {
  public:

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -46,6 +49,53 @@ TEST(FabricLab, EmptyJobListRunsTheDefaultTwoNodePair) {
   EXPECT_TRUE(r.links.empty());
   EXPECT_EQ(r.routes, 0u);
   EXPECT_EQ(r.reroutes, 0u);
+}
+
+/// Runs one invalid tenant through run() and run_sharded(1): both must
+/// throw std::invalid_argument naming the tenant's label and `field`.
+void expect_rejected(JobSpec bad, const std::string& field) {
+  Scenario s;
+  s.jobs = {std::move(bad)};
+  FabricLab lab(s);
+  for (const bool sharded : {false, true}) {
+    std::string what;
+    try {
+      if (sharded)
+        lab.run_sharded(1);
+      else
+        lab.run();
+    } catch (const std::invalid_argument& e) {
+      what = e.what();
+    }
+    const char* path = sharded ? "run_sharded" : "run";
+    EXPECT_NE(what.find("'bad-tenant'"), std::string::npos) << path << ": " << what;
+    EXPECT_NE(what.find(field), std::string::npos) << path << ": " << what;
+  }
+}
+
+TEST(FabricLab, RejectsIterationsBelowOne) {
+  for (const int n : {0, -1, -7}) {
+    JobSpec j = job("bad-tenant", {0, 1});
+    j.iterations = n;
+    expect_rejected(j, "iterations");
+  }
+}
+
+TEST(FabricLab, RejectsANonFiniteOrNonPositiveOfferedLoad) {
+  for (const double load : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    JobSpec j = job("bad-tenant", {0, 1});
+    j.offered_load = load;
+    expect_rejected(j, "offered_load");
+  }
+}
+
+TEST(FabricLab, RejectsAnEmptyNodeList) {
+  expect_rejected(job("bad-tenant", {}), "nodes");
+}
+
+TEST(FabricLab, RejectsANegativeNodeIndex) {
+  expect_rejected(job("bad-tenant", {0, -1}), "nodes");
 }
 
 TEST(FabricLab, TenantsDeliverTheirBytesAcrossAFatTree) {

@@ -34,8 +34,8 @@ TEST(Gpu, BlockingCopyAddsDriverOverhead) {
   sim::OneShotEvent done(rig.engine);
   sim::Time finished = -1;
   rig.engine.spawn([](GpuRig& r, sim::OneShotEvent& d, sim::Time& t) -> sim::Coro {
-    auto child = r.engine.spawn(r.gpu.copy(GpuDevice::Direction::kDeviceToHost, 4096, 0, &d));
-    co_await child;
+    r.engine.spawn(r.gpu.copy(GpuDevice::Direction::kDeviceToHost, 4096, 0, &d));
+    co_await d;
     t = r.engine.now();
   }(rig, done, finished));
   rig.engine.run();

@@ -105,8 +105,8 @@ TEST(ObsIntegration, IdenticalRunsProduceIdenticalSnapshots) {
       continue;  // the frame arena is a thread-level cache that deliberately
                  // stays warm across engines, so its allocated/reused split
                  // depends on what already ran in this process.  Engine-owned
-                 // pools (activity, process_state, wait_node) are fresh per
-                 // run and stay under the exact comparison below.
+                 // pools (activity, wait_node) are fresh per run and stay
+                 // under the exact comparison below.
     EXPECT_DOUBLE_EQ(first.entries[i].value, second.entries[i].value)
         << first.entries[i].name;
     EXPECT_EQ(first.entries[i].count, second.entries[i].count) << first.entries[i].name;

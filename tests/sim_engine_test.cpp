@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
 
 namespace cci::sim {
 namespace {
@@ -85,14 +86,16 @@ TEST(Engine, ProcessSleepAdvancesClock) {
   EXPECT_EQ(engine.live_processes(), 0);
 }
 
-Coro child(Engine& engine, int& counter) {
+Coro child(Engine& engine, int& counter, OneShotEvent* done) {
   co_await engine.sleep(1.0);
   ++counter;
+  done->set();
 }
 
 Coro parent(Engine& engine, int& counter, Time& join_time) {
-  auto ref = engine.spawn(child(engine, counter));
-  co_await ref;
+  OneShotEvent finished(engine);
+  engine.spawn(child(engine, counter, &finished));
+  co_await finished;
   join_time = engine.now();
   ++counter;
 }
@@ -110,14 +113,15 @@ TEST(Engine, JoinWaitsForChildCompletion) {
 TEST(Engine, JoiningFinishedProcessDoesNotBlock) {
   Engine engine;
   int counter = 0;
-  auto ref = engine.spawn(child(engine, counter));
+  OneShotEvent finished(engine);
+  engine.spawn(child(engine, counter, &finished));
   engine.run();
-  ASSERT_TRUE(ref.done());
+  ASSERT_TRUE(finished.is_set());
   Time join_time = -1.0;
-  engine.spawn([](Engine& e, ProcessRef r, Time& jt) -> Coro {
-    co_await r;
+  engine.spawn([](Engine& e, OneShotEvent& f, Time& jt) -> Coro {
+    co_await f;
     jt = e.now();
-  }(engine, ref, join_time));
+  }(engine, finished, join_time));
   engine.run();
   EXPECT_DOUBLE_EQ(join_time, 1.0);  // joined instantly at current time
 }
@@ -133,6 +137,41 @@ TEST(Engine, YieldRunsAfterEventsAtSameInstant) {
   engine.call_at(0.0, [&] { order.push_back(2); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Engine, WakeUpAtAQueuedCallbacksInstantRunsAfterIt) {
+  // The callback holds the smaller sequence number, so it goes first even
+  // though the wake-up is the earliest event at the moment it is asked for.
+  Engine engine;
+  std::vector<int> order;
+  engine.call_at(1.0, [&] { order.push_back(2); });
+  engine.spawn([](Engine& e, std::vector<int>& o) -> Coro {
+    o.push_back(1);
+    co_await e.sleep_until(1.0);
+    o.push_back(3);
+  }(engine, order));
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Engine, LoneTickerStopsAtTheRunHorizon) {
+  // Nothing else is queued, so every wake-up is the earliest event; the
+  // horizon alone must stop the ticker.
+  Engine engine;
+  int ticks = 0;
+  engine.spawn([](Engine& e, int& n) -> Coro {
+    for (;;) {
+      ++n;
+      co_await e.sleep(1.0);
+    }
+  }(engine, ticks));
+  EXPECT_EQ(engine.run(2.5), 2.5);
+  EXPECT_EQ(engine.now(), 2.5);
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(engine.next_event_time(), 3.0);
+  // The spawn went through the queue; the wake-ups at 1 s and 2 s did not.
+  EXPECT_EQ(engine.events_dispatched(), 3u);
+  EXPECT_EQ(engine.events_in_place(), 2u);
 }
 
 TEST(Engine, BlockedProcessIsReclaimedAtEngineDestruction) {

@@ -205,11 +205,11 @@ TEST(SimPool, ActivitiesStatesAndFramesRecycleAcrossRuns) {
   EXPECT_GE(snap.value_of("sim.pool.activity.reused"), 99.0);
   EXPECT_EQ(snap.value_of("sim.pool.activity.slabs"), 1.0);
   EXPECT_EQ(snap.value_of("sim.pool.activity.live"), 0.0);
-  // The second spawn reuses the first run's completion record and frame.
-  EXPECT_EQ(snap.value_of("sim.pool.process_state.allocated"), 2.0);
-  EXPECT_GE(snap.value_of("sim.pool.process_state.reused"), 1.0);
-  EXPECT_EQ(snap.value_of("sim.pool.process_state.live"), 0.0);
+  // The second spawn reuses the first run's frame, and spawning builds no
+  // per-process completion record.
   EXPECT_GE(snap.value_of("sim.pool.frames.reused"), 1.0);
+  for (const obs::Snapshot::Entry& e : snap.entries)
+    EXPECT_EQ(e.name.find("process_state"), std::string::npos) << e.name;
 }
 
 TEST(SimPool, WhenAnyAbandonmentReleasesEverything) {
@@ -252,7 +252,6 @@ TEST(SimPool, WhenAnyAbandonmentReleasesEverything) {
   obs::Registry::global().set_enabled(false);
   EXPECT_EQ(snap.value_of("sim.pool.activity.live"), 0.0);
   EXPECT_EQ(snap.value_of("sim.pool.wait_node.live"), 0.0);
-  EXPECT_EQ(snap.value_of("sim.pool.process_state.live"), 0.0);
 }
 
 TEST(SimPool, SteadyStateEventLoopIsAllocationFree) {

@@ -1,6 +1,7 @@
 // Watchdog: event budgets, livelock detection, blocked-process reports.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 
 #include "obs/metrics.hpp"
@@ -15,18 +16,26 @@ Coro ticker(Engine& engine) {
 }
 
 TEST(Watchdog, EventBudgetTripsOnRunawaySimulation) {
-  Engine engine;
-  WatchdogConfig cfg;
-  cfg.max_events = 50;
-  engine.set_watchdog(cfg);
-  engine.spawn(ticker(engine));
-  try {
-    engine.run();
-    FAIL() << "expected SimStalled";
-  } catch (const SimStalled& e) {
-    EXPECT_EQ(e.reason(), StallReason::kEventBudget);
-    EXPECT_GE(e.events(), 50u);
-    EXPECT_GT(e.at(), 0.0);  // time was advancing; this is a runaway, not a livelock
+  // Each tick is the earliest event, which would run in place without a
+  // watchdog; armed, every wake-up goes through the queue and run() counts
+  // it.  5000 also crosses the every-4096-events queue audit.  Both budgets
+  // must trip on the exact event.
+  for (const std::uint64_t budget : {std::uint64_t{50}, std::uint64_t{5000}}) {
+    Engine engine;
+    WatchdogConfig cfg;
+    cfg.max_events = budget;
+    engine.set_watchdog(cfg);
+    engine.spawn(ticker(engine));
+    try {
+      engine.run();
+      FAIL() << "expected SimStalled";
+    } catch (const SimStalled& e) {
+      EXPECT_EQ(e.reason(), StallReason::kEventBudget);
+      EXPECT_EQ(e.events(), budget);
+      EXPECT_GT(e.at(), 0.0);  // time was advancing; this is a runaway, not a livelock
+    }
+    EXPECT_EQ(engine.events_dispatched(), budget);
+    EXPECT_EQ(engine.events_in_place(), 0u);
   }
 }
 
@@ -44,6 +53,27 @@ TEST(Watchdog, PerInstantBudgetTripsOnLivelock) {
   } catch (const SimStalled& e) {
     EXPECT_EQ(e.reason(), StallReason::kNoProgress);
     EXPECT_DOUBLE_EQ(e.at(), 0.5);
+  }
+}
+
+TEST(Watchdog, YieldLoopTripsThePerInstantBudgetFromRun) {
+  // Every yield is the earliest event, which would run in place without a
+  // watchdog; armed, the yields go through the queue, so the budget stops
+  // the loop from run() instead of it spinning inside the coroutine.
+  Engine engine;
+  WatchdogConfig cfg;
+  cfg.max_events_per_instant = 200;
+  engine.set_watchdog(cfg);
+  engine.spawn([](Engine& e) -> Coro {
+    for (;;) co_await e.yield();
+  }(engine));
+  try {
+    engine.run();
+    FAIL() << "expected SimStalled";
+  } catch (const SimStalled& e) {
+    EXPECT_EQ(e.reason(), StallReason::kNoProgress);
+    EXPECT_EQ(e.at(), 0.0);
+    EXPECT_EQ(e.events(), 200u);
   }
 }
 
