@@ -39,6 +39,7 @@ BENCHMARK(BM_MaxMinSolve)->Args({8, 16})->Args({32, 64})->Args({128, 256});
 struct ChurnStats {
   std::uint64_t flow_visits = 0;
   std::uint64_t solves = 0;
+  std::uint64_t resource_visits = 0;
 };
 
 /// Clustered flow churn through the full FlowModel: staggered activities over
@@ -125,8 +126,8 @@ ChurnStats run_fat_tree_fanout(bool incremental) {
         [&cluster, &acts, spec]() mutable { acts.push_back(cluster.model().start(spec)); });
   }
   cluster.engine().run();
-  return {cluster.model().solver().stats().flow_visits,
-          cluster.model().solver().stats().solves};
+  const sim::MaxMinSolver::Stats& st = cluster.model().solver().stats();
+  return {st.flow_visits, st.solves, st.resource_visits};
 }
 
 void BM_FatTreeFanout(benchmark::State& state) {
@@ -142,6 +143,10 @@ void BM_FatTreeFanout(benchmark::State& state) {
       static_cast<double>(full.flow_visits) / static_cast<double>(full.solves);
   state.counters["visits_per_event"] = inc_vpe;
   state.counters["visit_reduction"] = full_vpe / inc_vpe;
+  // Resources scanned by the filling rounds per event: only those an
+  // unfixed flow still loads.  Deterministic, CI-gated like the flow visits.
+  state.counters["res_visits_per_event"] =
+      static_cast<double>(inc.resource_visits) / static_cast<double>(inc.solves);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(inc.solves));
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -12,6 +14,13 @@ namespace cci::core {
 
 InterferenceLab::InterferenceLab(Scenario scenario)
     : scenario_(std::move(scenario)), attribution_(obs::run_sampling().attribution) {
+  const int max_cores = scenario_.machine.total_cores() - 1;
+  if (scenario_.computing_cores < 0 || scenario_.computing_cores > max_cores)
+    throw std::invalid_argument(
+        "InterferenceLab: computing_cores = " + std::to_string(scenario_.computing_cores) +
+        " is outside [0, total_cores() - 1 = " + std::to_string(max_cores) +
+        "] for machine '" + scenario_.machine.name +
+        "' (one core hosts the communication thread)");
   cluster_ = std::make_unique<net::Cluster>(net::ClusterSpec{
       scenario_.machine, scenario_.network, scenario_.topology, /*nodes=*/2, scenario_.seed});
   int comm = scenario_.comm_core();

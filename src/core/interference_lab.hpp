@@ -45,6 +45,9 @@ struct SideBySideResult {
 
 class InterferenceLab {
  public:
+  /// Throws std::invalid_argument when scenario.computing_cores is below 0
+  /// or above machine.total_cores() - 1 (one core hosts the communication
+  /// thread), instead of running fewer computing threads than asked for.
   explicit InterferenceLab(Scenario scenario);
   ~InterferenceLab();
 

@@ -67,7 +67,7 @@ void Resource::set_capacity(double capacity) {
 
 Resource* FlowModel::add_resource(std::string name, double capacity) {
   resources_.push_back(std::unique_ptr<Resource>(
-      new Resource(this, resources_.size(), std::move(name), capacity)));
+      new Resource(this, &solver_, resources_.size(), std::move(name), capacity)));
   Resource* r = resources_.back().get();
   const std::size_t solver_index = solver_.add_resource(capacity);
   assert(solver_index == r->index_);
@@ -182,8 +182,10 @@ void FlowModel::advance() {
     if (!obs_bound_) bind_obs();
     // Work-unit integral per resource: loads were constant since the last
     // change point, so load * dt is exact (bytes moved per controller).
-    for (auto& r : resources_)
-      if (r->load_ > 0.0) r->obs_work_->add(r->load_ * dt);
+    for (auto& r : resources_) {
+      const double load = r->load();
+      if (load > 0.0) r->obs_work_->add(load * dt);
+    }
   }
   if (dt > 0.0 && profiler_ != nullptr) profile_advance(dt);
   last_advance_ = now;
@@ -244,9 +246,10 @@ void FlowModel::profile_advance(Time dt) {
     for (const auto& d : a.spec_.demands) {
       if (d.amount <= 0.0) continue;
       const Resource* r = d.resource;
+      const double load = r->load();
       const double u = r->capacity_ > 0.0
-                           ? r->load_ / r->capacity_
-                           : (r->load_ > 0.0 ? std::numeric_limits<double>::infinity() : 0.0);
+                           ? load / r->capacity_
+                           : (load > 0.0 ? std::numeric_limits<double>::infinity() : 0.0);
       if (u > worst) {
         worst = u;
         bottleneck = r;
@@ -357,28 +360,28 @@ void FlowModel::reallocate() {
   last_flow_visits_ = st.flow_visits;
   last_components_solved_ = st.components_solved;
 
-  // Publish loads/pressures of solved components; untouched resources keep
-  // their previous values verbatim.  Sampled granted rates: one
-  // counter-track point per resource whose load changed at this re-solve
-  // (Perfetto renders these as step curves).
+  // Resources read their loads/pressures from the solver, which rewrote
+  // those of the solved components; untouched resources keep theirs.  With
+  // the registry or the tracer on, the solved resources also publish:
+  // utilization/pressure gauges (feeding the time-resolved sampler), and
+  // one counter-track point per resource whose load changed at this
+  // re-solve (Perfetto renders these as step curves).
   obs::Tracer& tracer = obs_reg_->tracer();
   const bool tracing = tracer.on();
   const bool obs_on = obs_reg_->enabled();
-  if ((obs_on || tracing) && !obs_bound_) bind_obs();
-  for (std::size_t ridx : solver_.touched_resources()) {
-    Resource* r = resources_[ridx].get();
-    r->load_ = solver_.load(ridx);
-    r->pressure_ = solver_.pressure(ridx);
-    if (obs_on) {
-      // Utilization/pressure gauges feed the time-resolved sampler; gated
-      // here (not just inside set()) so the disabled hot path skips the
-      // division too.
-      r->obs_util_->set(r->utilization());
-      r->obs_pressure_->set(r->pressure_);
-    }
-    if (tracing && r->load_ != r->obs_last_sampled_load_) {
-      tracer.counter_sample(r->obs_load_series_, now, r->load_);
-      r->obs_last_sampled_load_ = r->load_;
+  if (obs_on || tracing) {
+    if (!obs_bound_) bind_obs();
+    for (std::size_t ridx : solver_.touched_resources()) {
+      Resource* r = resources_[ridx].get();
+      if (obs_on) {
+        r->obs_util_->set(r->utilization());
+        r->obs_pressure_->set(r->pressure());
+      }
+      const double load = r->load();
+      if (tracing && load != r->obs_last_sampled_load_) {
+        tracer.counter_sample(r->obs_load_series_, now, load);
+        r->obs_last_sampled_load_ = load;
+      }
     }
   }
 

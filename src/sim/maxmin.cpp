@@ -261,22 +261,30 @@ void MaxMinSolver::solve_component(std::size_t root) {
   // FlowRecs are scattered through flows_, so this is the one
   // latency-bound pass: prefetch ahead, then the filling rounds below run
   // on contiguous arrays and never touch a FlowRec again until publish.
+  // Entry offsets come first, so the entry arrays are sized once and
+  // filled by index.
   for (std::size_t f = 0; f < n_flows; ++f)
     __builtin_prefetch(&flows_[comp_flow_list[f]]);
   sc_cap_lambda_.resize(n_flows);
   sc_weight_.resize(n_flows);
-  sc_fixed_.assign(n_flows, 0);
   sc_ent_begin_.resize(n_flows + 1);
-  sc_ent_local_.clear();
-  sc_ent_demand_.clear();
-  sc_ent_wdem_.clear();
-  sc_ent_press_.clear();
-  std::size_t n_fixed = 0;
+  std::uint32_t n_entries = 0;
   for (std::size_t f = 0; f < n_flows; ++f) {
-    FlowRec& rec = flows_[comp_flow_list[f]];
+    const FlowRec& rec = flows_[comp_flow_list[f]];
     sc_cap_lambda_[f] = rec.cap_lambda;
     sc_weight_[f] = rec.weight;
-    sc_ent_begin_[f] = static_cast<std::uint32_t>(sc_ent_local_.size());
+    sc_ent_begin_[f] = n_entries;
+    n_entries += static_cast<std::uint32_t>(rec.entries.size());
+  }
+  sc_ent_begin_[n_flows] = n_entries;
+  if (sc_ent_local_.size() < n_entries) {
+    sc_ent_local_.resize(n_entries);
+    sc_ent_demand_.resize(n_entries);
+    sc_ent_wdem_.resize(n_entries);
+    sc_ent_press_.resize(n_entries);
+  }
+  for (std::size_t f = 0; f < n_flows; ++f) {
+    FlowRec& rec = flows_[comp_flow_list[f]];
     if (!rec.pressure_valid) {
       // Demand pressure: what the flow would push if it ran alone.  Cached
       // per entry (same expressions, same order, so the accumulation below
@@ -295,104 +303,125 @@ void MaxMinSolver::solve_component(std::size_t root) {
       rec.pressure_valid = true;
     }
     const bool has_press = !rec.pressure_contrib.empty();
-    for (std::size_t i = 0; i < rec.entries.size(); ++i) {
+    std::uint32_t k = sc_ent_begin_[f];
+    for (std::size_t i = 0; i < rec.entries.size(); ++i, ++k) {
       const MaxMinFlow::Entry& e = rec.entries[i];
-      sc_ent_local_.push_back(res_local_[e.resource]);
-      sc_ent_demand_.push_back(e.demand);
-      sc_ent_wdem_.push_back(rec.weight * e.demand);
-      sc_ent_press_.push_back(has_press ? rec.pressure_contrib[i] : 0.0);
+      sc_ent_local_[k] = res_local_[e.resource];
+      sc_ent_demand_[k] = e.demand;
+      sc_ent_wdem_[k] = rec.weight * e.demand;
+      sc_ent_press_[k] = has_press ? rec.pressure_contrib[i] : 0.0;
     }
   }
-  sc_ent_begin_[n_flows] = static_cast<std::uint32_t>(sc_ent_local_.size());
 
-  sc_weighted_demand_.resize(std::max(sc_weighted_demand_.size(), n_res));
-  sc_bottleneck_.resize(std::max(sc_bottleneck_.size(), n_res));
+  if (sc_weighted_demand_.size() < n_res) {
+    sc_weighted_demand_.resize(n_res);
+    sc_res_round_.resize(n_res, 0);
+    sc_res_bottleneck_.resize(n_res, 0);
+    sc_active_res_.resize(n_res);
+    sc_ratio_.resize(n_res);
+  }
+  sc_active_flows_.resize(n_flows);
+  for (std::size_t f = 0; f < n_flows; ++f) sc_active_flows_[f] = static_cast<std::uint32_t>(f);
   sc_rate_.assign(n_flows, 0.0);
   std::vector<double>& rate_out = sc_rate_;
 
-  while (n_fixed < n_flows) {
-    // Total weighted demand of unfixed flows per resource.
-    std::fill(sc_weighted_demand_.begin(), sc_weighted_demand_.begin() + static_cast<std::ptrdiff_t>(n_res), 0.0);
-    for (std::size_t f = 0; f < n_flows; ++f) {
-      if (sc_fixed_[f]) continue;
-      ++stats_.flow_visits;
-      for (std::size_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k)
-        sc_weighted_demand_[sc_ent_local_[k]] += sc_ent_wdem_[k];
+  // Fix flow f at lambda: its rate, and the capacity it uses up.
+  auto freeze = [&](std::uint32_t f, double lambda) {
+    const double rate = sc_weight_[f] * std::min(lambda, sc_cap_lambda_[f]);
+    rate_out[f] = rate;
+    for (std::uint32_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k) {
+      const double used = rate * sc_ent_demand_[k];
+      sc_cap_left_[sc_ent_local_[k]] -= used;
+      sc_load_[sc_ent_local_[k]] += used;
     }
+  };
 
-    // Candidate lambda: tightest resource or tightest flow cap.
-    double lambda = kInf;
-    for (std::size_t r = 0; r < n_res; ++r) {
-      if (sc_weighted_demand_[r] <= 0.0) continue;
-      lambda = std::min(lambda, std::max(0.0, sc_cap_left_[r]) / sc_weighted_demand_[r]);
+  // Progressive filling.  A round walks only the unfixed flows (kept in
+  // flow order, compacted as they freeze) and the resources their entries
+  // reach; a resource no unfixed flow loads has zero weighted demand and
+  // would be skipped by every pass anyway.
+  std::size_t n_active = n_flows;
+  while (n_active > 0) {
+    const std::uint64_t epoch = ++round_epoch_;
+    // Total weighted demand of unfixed flows per resource.  The first touch
+    // in a round zeroes the sum and lists the resource, so each sum is the
+    // same additions, in the same flow order, as a zero-fill followed by a
+    // pass over every unfixed flow.
+    std::size_t n_touched = 0;
+    for (std::size_t i = 0; i < n_active; ++i) {
+      const std::uint32_t f = sc_active_flows_[i];
+      for (std::uint32_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k) {
+        const std::uint32_t r = sc_ent_local_[k];
+        if (sc_res_round_[r] != epoch) {
+          sc_res_round_[r] = epoch;
+          sc_weighted_demand_[r] = 0.0;
+          sc_active_res_[n_touched++] = r;
+        }
+        sc_weighted_demand_[r] += sc_ent_wdem_[k];
+      }
     }
-    for (std::size_t f = 0; f < n_flows; ++f)
-      if (!sc_fixed_[f]) lambda = std::min(lambda, sc_cap_lambda_[f]);
+    stats_.flow_visits += n_active;
+    stats_.resource_visits += n_touched;
+
+    // Candidate lambda: tightest resource or tightest flow cap.  Each
+    // loaded resource's ratio is computed once and kept (the list is
+    // compacted to loaded resources) for the bottleneck test below.  Every
+    // ratio is non-negative and never NaN, so the min does not depend on
+    // scan order.
+    double lambda = kInf;
+    std::size_t n_loaded = 0;
+    for (std::size_t i = 0; i < n_touched; ++i) {
+      const std::uint32_t r = sc_active_res_[i];
+      if (sc_weighted_demand_[r] <= 0.0) continue;
+      const double ratio = std::max(0.0, sc_cap_left_[r]) / sc_weighted_demand_[r];
+      lambda = std::min(lambda, ratio);
+      sc_active_res_[n_loaded] = r;
+      sc_ratio_[n_loaded] = ratio;
+      ++n_loaded;
+    }
+    for (std::size_t i = 0; i < n_active; ++i)
+      lambda = std::min(lambda, sc_cap_lambda_[sc_active_flows_[i]]);
 
     if (!std::isfinite(lambda)) {
       // Unfixed flows touch only zero-demand resources and have no caps.
-      for (std::size_t f = 0; f < n_flows; ++f)
-        if (!sc_fixed_[f]) {
-          rate_out[f] = kInf;
-          sc_fixed_[f] = 1;
-          ++n_fixed;
-        }
+      for (std::size_t i = 0; i < n_active; ++i) rate_out[sc_active_flows_[i]] = kInf;
       break;
     }
 
     // Freeze every flow that is saturated at this lambda: either its own
     // cap binds, or it crosses a resource that just became a bottleneck.
-    bool froze_any = false;
-    std::fill(sc_bottleneck_.begin(), sc_bottleneck_.begin() + static_cast<std::ptrdiff_t>(n_res), char{0});
-    for (std::size_t r = 0; r < n_res; ++r) {
-      if (sc_weighted_demand_[r] <= 0.0) continue;
-      double ratio = std::max(0.0, sc_cap_left_[r]) / sc_weighted_demand_[r];
-      if (ratio <= lambda * (1.0 + kSlack) + kSlack) sc_bottleneck_[r] = 1;
-    }
-    for (std::size_t f = 0; f < n_flows; ++f) {
-      if (sc_fixed_[f]) continue;
+    // The bottleneck set is fixed before any flow freezes.
+    for (std::size_t i = 0; i < n_loaded; ++i)
+      if (sc_ratio_[i] <= lambda * (1.0 + kSlack) + kSlack)
+        sc_res_bottleneck_[sc_active_res_[i]] = epoch;
+    std::size_t n_kept = 0;
+    for (std::size_t i = 0; i < n_active; ++i) {
+      const std::uint32_t f = sc_active_flows_[i];
       bool saturated = sc_cap_lambda_[f] <= lambda * (1.0 + kSlack);
       if (!saturated)
-        for (std::size_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k)
-          if (sc_bottleneck_[sc_ent_local_[k]] && sc_ent_demand_[k] > 0.0) {
+        for (std::uint32_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k)
+          if (sc_res_bottleneck_[sc_ent_local_[k]] == epoch && sc_ent_demand_[k] > 0.0) {
             saturated = true;
             break;
           }
-      if (!saturated) continue;
-      double rate = sc_weight_[f] * std::min(lambda, sc_cap_lambda_[f]);
-      rate_out[f] = rate;
-      for (std::size_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k) {
-        const double used = rate * sc_ent_demand_[k];
-        sc_cap_left_[sc_ent_local_[k]] -= used;
-        sc_load_[sc_ent_local_[k]] += used;
-      }
-      sc_fixed_[f] = 1;
-      ++n_fixed;
-      froze_any = true;
+      if (saturated)
+        freeze(f, lambda);
+      else
+        sc_active_flows_[n_kept++] = f;
     }
     // Progressive filling must freeze at least one flow per round; if slack
     // comparisons ever fail to, freeze everything at lambda to terminate.
-    if (!froze_any) {
-      for (std::size_t f = 0; f < n_flows; ++f) {
-        if (sc_fixed_[f]) continue;
-        double rate = sc_weight_[f] * std::min(lambda, sc_cap_lambda_[f]);
-        rate_out[f] = rate;
-        for (std::size_t k = sc_ent_begin_[f]; k < sc_ent_begin_[f + 1]; ++k) {
-          const double used = rate * sc_ent_demand_[k];
-          sc_cap_left_[sc_ent_local_[k]] -= used;
-          sc_load_[sc_ent_local_[k]] += used;
-        }
-        sc_fixed_[f] = 1;
-        ++n_fixed;
-      }
+    if (n_kept == n_active) {
+      for (std::size_t i = 0; i < n_active; ++i) freeze(sc_active_flows_[i], lambda);
+      n_kept = 0;
     }
+    n_active = n_kept;
   }
 
   // Demand pressure: one dense pass over the flattened per-entry
   // contributions gathered above (flow order, then entry order — the same
   // accumulation order as the per-flow loop it replaces).
-  const std::size_t n_entries = sc_ent_local_.size();
-  for (std::size_t k = 0; k < n_entries; ++k)
+  for (std::uint32_t k = 0; k < n_entries; ++k)
     sc_pressure_[sc_ent_local_[k]] += sc_ent_press_[k];
 
   // Publish: rates that actually changed (bitwise), loads/pressures of all

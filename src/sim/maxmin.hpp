@@ -120,6 +120,9 @@ class MaxMinSolver {
     std::uint64_t partial_solves = 0;    ///< solves that skipped >= 1 clean component
     std::uint64_t components_solved = 0; ///< dirty components re-solved
     std::uint64_t flow_visits = 0;       ///< flow scans inside filling rounds
+    /// Resources scanned inside filling rounds: per round, those reached by
+    /// an unfixed flow (a dense pass would scan every component member).
+    std::uint64_t resource_visits = 0;
     std::uint64_t partition_rebuilds = 0;///< union-find rebuilds after removals
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -190,6 +193,8 @@ class MaxMinSolver {
   // Dense per-solve gather of the component's flows: per-flow weights plus
   // flattened demand entries (local resource slot, raw and weighted demand,
   // cached pressure contribution), indexed by sc_ent_begin_[f]..[f+1].
+  // The entry arrays only grow; entries past sc_ent_begin_[n_flows] are
+  // stale.
   std::vector<double> sc_weight_;
   std::vector<std::uint32_t> sc_ent_begin_;
   std::vector<std::uint32_t> sc_ent_local_;
@@ -197,13 +202,21 @@ class MaxMinSolver {
   std::vector<double> sc_ent_wdem_;
   std::vector<double> sc_ent_press_;
   std::vector<double> sc_cap_left_;
-  std::vector<double> sc_weighted_demand_;
-  std::vector<char> sc_bottleneck_;
   std::vector<double> sc_load_;
   std::vector<double> sc_pressure_;
   std::vector<double> sc_cap_lambda_;
-  std::vector<char> sc_fixed_;
   std::vector<double> sc_rate_;
+  // Filling-round state.  Per local resource slot: the weighted demand of
+  // unfixed flows, and the round that last summed it or marked it a
+  // bottleneck.  Rounds are numbered by a solver-lifetime epoch, so a stamp
+  // left by an earlier round or solve never matches and nothing is cleared.
+  std::vector<double> sc_weighted_demand_;
+  std::vector<std::uint64_t> sc_res_round_;
+  std::vector<std::uint64_t> sc_res_bottleneck_;
+  std::vector<std::uint32_t> sc_active_flows_;  ///< unfixed flows, flow order
+  std::vector<std::uint32_t> sc_active_res_;    ///< resources those reach
+  std::vector<double> sc_ratio_;  ///< max(0, cap_left) / weighted demand, per loaded resource
+  std::uint64_t round_epoch_ = 0;
 
   Stats stats_;
 };

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,28 @@ TEST_P(IntensitySweep, HighIntensityRestoresBandwidth) {
 
 INSTANTIATE_TEST_SUITE_P(FlopPerByte, IntensitySweep,
                          ::testing::Values(0.25, 1.0, 30.0, 100.0));
+
+TEST(Interference, RejectsComputingCoresOutsideTheMachine) {
+  // One core hosts the communication thread, so henri's 36 cores leave 35
+  // computing threads; asking for more used to run 35 silently.
+  Scenario s = base_scenario();
+  const int max_cores = s.machine.total_cores() - 1;
+  for (int bad : {-1, max_cores + 1, s.machine.total_cores() + 8}) {
+    s.computing_cores = bad;
+    try {
+      InterferenceLab lab(s);
+      ADD_FAILURE() << "computing_cores = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("computing_cores"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(max_cores)), std::string::npos) << what;
+    }
+  }
+  for (int ok : {0, max_cores}) {
+    s.computing_cores = ok;
+    EXPECT_NO_THROW(InterferenceLab lab(s)) << "computing_cores = " << ok;
+  }
+}
 
 TEST(InterferenceSummary, BackwardsBandwidthWalkMatchesStatsOfBitwise) {
   // The lab derives bandwidths from the sorted latencies by walking them
