@@ -400,6 +400,9 @@ BENCHMARK(BM_SimShardSpeedup4)->Unit(benchmark::kMillisecond)->Iterations(8);
 //   inv_speedup_shards4 — shards=4 over shards=1 wall time; emitted only on
 //       hosts with >= 4 hardware threads and guarded so the carve keeps its
 //       >= 2.5x payoff on the topology it was built for.
+//   link_reads_per_delivery — link loads the delivery sampling read, per
+//       delivery; deterministic, guarded at tolerance 0.  Re-reading every
+//       link at every delivery would read all 1,136 links each time.
 
 core::Scenario dragonfly_scenario() {
   core::Scenario s;
@@ -422,14 +425,20 @@ void BM_DragonflyShardScaling(benchmark::State& state) {
   core::FabricLab lab(dragonfly_scenario());
   std::uint64_t windows = 0;
   std::uint64_t events = 0;
+  double link_reads_per_delivery = 0.0;
   for (auto _ : state) {
     const core::FabricReport r = lab.run_sharded(shards);
     windows = r.windows;
     events += r.events;
+    std::size_t deliveries = 0;
+    for (const core::TenantReport& t : r.tenants) deliveries += t.delivery_latency.n;
+    link_reads_per_delivery =
+        static_cast<double>(r.link_reads) / static_cast<double>(deliveries);
     benchmark::DoNotOptimize(r.elapsed);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["shard_windows"] = static_cast<double>(windows);
+  state.counters["link_reads_per_delivery"] = link_reads_per_delivery;
 }
 // UseRealTime for the same reason as BM_SimShardScaling: the work happens on
 // shard workers while the coordinator blocks at window barriers.

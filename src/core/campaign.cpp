@@ -304,15 +304,38 @@ std::filesystem::path entry_path(const std::string& dir, std::uint64_t key) {
   return std::filesystem::path(dir) / (hex16(key) + ".json");
 }
 
+/// `text` as the body of a JSON string: quotes, backslashes and control
+/// bytes escaped, so a stored field can never close early.
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 /// kRejected: an entry file exists but is unusable (other schema, wrong
-/// key, truncated or malformed); the point is recomputed and re-stored.
+/// key or point text, truncated or malformed); the point is recomputed
+/// and re-stored.
 enum class CacheLookup { kMiss, kHit, kRejected };
 
 /// Load a cache entry; kHit (and `values` filled) only when the file
-/// carries the same schema + key and a closed values array of exactly
-/// `columns` values.  Doubles round-trip through %.17g, so a cache hit
-/// reproduces the original table bit-for-bit.
-CacheLookup load_cache_entry(const std::string& dir, std::uint64_t key, std::size_t columns,
+/// carries the same schema + key, the exact text the key hashes (so a
+/// 64-bit collision is a rejection, not a wrong hit) and a closed values
+/// array of exactly `columns` values.  Doubles round-trip through %.17g,
+/// so a cache hit reproduces the original table bit-for-bit.
+CacheLookup load_cache_entry(const std::string& dir, std::uint64_t key,
+                             const std::string& key_text, std::size_t columns,
                              std::vector<double>& values) {
   CCI_SCHED_POINT(kCacheRead, key);
   std::ifstream is(entry_path(dir, key));
@@ -320,9 +343,12 @@ CacheLookup load_cache_entry(const std::string& dir, std::uint64_t key, std::siz
   std::stringstream buffer;
   buffer << is.rdbuf();
   const std::string doc = buffer.str();
-  if (doc.find("\"schema\": " + std::to_string(kCampaignSchemaVersion)) == std::string::npos)
+  if (doc.find("\"schema\": " + std::to_string(kCampaignSchemaVersion) + ",") ==
+      std::string::npos)
     return CacheLookup::kRejected;
   if (doc.find("\"key\": \"" + hex16(key) + "\"") == std::string::npos)
+    return CacheLookup::kRejected;
+  if (doc.find("\"point\": \"" + json_escape(key_text) + "\"") == std::string::npos)
     return CacheLookup::kRejected;
   const std::size_t open = doc.find("\"values\": [");
   if (open == std::string::npos) return CacheLookup::kRejected;
@@ -343,7 +369,7 @@ CacheLookup load_cache_entry(const std::string& dir, std::uint64_t key, std::siz
   return values.size() == columns ? CacheLookup::kHit : CacheLookup::kRejected;
 }
 
-void store_cache_entry(const std::string& dir, std::uint64_t key,
+void store_cache_entry(const std::string& dir, std::uint64_t key, const std::string& key_text,
                        const std::string& campaign, const std::vector<double>& values) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -363,7 +389,8 @@ void store_cache_entry(const std::string& dir, std::uint64_t key,
     std::ofstream os(tmp);
     if (!os) return;  // cache is best-effort: an unwritable dir just means re-runs
     os << "{\n  \"schema\": " << kCampaignSchemaVersion << ",\n  \"key\": \"" << hex16(key)
-       << "\",\n  \"campaign\": \"" << campaign << "\",\n  \"values\": [";
+       << "\",\n  \"campaign\": \"" << json_escape(campaign) << "\",\n  \"point\": \""
+       << json_escape(key_text) << "\",\n  \"values\": [";
     for (std::size_t i = 0; i < values.size(); ++i) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
@@ -493,7 +520,10 @@ void serialize_scenario(std::ostream& os, const Scenario& s) {
   }
 }
 
-std::uint64_t cache_key(const Campaign& campaign, const SweepPoint& point) {
+namespace {
+
+/// The text cache_key() hashes; every entry stores it for comparison.
+std::string cache_key_text(const Campaign& campaign, const SweepPoint& point) {
   std::ostringstream os;
   os << "cci-campaign-v" << kCampaignSchemaVersion << ';';
   // Shard-parallel simulation is bitwise-deterministic at a *fixed* shard
@@ -510,7 +540,13 @@ std::uint64_t cache_key(const Campaign& campaign, const SweepPoint& point) {
   for (const std::string& l : point.labels) os << l << ',';
   os << ';';
   serialize_scenario(os, point.scenario);
-  return fnv1a(os.str());
+  return os.str();
+}
+
+}  // namespace
+
+std::uint64_t cache_key(const Campaign& campaign, const SweepPoint& point) {
+  return fnv1a(cache_key_text(campaign, point));
 }
 
 // ---- engine -----------------------------------------------------------------
@@ -617,6 +653,7 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   run.from_cache.assign(n, false);
   std::vector<double> sim_secs(n, 0.0);
   std::vector<std::uint64_t> keys(n, 0);
+  std::vector<std::string> key_texts(n);
 
   // Resolve cached points first; only the misses hit the pool.
   std::size_t tmp_swept = 0;
@@ -626,8 +663,9 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   misses.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!options_.cache_dir.empty()) {
-      keys[i] = cache_key(campaign, run.points[i]);
-      const CacheLookup found = load_cache_entry(options_.cache_dir, keys[i],
+      key_texts[i] = cache_key_text(campaign, run.points[i]);
+      keys[i] = fnv1a(key_texts[i]);
+      const CacheLookup found = load_cache_entry(options_.cache_dir, keys[i], key_texts[i],
                                                  campaign.column_count(), run.values[i]);
       if (found == CacheLookup::kHit) {
         run.from_cache[i] = true;
@@ -731,7 +769,8 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
 
   if (!options_.cache_dir.empty())
     for (std::size_t i : misses)
-      store_cache_entry(options_.cache_dir, keys[i], campaign.name(), run.values[i]);
+      store_cache_entry(options_.cache_dir, keys[i], key_texts[i], campaign.name(),
+                        run.values[i]);
 
   points_total_ += n;
   points_executed_ += run.executed;

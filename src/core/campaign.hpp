@@ -250,7 +250,10 @@ void serialize_scenario(std::ostream& os, const Scenario& s);
 // v3: scenario serialization covers the fabric topology (kind, routing
 // policy, adaptive threshold, shape parameters) and the multi-job tenant
 // list (label, rank->node mapping, traffic shape per JobSpec).
-inline constexpr int kCampaignSchemaVersion = 3;
+// v4: every entry stores the exact text its key hashes, and a load
+// compares it, so a 64-bit key collision is a counted rejection
+// (campaign.cache_rejected), never a wrong hit.
+inline constexpr int kCampaignSchemaVersion = 4;
 
 // ---- engine -----------------------------------------------------------------
 

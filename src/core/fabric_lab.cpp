@@ -52,16 +52,28 @@ struct RunState {
   std::vector<TenantAccum> tenants;
   std::vector<sim::Resource*> links;
   std::vector<LinkAccum> link_acc;
+  obs::Registry* reg = nullptr;  ///< Registry::global() at run start
+  /// net.<link>.utilization per link.  Bound when the run starts with the
+  /// registry on, otherwise by the first sample that finds it on: a
+  /// disabled registry never sees per-link names.
   std::vector<obs::Histogram*> link_hist;
   std::uint64_t remaining = 0;  ///< deliveries still expected this run
 
+  void bind_link_hist() {
+    link_hist.reserve(links.size());
+    for (sim::Resource* r : links)
+      link_hist.push_back(&reg->histogram("net." + r->name() + ".utilization"));
+  }
+
   void sample_links() {
+    if (link_hist.empty() && reg->enabled()) bind_link_hist();
+    const bool record = !link_hist.empty();
     for (std::size_t li = 0; li < links.size(); ++li) {
       const double u = links[li]->utilization();
       link_acc[li].sum += u;
       link_acc[li].peak = std::max(link_acc[li].peak, u);
       ++link_acc[li].n;
-      link_hist[li]->record(u);
+      if (record) link_hist[li]->record(u);
     }
   }
 };
@@ -201,10 +213,8 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   st.tenants.resize(jobs.size());
   st.links = cluster_->fabric_links();
   st.link_acc.resize(st.links.size());
-  st.link_hist.reserve(st.links.size());
-  for (sim::Resource* r : st.links)
-    st.link_hist.push_back(
-        &obs::Registry::global().histogram("net." + r->name() + ".utilization"));
+  st.reg = &obs::Registry::global();
+  if (st.reg->enabled()) st.bind_link_hist();
 
   const double wire_rate = scenario_.network.wire_bw;
   int next_tag = 1000;
@@ -299,8 +309,8 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
 namespace {
 
 /// Per-shard state of a run_sharded() fluid simulation.  Built and torn
-/// down inside with_shard() so pooled frames, metric handles and timeline
-/// blocks bind to the worker thread.
+/// down inside with_each_shard() so pooled frames, metric handles and
+/// timeline blocks bind to the worker thread.
 struct FluidShard {
   std::unique_ptr<net::FabricGraph> fabric;
   std::unique_ptr<sim::FlowModel> model;
@@ -308,18 +318,24 @@ struct FluidShard {
   std::unique_ptr<obs::Sampler> sampler;
   std::vector<TenantAccum> tenants;
   std::vector<double> link_peak;  ///< per links() index, load / base capacity
+  std::uint64_t link_reads = 0;   ///< link loads read by sample_links()
 
   /// Local fabric peak at a delivery event.  Loads are read against the
   /// *base* capacity: a boundary replica throttled by remote load would
-  /// otherwise read utilization ~1 at any load.
+  /// otherwise read utilization ~1 at any load.  Only links whose load
+  /// changed since the previous sample are read: every other link still
+  /// has a load its peak already includes.  Link keys follow every port
+  /// and crossbar key, and resource index == key.
   void sample_links() {
-    const int links = static_cast<int>(link_peak.size());
-    for (int li = 0; li < links; ++li) {
-      const int key = fabric->link_key(li);
-      const double u = fabric->at(key)->load() / fabric->base_capacity(key);
-      link_peak[static_cast<std::size_t>(li)] =
-          std::max(link_peak[static_cast<std::size_t>(li)], u);
-    }
+    const std::size_t link0 = static_cast<std::size_t>(fabric->link_key(0));
+    model->drain_load_changes([this, link0](std::size_t key) {
+      if (key < link0) return;
+      const int k = static_cast<int>(key);
+      const double u = fabric->at(k)->load() / fabric->base_capacity(k);
+      double& peak = link_peak[key - link0];
+      peak = std::max(peak, u);
+      ++link_reads;
+    });
   }
 };
 
@@ -433,49 +449,48 @@ FabricReport FabricLab::run_sharded(int shards) {
     }
   for (std::vector<int>& users : boundary_users) std::sort(users.begin(), users.end());
 
-  // Per-shard build: fabric replica, flow model, sampler, stream coroutines.
+  // Per-shard build, on every worker at once: fabric replica, flow model,
+  // sampler, stream coroutines.  Each job writes only its own shard's state
+  // and reads the shared topology, jobs and streams.
   const obs::RunSampling& rs = obs::run_sampling();
   const bool sampling = rs.sampling_on();
   std::vector<std::unique_ptr<FluidShard>> ctx(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    group.with_shard(s, [&, s](sim::Engine& eng) {
-      auto fs = std::make_unique<FluidShard>();
-      fs->fabric =
-          std::make_unique<net::FabricGraph>(topo, scenario_.network, nodes);
-      fs->model = std::make_unique<sim::FlowModel>(eng);
-      fs->fabric->materialize(*fs->model);
-      fs->tenants.resize(jobs.size());
-      fs->link_peak.assign(topo.links().size(), 0.0);
-      if (sampling) {
-        obs::SamplerConfig sc;
-        sc.period = rs.timeline_period;
-        if (shards == 1) {
-          // Serial: sample straight into the ambient store, like run().
-          fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
-                                                       *rs.timeline, std::move(sc));
-        } else {
-          // Per-shard store, merged below with a "shardN." series prefix
-          // (replica resources share names across shards).
-          fs->store = std::make_unique<obs::TimelineStore>();
-          fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
-                                                       *fs->store, std::move(sc));
-        }
-        eng.set_sampler(fs->sampler.get());
+  group.with_each_shard([&](int s, sim::Engine& eng) {
+    auto fs = std::make_unique<FluidShard>();
+    fs->fabric = std::make_unique<net::FabricGraph>(topo, scenario_.network, nodes);
+    fs->model = std::make_unique<sim::FlowModel>(eng);
+    fs->fabric->materialize(*fs->model);
+    fs->tenants.resize(jobs.size());
+    fs->link_peak.assign(topo.links().size(), 0.0);
+    if (sampling) {
+      obs::SamplerConfig sc;
+      sc.period = rs.timeline_period;
+      if (shards == 1) {
+        // Serial: sample straight into the ambient store, like run().
+        fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
+                                                     *rs.timeline, std::move(sc));
+      } else {
+        // Per-shard store, merged below with a "shardN." series prefix
+        // (replica resources share names across shards).
+        fs->store = std::make_unique<obs::TimelineStore>();
+        fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
+                                                     *fs->store, std::move(sc));
       }
-      std::vector<sim::LabelId> tenant_label(jobs.size());
-      for (std::size_t j = 0; j < jobs.size(); ++j)
-        tenant_label[j] = eng.intern("fabric." + jobs[j].label);
-      for (const Stream& st : streams) {
-        if (st.shard != s) continue;
-        std::vector<sim::Resource*> path;
-        path.reserve(st.keys.size());
-        for (int key : st.keys) path.push_back(fs->fabric->at(key));
-        eng.spawn(fluid_stream(eng, fs.get(), st.spec, std::move(path),
-                               tenant_label[st.spec.tenant]));
-      }
-      ctx[static_cast<std::size_t>(s)] = std::move(fs);
-    });
-  }
+      eng.set_sampler(fs->sampler.get());
+    }
+    std::vector<sim::LabelId> tenant_label(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      tenant_label[j] = eng.intern("fabric." + jobs[j].label);
+    for (const Stream& st : streams) {
+      if (st.shard != s) continue;
+      std::vector<sim::Resource*> path;
+      path.reserve(st.keys.size());
+      for (int key : st.keys) path.push_back(fs->fabric->at(key));
+      eng.spawn(fluid_stream(eng, fs.get(), st.spec, std::move(path),
+                             tenant_label[st.spec.tenant]));
+    }
+    ctx[static_cast<std::size_t>(s)] = std::move(fs);
+  });
 
   // Bind boundary replicas (coordinator side, workers idle between jobs).
   for (int key = 0; key < shape.key_count(); ++key) {
@@ -580,6 +595,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   for (int s = 0; s < shards; ++s) {
     report.solver_flow_visits +=
         ctx[static_cast<std::size_t>(s)]->model->solver().stats().flow_visits;
+    report.link_reads += ctx[static_cast<std::size_t>(s)]->link_reads;
     report.events += group.engine(s).events_dispatched();
   }
 
@@ -615,13 +631,12 @@ FabricReport FabricLab::run_sharded(int shards) {
     }
   }
 
-  // Tear down on the owning workers (pooled frames and timeline blocks are
-  // thread-affine).
-  for (int s = 0; s < shards; ++s)
-    group.with_shard(s, [&, s](sim::Engine& eng) {
-      eng.set_sampler(nullptr);
-      ctx[static_cast<std::size_t>(s)].reset();
-    });
+  // Tear down on the owning workers, all at once (pooled frames and
+  // timeline blocks are thread-affine).
+  group.with_each_shard([&](int s, sim::Engine& eng) {
+    eng.set_sampler(nullptr);
+    ctx[static_cast<std::size_t>(s)].reset();
+  });
   return report;
 }
 

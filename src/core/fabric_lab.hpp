@@ -67,6 +67,9 @@ struct FabricReport {
   std::uint64_t exchanges = 0;  ///< boundary capacity updates delivered
   std::uint64_t solver_flow_visits = 0;  ///< summed across shard solvers
   std::uint64_t events = 0;              ///< summed engine events
+  /// Link loads read by delivery-event sampling, summed across shards:
+  /// only links whose load changed since the shard's previous sample.
+  std::uint64_t link_reads = 0;
   [[nodiscard]] const TenantReport* tenant(std::string_view label) const;
 };
 

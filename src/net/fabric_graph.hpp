@@ -43,8 +43,9 @@ class FabricGraph {
 
   /// Materialize every key as a resource of `model`, in key order, with
   /// the Cluster's names and capacities.  The model must be empty so that
-  /// resource index == key (asserted); call inside ShardGroup::with_shard
-  /// so pooled state binds to the worker thread.
+  /// resource index == key (asserted).  run_sharded() materializes every
+  /// shard's replica on its own worker, all shards at once
+  /// (ShardGroup::with_each_shard), so pooled state binds to that thread.
   void materialize(sim::FlowModel& model);
 
   [[nodiscard]] int nodes() const { return nodes_; }

@@ -338,16 +338,23 @@ void FlowModel::reallocate() {
   }
 
   // Re-solve the dirty components (all of them on the reference path).
+  // The solver lists the resources it solved only for a solve that
+  // publishes them below.  The registry and the tracer are read at every
+  // solve: either may turn on between change points.
+  obs::Tracer& tracer = obs_reg_->tracer();
+  const bool tracing = tracer.on();
+  const bool obs_on = obs_reg_->enabled();
+  const bool publish = obs_on || tracing;
   obs_resolves_->add(1);
   if (!incremental_) solver_.mark_all_dirty();
-  if (obs_reg_->enabled()) {
+  if (obs_on) {
     auto wall0 = std::chrono::steady_clock::now();
-    solver_.solve();
+    solver_.solve(publish);
     obs_solve_wall_us_->record(
         std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - wall0)
             .count());
   } else {
-    solver_.solve();
+    solver_.solve(publish);
   }
   const MaxMinSolver::Stats& st = solver_.stats();
   obs_resolves_full_->add(static_cast<double>(st.full_solves - last_full_solves_));
@@ -366,10 +373,7 @@ void FlowModel::reallocate() {
   // utilization/pressure gauges (feeding the time-resolved sampler), and
   // one counter-track point per resource whose load changed at this
   // re-solve (Perfetto renders these as step curves).
-  obs::Tracer& tracer = obs_reg_->tracer();
-  const bool tracing = tracer.on();
-  const bool obs_on = obs_reg_->enabled();
-  if (obs_on || tracing) {
+  if (publish) {
     if (!obs_bound_) bind_obs();
     for (std::size_t ridx : solver_.touched_resources()) {
       Resource* r = resources_[ridx].get();

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -57,6 +58,16 @@ class FlowModel {
 
   /// Read-only view of the underlying solver (perf counters for benches).
   [[nodiscard]] const MaxMinSolver& solver() const { return solver_; }
+
+  /// Call `visit(index)` once with the Resource::index() of every resource
+  /// whose load changed since the previous drain: all a sampler must
+  /// re-read to have seen every load this model published.  The first
+  /// drain visits every resource; a model that is never drained keeps no
+  /// change-tracking state.
+  template <typename Visit>
+  void drain_load_changes(Visit&& visit) {
+    solver_.drain_load_changes(std::forward<Visit>(visit));
+  }
 
   /// Union-find component root of `r` in the solver's resource partition.
   /// Two resources share a root iff some chain of flows couples them — the

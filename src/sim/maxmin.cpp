@@ -1,6 +1,7 @@
 #include "sim/maxmin.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -29,6 +30,7 @@ std::size_t MaxMinSolver::add_resource(double capacity) {
   comp_unsorted_.push_back(0);
   comp_res_.push_back({r});
   dirty_.push_back(0);
+  if (track_loads_) load_noted_.push_back(0);
   return r;
 }
 
@@ -200,7 +202,7 @@ void MaxMinSolver::mark_all_dirty() {
   for (std::size_t r = 0; r < capacity_.size(); ++r) mark_dirty(find_root(r));
 }
 
-void MaxMinSolver::solve() {
+void MaxMinSolver::solve(bool list_touched) {
   ++stats_.solves;
   changed_flows_.clear();
   touched_resources_.clear();
@@ -217,7 +219,7 @@ void MaxMinSolver::solve() {
     dirty_[root] = 0;
     solved_flows += comp_flows_[root].size();
     ++stats_.components_solved;
-    solve_component(root);
+    solve_component(root, list_touched);
   }
   dirty_roots_.clear();
   if (solved_flows >= live_flows_)
@@ -226,7 +228,7 @@ void MaxMinSolver::solve() {
     ++stats_.partial_solves;
 }
 
-void MaxMinSolver::solve_component(std::size_t root) {
+void MaxMinSolver::solve_component(std::size_t root, bool list_touched) {
   const std::vector<std::size_t>& res_list = comp_res_[root];
   const std::size_t n_res = res_list.size();
 
@@ -425,7 +427,8 @@ void MaxMinSolver::solve_component(std::size_t root) {
     sc_pressure_[sc_ent_local_[k]] += sc_ent_press_[k];
 
   // Publish: rates that actually changed (bitwise), loads/pressures of all
-  // member resources.
+  // member resources.  While load changes are tracked, a load whose bits
+  // differ from the value it replaces is noted once until the next drain.
   for (std::size_t f = 0; f < n_flows; ++f) {
     FlowRec& rec = flows_[comp_flow_list[f]];
     if (rate_out[f] != rec.rate) {
@@ -434,11 +437,19 @@ void MaxMinSolver::solve_component(std::size_t root) {
     }
   }
   for (std::size_t i = 0; i < n_res; ++i) {
-    load_[res_list[i]] = sc_load_[i];
-    pressure_[res_list[i]] = sc_pressure_[i];
-    touched_resources_.push_back(res_list[i]);
+    const std::size_t r = res_list[i];
+    if (track_loads_ && !load_noted_[r] &&
+        std::bit_cast<std::uint64_t>(sc_load_[i]) != std::bit_cast<std::uint64_t>(load_[r])) {
+      load_noted_[r] = 1;
+      load_changes_.push_back(r);
+    }
+    load_[r] = sc_load_[i];
+    pressure_[r] = sc_pressure_[i];
   }
+  if (list_touched)
+    touched_resources_.insert(touched_resources_.end(), res_list.begin(), res_list.end());
 }
+
 
 // ---- pure wrapper -----------------------------------------------------------
 

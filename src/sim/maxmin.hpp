@@ -81,10 +81,11 @@ class MaxMinSolver {
   // ---- solving ----------------------------------------------------------
 
   /// Re-solve every dirty component.  After the call, changed_flows() lists
-  /// flows whose rate differs bitwise from before, and touched_resources()
-  /// lists the members of solved components (their load/pressure are
-  /// freshly written; untouched resources keep their previous values).
-  void solve();
+  /// flows whose rate differs bitwise from before.  With `list_touched`,
+  /// touched_resources() lists the members of solved components (their
+  /// load/pressure are freshly written; untouched resources keep their
+  /// previous values); without it the list is left empty.
+  void solve(bool list_touched = false);
 
   /// Force the next solve() to re-solve every component (the "from-scratch"
   /// reference path used for A/B determinism checks).
@@ -93,6 +94,25 @@ class MaxMinSolver {
   [[nodiscard]] const std::vector<FlowId>& changed_flows() const { return changed_flows_; }
   [[nodiscard]] const std::vector<std::size_t>& touched_resources() const {
     return touched_resources_;
+  }
+
+  /// Call `visit(r)` once for every resource r whose load changed bitwise
+  /// since the previous drain.  Tracking starts at the first drain, which
+  /// visits every resource; a solver that is never drained keeps no
+  /// tracking state.  `visit` must not change the solver.
+  template <typename Visit>
+  void drain_load_changes(Visit&& visit) {
+    if (!track_loads_) {
+      track_loads_ = true;
+      load_noted_.assign(capacity_.size(), 0);
+      for (std::size_t r = 0; r < capacity_.size(); ++r) visit(r);
+      return;
+    }
+    for (std::size_t r : load_changes_) {
+      load_noted_[r] = 0;
+      visit(r);
+    }
+    load_changes_.clear();
   }
 
   // ---- state accessors --------------------------------------------------
@@ -152,7 +172,7 @@ class MaxMinSolver {
   std::size_t unite(std::size_t a, std::size_t b);
   void mark_dirty(std::size_t root);
   void rebuild_partition();
-  void solve_component(std::size_t root);
+  void solve_component(std::size_t root, bool list_touched);
 
   // Resources.
   std::vector<double> capacity_;
@@ -187,6 +207,11 @@ class MaxMinSolver {
   // allocation on the hot path).
   std::vector<FlowId> changed_flows_;
   std::vector<std::size_t> touched_resources_;
+  // Load-change report (drain_load_changes); empty and off until the first
+  // drain turns tracking on.
+  bool track_loads_ = false;
+  std::vector<char> load_noted_;           ///< per resource: in load_changes_
+  std::vector<std::size_t> load_changes_;  ///< noted since the last drain
   std::vector<char> rebuild_res_dirty_;        ///< rebuild_partition scratch
   std::vector<std::uint32_t> res_local_;       ///< global res -> local slot
   std::vector<std::size_t> scratch_res_;       ///< component resources

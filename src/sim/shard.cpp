@@ -222,15 +222,15 @@ void ShardGroup::wait(Shard& sh) {
 }
 
 void ShardGroup::rethrow_any() {
+  // Every slot is cleared, so an error a higher shard raised alongside the
+  // rethrown one never resurfaces from a later call.
+  std::exception_ptr first;
   for (auto& sh : shards_) {
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> lk(sh->mutex);
-      error = sh->error;
-      sh->error = nullptr;
-    }
-    if (error) std::rethrow_exception(error);
+    std::lock_guard<std::mutex> lk(sh->mutex);
+    if (!first) first = sh->error;
+    sh->error = nullptr;
   }
+  if (first) std::rethrow_exception(first);
 }
 
 void ShardGroup::with_shard(int s, const std::function<void(Engine&)>& fn) {
@@ -241,6 +241,19 @@ void ShardGroup::with_shard(int s, const std::function<void(Engine&)>& fn) {
   }
   submit(sh, [&sh, &fn] { fn(*sh.engine); });
   wait(sh);
+  rethrow_any();
+}
+
+void ShardGroup::with_each_shard(const std::function<void(int, Engine&)>& fn) {
+  if (n_ == 1) {
+    fn(0, *shard_at(0).engine);
+    return;
+  }
+  for (auto& sh : shards_) {
+    Shard* p = sh.get();
+    submit(*p, [p, &fn] { fn(p->index, *p->engine); });
+  }
+  for (auto& sh : shards_) wait(*sh);
   rethrow_any();
 }
 

@@ -24,7 +24,7 @@
 // frames therefore live and die in the worker's thread-local FrameArena,
 // and metric handles bind into the shard registry.  Build and tear down
 // shard-owned scenario state (FlowModel, activities, processes) inside
-// with_shard() for the same reason.
+// with_shard() or with_each_shard() for the same reason.
 //
 // shards == 1 is special-cased to *no* parallel machinery at all: the one
 // Engine is constructed inline on the caller's thread, with the caller's
@@ -108,6 +108,14 @@ class ShardGroup {
   /// processes — must happen here so pooled frames and metric handles bind
   /// to the worker's thread-locals.  Exceptions propagate to the caller.
   void with_shard(int s, const std::function<void(Engine&)>& fn);
+
+  /// Run `fn(s, engine)` on every shard's worker at once (inline on the
+  /// caller's thread when shards() == 1) and wait for all of them: the
+  /// parallel form of a with_shard() loop, for building or tearing down
+  /// every shard's state.  Each job may touch only its own shard's state.
+  /// Once every job has finished, the lowest-index shard's exception, if
+  /// any, propagates to the caller.
+  void with_each_shard(const std::function<void(int, Engine&)>& fn);
 
   /// Shard s's engine.  Safe to *read* from the coordinator between runs;
   /// mutate only from with_shard() (or freely when shards() == 1).
@@ -205,7 +213,8 @@ class ShardGroup {
   void submit(Shard& sh, std::function<void()> job);
   void wait(Shard& sh);
   static void worker_main(ShardGroup* group, Shard* shard);
-  /// Rethrow the first stored worker exception (lowest shard index).
+  /// Clear every stored worker exception and rethrow the lowest shard
+  /// index's, if any.
   void rethrow_any();
   /// Deliver all mailbox lanes into the receiving engines; runs on the
   /// coordinator while every worker is parked at the barrier.

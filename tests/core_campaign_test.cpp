@@ -2,9 +2,11 @@
 // parallel == serial bitwise, content-addressed caching, sharding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "core/campaign.hpp"
 #include "kernels/stream.hpp"
 #include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 
 namespace cci::core {
 namespace {
@@ -413,6 +416,202 @@ TEST(Campaign, TruncatedCacheEntryIsRejectedAndRecomputed) {
 
   // The recomputed point was stored again, whole.
   EXPECT_EQ(CampaignEngine(opts(1, dir)).run(c).executed, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << is.rdbuf();
+  return buffer.str();
+}
+
+void write_file(const std::filesystem::path& path, const std::string& doc) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os << doc;
+}
+
+/// The cache entry file of `point`: `<dir>/<hex16 key>.json`.
+std::filesystem::path entry_file(const std::string& dir, const Campaign& c,
+                                 const SweepPoint& point) {
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.json",
+                static_cast<unsigned long long>(cache_key(c, point)));
+  return std::filesystem::path(dir) / name;
+}
+
+TEST(Campaign, ForgedKeyCollisionIsRejectedAndRecomputed) {
+  const std::string dir = scratch_dir("collision");
+  Campaign c = quick_campaign();
+  CampaignRun cold = CampaignEngine(opts(1, dir)).run(c);
+  std::ostringstream cold_table;
+  cold.table(c).print(cold_table);
+  ASSERT_NE(cold.values[0], cold.values[1]);
+
+  // Forge a 64-bit collision: point 1's entry, its key field rewritten to
+  // point 0's key, stored as point 0's entry.  Schema and key both match;
+  // only the stored point text (and the values) belong to point 1.
+  const std::vector<SweepPoint> points = c.spec().expand();
+  const std::filesystem::path own = entry_file(dir, c, points[0]);
+  const std::filesystem::path other = entry_file(dir, c, points[1]);
+  std::string doc = read_file(other);
+  const std::string other_key = other.stem().string();
+  const std::size_t at = doc.find(other_key);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, other_key.size(), own.stem().string());
+  write_file(own, doc);
+
+  obs::Registry& reg = obs::Registry::process();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  reg.reset();
+  CampaignRun warm = CampaignEngine(opts(1, dir)).run(c);
+  EXPECT_EQ(warm.executed, 1u);  // the forged entry is recomputed
+  EXPECT_EQ(warm.cached, 5u);
+  EXPECT_FALSE(warm.from_cache[0]);
+  std::ostringstream warm_table;
+  warm.table(c).print(warm_table);
+  EXPECT_EQ(warm_table.str(), cold_table.str());
+  EXPECT_EQ(reg.counter("campaign.cache_rejected").value(), 1.0);
+  reg.reset();
+  reg.set_enabled(was_enabled);
+
+  // The recomputed point was stored again under its own text.
+  EXPECT_EQ(CampaignEngine(opts(1, dir)).run(c).executed, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+/// Seeded generated inputs for the cache-entry reader, driven through the
+/// engine: every truncation, single-byte flips at every offset, dropped and
+/// duplicated fields, non-numeric values and wrong column counts.  A
+/// one-point campaign with a trivial evaluator keeps each input to one
+/// file read (plus one recompute when it is rejected).
+TEST(CampaignCacheEntry, GeneratedEntriesAreRejectedOrServedExactly) {
+  const std::string dir = scratch_dir("entry_inputs");
+  int evaluations = 0;
+  Campaign c("entry_inputs", SweepSpec(quick_base()).cores("cores", {2}));
+  c.column("a", Campaign::Metric{}).column("b", Campaign::Metric{}).column("c", Campaign::Metric{});
+  c.evaluator("entry_inputs.v1", [&evaluations](const SweepPoint& p) {
+    ++evaluations;
+    return std::vector<double>{0.1 * p.numeric[0], -3.0e-7, 12345.678};
+  });
+  const std::vector<double> cold = CampaignEngine(opts(1, dir)).run(c).values[0];
+  const std::filesystem::path entry = entry_file(dir, c, c.spec().expand()[0]);
+  const std::string valid = read_file(entry);
+
+  // What the reader matches: `"schema": N,`, `"key": "<hex>"`,
+  // `"point": "<text>"` and the `"values": [` opener.  A damaged byte
+  // inside any of them rejects the entry.
+  const auto field_at = [&valid](const std::string& field) {
+    return valid.find("\"" + field + "\": ");
+  };
+  const std::size_t schema_begin = field_at("schema");
+  const std::size_t key_begin = field_at("key");
+  const std::size_t campaign_begin = field_at("campaign");
+  const std::size_t point_begin = field_at("point");
+  const std::size_t values_begin = field_at("values");
+  ASSERT_TRUE(schema_begin < key_begin && key_begin < campaign_begin &&
+              campaign_begin < point_begin && point_begin < values_begin &&
+              values_begin != std::string::npos);
+  const std::size_t schema_end = valid.find(',', schema_begin) + 1;
+  const std::size_t key_end = valid.find('\n', key_begin) - 1;      // before the comma
+  const std::size_t point_end = valid.find('\n', point_begin) - 1;  // before the comma
+  const std::size_t opener_end = values_begin + std::string("\"values\": [").size();
+  const std::size_t close = valid.rfind(']');
+  ASSERT_TRUE(opener_end < close);
+  std::vector<std::string> cells;
+  for (std::size_t at = opener_end; at < close;) {
+    const std::size_t comma = std::min(valid.find(", ", at), close);
+    cells.push_back(valid.substr(at, comma - at));
+    at = comma + 2;
+  }
+  ASSERT_EQ(cells.size(), cold.size());
+
+  enum class Outcome { kRejected, kServedCold, kEither };
+  // Feeds one input through a warm run; a rejected input is recomputed and
+  // must come back with its cold values.
+  const auto feed = [&](const std::string& doc, Outcome want, const std::string& what) {
+    write_file(entry, doc);
+    const int before = evaluations;
+    const CampaignRun run = CampaignEngine(opts(1, dir)).run(c);
+    const bool rejected = evaluations != before;
+    EXPECT_EQ(run.executed, rejected ? 1u : 0u) << what;
+    if (rejected) {
+      EXPECT_EQ(run.values[0], cold) << what;
+    }
+    if (want == Outcome::kRejected) {
+      EXPECT_TRUE(rejected) << what;
+    }
+    if (want == Outcome::kServedCold) {
+      EXPECT_FALSE(rejected) << what;
+      EXPECT_EQ(run.values[0], cold) << what;
+    }
+    EXPECT_EQ(run.values[0].size(), cold.size()) << what;
+  };
+
+  // Truncation at every byte: a cut before the closing ']' always rejects.
+  for (std::size_t n = 0; n < valid.size(); ++n)
+    feed(valid.substr(0, n), n <= close ? Outcome::kRejected : Outcome::kServedCold,
+         "truncated to " + std::to_string(n) + " bytes");
+
+  // One seeded byte flip at every offset.  Damage to the schema, key or
+  // point text, or to the values opener, rejects; a flipped digit may read
+  // as another number; anything else leaves the entry served exactly.
+  sim::Rng rng(0xE27A);
+  for (std::size_t at = 0; at < valid.size(); ++at) {
+    std::string doc = valid;
+    doc[at] = static_cast<char>(static_cast<unsigned char>(doc[at]) ^ (1 + rng.below(255)));
+    const auto inside = [at](std::size_t begin, std::size_t end) {
+      return at >= begin && at < end;
+    };
+    Outcome want = Outcome::kServedCold;
+    if (inside(schema_begin, schema_end) || inside(key_begin, key_end) ||
+        inside(point_begin, point_end) || inside(values_begin, opener_end))
+      want = Outcome::kRejected;
+    else if (inside(opener_end, close + 1))
+      want = Outcome::kEither;
+    feed(doc, want, "byte " + std::to_string(at) + " flipped");
+  }
+
+  // Dropped and duplicated fields.
+  const auto line_of = [&valid](std::size_t begin) {
+    const std::size_t start = valid.rfind('\n', begin) + 1;
+    return std::pair<std::size_t, std::size_t>{start, valid.find('\n', begin) + 1};
+  };
+  for (std::size_t begin : {schema_begin, key_begin, campaign_begin, point_begin, values_begin}) {
+    const auto [start, end] = line_of(begin);
+    const std::string field = valid.substr(start, end - start);
+    std::string dropped = valid;
+    dropped.erase(start, end - start);
+    feed(dropped, begin == campaign_begin ? Outcome::kServedCold : Outcome::kRejected,
+         "dropped " + field);
+    std::string twice = valid;
+    twice.insert(end, field);
+    feed(twice, Outcome::kServedCold, "duplicated " + field);
+  }
+
+  // Non-numeric values and wrong column counts.
+  const auto with_values = [&](const std::vector<std::string>& row) {
+    std::string doc = valid.substr(0, opener_end);
+    for (std::size_t i = 0; i < row.size(); ++i) doc += (i ? ", " : "") + row[i];
+    return doc + valid.substr(close);
+  };
+  const char* const junk[] = {"abc", "--1", "+-2", "x1", ".", "e5", "\"1.0\"", "true",
+                              "null", "1.2.3", "0x", "{}", "[1]", "1e+", "#"};
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::string> row = cells;
+    row[rng.below(row.size())] = junk[rng.below(std::size(junk))];
+    feed(with_values(row), Outcome::kRejected, "values " + with_values(row).substr(opener_end));
+  }
+  for (std::size_t n = 0; n < cells.size(); ++n)
+    feed(with_values({cells.begin(), cells.begin() + static_cast<std::ptrdiff_t>(n)}),
+         Outcome::kRejected, std::to_string(n) + " columns");
+  std::vector<std::string> extra = cells;
+  extra.push_back(cells.front());
+  feed(with_values(extra), Outcome::kRejected, "one column too many");
+
+  // The valid entry is still served exactly.
+  feed(valid, Outcome::kServedCold, "valid entry");
   std::filesystem::remove_all(dir);
 }
 

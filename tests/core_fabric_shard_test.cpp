@@ -4,6 +4,9 @@
 // degenerate shapes (single switch, adaptive routing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -178,6 +181,84 @@ TEST(FabricShard, SingleShardMatchesAStandaloneSerialEngine) {
   EXPECT_EQ(sharded.tenant("pair")->finish, finishes.back());  // bitwise
   EXPECT_EQ(sharded.tenant("pair")->delivery_latency.max,
             finishes.back() - 2.0 * gap);
+}
+
+/// Link peaks of `s` from a standalone engine running run_sharded(1)'s
+/// streams, spawned in the same order, that reads every link after every
+/// delivery.  Adds the deliveries to `*deliveries`.
+std::vector<double> full_scan_peaks(const Scenario& s, int nodes, std::uint64_t* deliveries) {
+  sim::Engine eng;
+  sim::FlowModel model(eng);
+  net::FabricGraph fabric(s.topology, s.network, nodes);
+  fabric.materialize(model);
+  const std::size_t links = s.topology.links().size();
+  std::vector<double> peak(links, 0.0);
+  auto stream = [&](int src, int dst, const JobSpec& job) -> sim::Coro {
+    std::vector<int> keys;
+    fabric.minimal_path(src, dst, keys);
+    const double bytes = static_cast<double>(job.message_bytes);
+    const double gap = bytes / (s.network.wire_bw * job.offered_load);
+    for (int i = 0; i < job.iterations; ++i) {
+      const double due = static_cast<double>(i) * gap;
+      if (eng.now() < due) co_await eng.sleep_until(due);
+      sim::ActivitySpec spec;
+      spec.work = bytes;
+      for (int key : keys) spec.demands.push_back({fabric.at(key), 1.0});
+      co_await *model.start(spec);
+      ++*deliveries;
+      for (std::size_t li = 0; li < links; ++li) {
+        const int key = fabric.link_key(static_cast<int>(li));
+        peak[li] = std::max(peak[li], fabric.at(key)->load() / fabric.base_capacity(key));
+      }
+    }
+  };
+  for (const JobSpec& job : s.jobs) {
+    const int n = static_cast<int>(job.nodes.size());
+    const bool ring = job.pattern == TrafficPattern::kRing;
+    for (int r = 0; ring ? r < n : r + 1 < n; r += ring ? 1 : 2)
+      eng.spawn(stream(job.nodes[static_cast<std::size_t>(r)],
+                       job.nodes[static_cast<std::size_t>((r + 1) % n)], job));
+  }
+  eng.run();
+  return peak;
+}
+
+/// Delivery sampling re-reads only the links whose load changed since the
+/// shard's previous sample.  Against a standalone engine that re-reads
+/// every link at every delivery, each link's peak must agree bit for bit,
+/// from far fewer reads.  The second scenario's long transfer loads its
+/// links before the first delivery and keeps them unchanged until its own:
+/// only the full read at the first sample sees that load.
+TEST(FabricShard, ChangedLinkSamplingMatchesAFullScanBitwise) {
+  Scenario mixed;
+  mixed.topology = net::Topology::dragonfly(4, 2, 2);  // 16 nodes
+  JobSpec shortp;
+  shortp.label = "short";
+  shortp.nodes = {0, 5};
+  shortp.message_bytes = 1 << 16;
+  JobSpec longp;
+  longp.label = "long";
+  longp.nodes = {8, 13};  // disjoint from the short pair's route
+  longp.message_bytes = 1 << 24;
+  mixed.jobs = {shortp, longp};
+  for (const Scenario& s : {interleaved_rings(4, 2, 2, /*iterations=*/3), mixed}) {
+    FabricLab lab(s);
+    const FabricReport sharded = lab.run_sharded(1);
+    std::uint64_t deliveries = 0;
+    const std::vector<double> peak = full_scan_peaks(s, 16, &deliveries);
+    const std::size_t links = s.topology.links().size();
+    ASSERT_EQ(sharded.links.size(), links);
+    double max_peak = 0.0;
+    for (std::size_t li = 0; li < links; ++li) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sharded.links[li].peak),
+                std::bit_cast<std::uint64_t>(peak[li]))
+          << sharded.links[li].name << ": " << sharded.links[li].peak << " vs " << peak[li];
+      max_peak = std::max(max_peak, peak[li]);
+    }
+    EXPECT_GT(max_peak, 0.0);
+    EXPECT_GT(sharded.link_reads, 0u);
+    EXPECT_LT(sharded.link_reads, deliveries * links);
+  }
 }
 
 TEST(FabricShard, ShardedRunDeliversTheSameBytesAsSerial) {

@@ -122,9 +122,22 @@ std::set<std::string> metric_names(const obs::Registry& reg) {
   return names;
 }
 
+/// One ring tenant over all 16 nodes of a 4x2x2 dragonfly.
+core::Scenario dragonfly_ring(int iterations) {
+  core::Scenario s;
+  s.topology = net::Topology::dragonfly(4, 2, 2);
+  core::JobSpec ring;
+  ring.label = "ring";
+  ring.pattern = core::TrafficPattern::kRing;
+  ring.iterations = iterations;
+  for (int n = 0; n < 16; ++n) ring.nodes.push_back(n);
+  s.jobs = {ring};
+  return s;
+}
+
 bool is_per_object(const std::string& name) {
   return name.starts_with("sim.resource.") || name.starts_with("hw.freq.") ||
-         name.ends_with("nic-dma.queue_depth");
+         name.starts_with("net.link.") || name.ends_with("nic-dma.queue_depth");
 }
 
 /// Two-rank rendezvous ping-pong: loads the flow model's resources and
@@ -169,10 +182,37 @@ TEST(ObsIntegration, DisabledRegistryGainsNoPerObjectMetrics) {
     ASSERT_EQ(r.shards, 4);
     ASSERT_GT(r.total_bytes, 0.0);
   }
+  {
+    // A serial fabric run samples every link at every delivery; its
+    // per-link utilization histograms wait for a registry that is on.
+    core::FabricLab lab(dragonfly_ring(/*iterations=*/1));
+    const core::FabricReport r = lab.run();
+    ASSERT_FALSE(r.links.empty());
+    ASSERT_GT(r.total_bytes, 0.0);
+  }
   for (const std::string& name : metric_names(reg)) {
     if (before.count(name) == 0) {
       EXPECT_FALSE(is_per_object(name)) << name;
     }
+  }
+}
+
+TEST(ObsIntegration, FabricLinkHistogramsRecordEverySampleWhenTheRegistryIsOn) {
+  obs::Registry reg;
+  reg.set_enabled(true);
+  obs::Registry::ScopedThreadLocal scope(reg);
+  core::FabricLab lab(dragonfly_ring(/*iterations=*/2));
+  const core::FabricReport r = lab.run();
+  ASSERT_FALSE(r.links.empty());
+  // Every sample records every link, so the histograms agree on the count
+  // and each one's maximum is its link's reported peak.
+  const std::uint64_t samples =
+      reg.histogram("net." + r.links.front().name + ".utilization").count();
+  EXPECT_GT(samples, 0u);
+  for (const core::LinkReport& link : r.links) {
+    const obs::Histogram& h = reg.histogram("net." + link.name + ".utilization");
+    EXPECT_EQ(h.count(), samples) << link.name;
+    EXPECT_EQ(h.max(), link.peak) << link.name;
   }
 }
 

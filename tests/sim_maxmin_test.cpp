@@ -420,6 +420,92 @@ TEST(MaxMinOracle, CapacitiesWithinSlackOfATie) {
   expect_matches_oracle(p);
 }
 
+// ---- load-change report -----------------------------------------------------
+
+std::vector<std::uint64_t> load_bits(const MaxMinSolver& solver) {
+  std::vector<std::uint64_t> out(solver.resource_count());
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] = bits(solver.load(r));
+  return out;
+}
+
+/// Flow adds, removals, capacity changes and fresh resources interleaved
+/// with solves on the oracle's seeded problems, draining the change report
+/// every few solves.  A drain must list each resource whose load bits
+/// differ from the previous drain, exactly once, and nothing no solve in
+/// between changed.  The first drain lists every resource.
+TEST_P(MaxMinOracle, LoadChangeReportListsEveryChangedLoadOnce) {
+  Rng rng(GetParam());
+  for (int iter = 0; iter < 20; ++iter) {
+    const MaxMinProblem p = connected_problem(rng);
+    MaxMinSolver solver;
+    for (double c : p.capacity) solver.add_resource(c);
+    std::vector<MaxMinSolver::FlowId> live;
+    std::size_t next_flow = 0;
+    const auto add_flow = [&] {
+      const MaxMinFlow& f = p.flows[next_flow++ % p.flows.size()];
+      live.push_back(solver.add_flow(f.weight, f.rate_cap, f.entries));
+    };
+    for (int i = 0; i < 3; ++i) add_flow();
+    solver.solve();
+
+    const auto drain = [&solver] {
+      std::vector<std::size_t> listed;
+      solver.drain_load_changes([&listed](std::size_t r) { listed.push_back(r); });
+      return listed;
+    };
+    const std::vector<std::size_t> first = drain();
+    ASSERT_EQ(first.size(), solver.resource_count());
+    for (std::size_t r = 0; r < first.size(); ++r) EXPECT_EQ(first[r], r);
+
+    std::vector<std::uint64_t> at_drain = load_bits(solver);
+    std::vector<char> solved_change(solver.resource_count(), 0);
+    for (int step = 0; step < 200; ++step) {
+      const double u = rng.uniform();
+      if (u < 0.45 || live.empty()) {
+        add_flow();
+      } else if (u < 0.8) {
+        const std::size_t i = rng.below(live.size());
+        solver.remove_flow(live[i]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (u < 0.95) {
+        // Sometimes the capacity it already has: a solve that moves nothing.
+        const std::size_t r = rng.below(p.capacity.size());
+        solver.set_capacity(r, rng.uniform() < 0.3 ? solver.capacity(r) : rng.uniform(0.5, 100.0));
+      } else {
+        // A resource added after tracking started, loaded by a new flow.
+        const std::size_t r = solver.add_resource(rng.uniform(0.5, 100.0));
+        at_drain.push_back(bits(0.0));
+        solved_change.push_back(0);
+        live.push_back(solver.add_flow(1.0, 0.0, {{r, 1.0}, {rng.below(p.capacity.size()), 0.5}}));
+      }
+      const std::vector<std::uint64_t> before = load_bits(solver);
+      solver.solve();
+      const std::vector<std::uint64_t> after = load_bits(solver);
+      for (std::size_t r = 0; r < after.size(); ++r)
+        if (after[r] != before[r]) solved_change[r] = 1;
+      if (rng.below(3) != 0) continue;
+
+      const std::vector<std::size_t> listed = drain();
+      std::vector<int> times(solver.resource_count(), 0);
+      for (std::size_t r : listed) {
+        ASSERT_LT(r, times.size());
+        ++times[r];
+      }
+      for (std::size_t r = 0; r < times.size(); ++r) {
+        EXPECT_LE(times[r], 1) << "resource " << r << " listed twice";
+        if (after[r] != at_drain[r]) {
+          EXPECT_EQ(times[r], 1) << "changed load not listed: " << r;
+        }
+        if (!solved_change[r]) {
+          EXPECT_EQ(times[r], 0) << "unchanged load listed: " << r;
+        }
+      }
+      at_drain = after;
+      solved_change.assign(solved_change.size(), 0);
+    }
+  }
+}
+
 // ---- resources read the solver --------------------------------------------
 
 TEST(ResourceLoads, GaugesMatchOnceTheRegistryTurnsOn) {
@@ -438,6 +524,8 @@ TEST(ResourceLoads, GaugesMatchOnceTheRegistryTurnsOn) {
   };
   model.start(spec(100.0, {{a, 1.0}, {b, 1.0}}));
   model.start(spec(50.0, {{b, 2.0}, {c, 1.0}}));
+  // Registry and tracer off: nothing reads the solved resources.
+  EXPECT_TRUE(model.solver().touched_resources().empty());
 
   // Turned on between two change points: the next re-solve binds the
   // gauges and writes them for every resource it solved.

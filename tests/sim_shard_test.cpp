@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -571,6 +575,77 @@ TEST(ShardMailbox, CrossShardPostInShardClosedGroupThrows) {
   group.run();
   EXPECT_TRUE(threw);
   EXPECT_EQ(group.stats().messages, 0u);
+}
+
+// ---- jobs on every shard at once ---------------------------------------------
+
+ShardGroup::Options shard_options(int shards) {
+  ShardGroup::Options o;
+  o.shards = shards;
+  return o;
+}
+
+TEST(ShardGroupEach, RunsOnceOnEveryShardOnItsWorker) {
+  ShardGroup group(shard_options(4));
+  std::vector<std::thread::id> worker(4);
+  for (int s = 0; s < 4; ++s)
+    group.with_shard(s, [&worker, s](Engine&) {
+      worker[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+    });
+  std::vector<int> runs(4, 0);
+  std::vector<std::thread::id> ran_on(4);
+  std::vector<Engine*> engine(4, nullptr);
+  group.with_each_shard([&](int s, Engine& eng) {
+    const auto i = static_cast<std::size_t>(s);
+    ++runs[i];
+    ran_on[i] = std::this_thread::get_id();
+    engine[i] = &eng;
+  });
+  for (int s = 0; s < 4; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    EXPECT_EQ(runs[i], 1) << "shard " << s;
+    EXPECT_EQ(ran_on[i], worker[i]) << "shard " << s;
+    EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "shard " << s;
+    EXPECT_EQ(engine[i], &group.engine(s)) << "shard " << s;
+  }
+}
+
+TEST(ShardGroupEach, RethrowsTheLowestShardErrorOnceEveryJobFinished) {
+  ShardGroup group(shard_options(4));
+  // Shards 0 and 3 return at once, shard 3 with an error; shard 1 throws
+  // later, and shard 2 finishes last.
+  std::atomic<int> finished{0};
+  try {
+    group.with_each_shard([&finished](int s, Engine&) {
+      if (s == 3) throw std::runtime_error("shard 3");
+      if (s != 0) std::this_thread::sleep_for(std::chrono::milliseconds(s == 1 ? 20 : 60));
+      if (s == 1) throw std::runtime_error("shard 1");
+      finished.fetch_add(1);
+    });
+    FAIL() << "expected the shard 1 error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 1");
+    EXPECT_EQ(finished.load(), 2);
+  }
+  // Shard 3's error was cleared with it: the next call runs clean.
+  EXPECT_NO_THROW(group.with_each_shard([](int, Engine&) {}));
+  EXPECT_NO_THROW(group.with_shard(3, [](Engine&) {}));
+}
+
+TEST(ShardGroupEach, RunsInlineAtOneShard) {
+  ShardGroup group(shard_options(1));
+  int calls = 0;
+  std::thread::id ran_on;
+  group.with_each_shard([&](int s, Engine& eng) {
+    ++calls;
+    EXPECT_EQ(s, 0);
+    EXPECT_EQ(&eng, &group.engine(0));
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_THROW(group.with_each_shard([](int, Engine&) { throw std::runtime_error("inline"); }),
+               std::runtime_error);
 }
 
 // ---- error propagation ------------------------------------------------------
