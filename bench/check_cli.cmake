@@ -1,10 +1,11 @@
 # cci_bench CLI checks, run by ctest (see CMakeLists.txt):
-#   -DCCI_BENCH=<exe> -DFIGURES=a,b,c   `cci_bench --list` names exactly a, b, c
-#   -DCCI_BENCH=<exe> -DUNKNOWN=<name>  `cci_bench <name>` exits with code 2
-if(DEFINED UNKNOWN)
-  execute_process(COMMAND ${CCI_BENCH} ${UNKNOWN} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+#   -DCCI_BENCH=<exe> -DFIGURES=a,b,c  `cci_bench --list` names exactly a, b, c
+#   -DCCI_BENCH=<exe> -DREJECT=a,b,c   `cci_bench a b c` exits with code 2
+if(DEFINED REJECT)
+  string(REPLACE "," ";" args "${REJECT}")
+  execute_process(COMMAND ${CCI_BENCH} ${args} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "cci_bench ${UNKNOWN}: exit code ${rc}, expected 2")
+    message(FATAL_ERROR "cci_bench ${args}: exit code ${rc}, expected 2")
   endif()
   return()
 endif()

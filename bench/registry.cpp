@@ -1,6 +1,7 @@
 #include "bench/registry.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -133,6 +134,15 @@ bool parse_int(const char* s, long long& out) {
   return end != s && *end == '\0';
 }
 
+/// A count in [lo, INT_MAX]: larger values are malformed, never wrapped
+/// into an int.
+bool parse_count(const char* s, long long lo, int& out) {
+  long long v = 0;
+  if (!parse_int(s, v) || v < lo || v > INT_MAX) return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
 /// Schedule-exploration CLI state.  Parsed unconditionally so the flags are
 /// recognised (with a clear "rebuild with -DCCI_SCHED=ON" error) even in
 /// uninstrumented builds.
@@ -159,12 +169,10 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
     };
     if (arg == "--jobs") {
       const char* v = value("--jobs");
-      long long n = 0;
-      if (v == nullptr || !parse_int(v, n) || n < 1) {
+      if (v == nullptr || !parse_count(v, 1, options.jobs)) {
         std::cerr << "cci_bench: --jobs wants a positive integer\n";
         return false;
       }
-      options.jobs = static_cast<int>(n);
     } else if (arg == "--csv") {
       const char* v = value("--csv");
       if (v == nullptr) return false;
@@ -177,15 +185,15 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       const char* v = value("--shard");
       if (v == nullptr) return false;
       const char* slash = std::strchr(v, '/');
-      long long idx = 0;
-      long long count = 0;
-      if (slash == nullptr || !parse_int(std::string(v, slash).c_str(), idx) ||
-          !parse_int(slash + 1, count) || count < 1 || idx < 0 || idx >= count) {
+      int idx = 0;
+      int count = 0;
+      if (slash == nullptr || !parse_count(std::string(v, slash).c_str(), 0, idx) ||
+          !parse_count(slash + 1, 1, count) || idx >= count) {
         std::cerr << "cci_bench: --shard wants i/n with 0 <= i < n\n";
         return false;
       }
-      options.shard_index = static_cast<int>(idx);
-      options.shard_count = static_cast<int>(count);
+      options.shard_index = idx;
+      options.shard_count = count;
     } else if (arg == "--seed") {
       const char* v = value("--seed");
       long long s = 0;
@@ -197,8 +205,8 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       options.base_seed = static_cast<std::uint64_t>(s);
     } else if (arg == "--sim-shards") {
       const char* v = value("--sim-shards");
-      long long n = 0;
-      if (v == nullptr || !parse_int(v, n) || n < 1) {
+      int n = 0;
+      if (v == nullptr || !parse_count(v, 1, n)) {
         std::cerr << "cci_bench: --sim-shards wants a positive integer\n";
         return false;
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,8 +24,10 @@ namespace {
 
 /// One unidirectional bulk stream of a tenant.
 struct StreamSpec {
-  int src_rank = 0;
+  int src_rank = 0;  ///< run()'s world rank: every job's ranks, job order
   int dst_rank = 0;
+  int src_node = 0;
+  int dst_node = 0;
   std::size_t bytes = 0;
   int iterations = 0;
   double gap = 0.0;  ///< open-loop injection period (0 = back-to-back)
@@ -50,7 +53,7 @@ struct LinkAccum {
 /// safe (same lifetime discipline as the labs' teams).
 struct RunState {
   std::vector<TenantAccum> tenants;
-  std::vector<sim::Resource*> links;
+  std::span<sim::Resource* const> links;
   std::vector<LinkAccum> link_acc;
   obs::Registry* reg = nullptr;  ///< Registry::global() at run start
   /// net.<link>.utilization per link.  Bound when the run starts with the
@@ -139,9 +142,17 @@ std::vector<JobSpec> checked_jobs(const Scenario& scenario) {
     if (!std::isfinite(job.offered_load) || job.offered_load <= 0.0)
       reject("offered_load must be finite and > 0, got " +
              std::to_string(job.offered_load));
+    // A zero-byte stream injects back-to-back, and its zero gap would
+    // cancel the link probe grid.
+    if (job.message_bytes == 0) reject("message_bytes must be >= 1, got 0");
     if (job.nodes.empty()) reject("nodes must not be empty");
-    for (int n : job.nodes)
+    const int hosts = scenario.topology.max_hosts();  // 0 = unbounded
+    for (int n : job.nodes) {
       if (n < 0) reject("nodes holds negative node index " + std::to_string(n));
+      if (hosts > 0 && n >= hosts)
+        reject("nodes holds node index " + std::to_string(n) + ", but the topology attaches " +
+               std::to_string(hosts) + " hosts");
+    }
   }
   return jobs;
 }
@@ -159,17 +170,56 @@ double injection_gap(const JobSpec& job, double wire_rate) {
   return static_cast<double>(job.message_bytes) / (wire_rate * job.offered_load);
 }
 
-/// Streams of one job under its traffic pattern.
-std::vector<std::pair<int, int>> stream_pairs(const JobSpec& job) {
-  std::vector<std::pair<int, int>> pairs;
-  const int n = static_cast<int>(job.nodes.size());
-  if (n < 2) return pairs;
-  if (job.pattern == TrafficPattern::kPairs) {
-    for (int r = 0; r + 1 < n; r += 2) pairs.emplace_back(r, r + 1);
-  } else {  // kRing
-    for (int r = 0; r < n; ++r) pairs.emplace_back(r, (r + 1) % n);
+/// Every tenant's streams in job order, each job's under its traffic
+/// pattern.  Tags and buffer ids count the streams of every job, so stream
+/// identities are the same whichever subset of tenants a run drives.
+std::vector<StreamSpec> plan_streams(const std::vector<JobSpec>& jobs, double wire_rate) {
+  std::vector<StreamSpec> streams;
+  int first_rank = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobSpec& job = jobs[j];
+    const int n = static_cast<int>(job.nodes.size());
+    const auto add = [&](int src, int dst) {
+      StreamSpec s;
+      s.src_rank = first_rank + src;
+      s.dst_rank = first_rank + dst;
+      s.src_node = job.nodes[static_cast<std::size_t>(src)];
+      s.dst_node = job.nodes[static_cast<std::size_t>(dst)];
+      s.bytes = job.message_bytes;
+      s.iterations = job.iterations;
+      s.gap = injection_gap(job, wire_rate);
+      s.tag = 1000 + 2 * static_cast<int>(streams.size());
+      s.buffer_id = 0x5000 + static_cast<std::uint64_t>(streams.size());
+      s.tenant = j;
+      streams.push_back(s);
+    };
+    if (job.pattern == TrafficPattern::kPairs) {
+      for (int r = 0; r + 1 < n; r += 2) add(r, r + 1);
+    } else if (n >= 2) {  // kRing
+      for (int r = 0; r < n; ++r) add(r, (r + 1) % n);
+    }
+    first_rank += n;
   }
-  return pairs;
+  return streams;
+}
+
+/// Tenant rows (job order) and the report totals, from per-tenant
+/// accumulators.
+void add_tenant_rows(FabricReport& report, const std::vector<JobSpec>& jobs,
+                     std::vector<TenantAccum>& acc) {
+  report.tenants.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    TenantReport t;
+    t.label = jobs[j].label;
+    t.bytes = acc[j].bytes;
+    t.finish = acc[j].finish;
+    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
+    t.delivery_latency = trace::Stats::of(std::move(acc[j].latencies));
+    report.total_bytes += t.bytes;
+    report.elapsed = std::max(report.elapsed, t.finish);
+    report.tenants.push_back(std::move(t));
+  }
+  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
 }
 
 }  // namespace
@@ -192,85 +242,48 @@ FabricReport FabricLab::run(std::string_view only) {
 
 FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   const std::vector<JobSpec> jobs = checked_jobs(scenario_);
-  const int nodes = node_count(jobs);
+  const std::vector<StreamSpec> streams = plan_streams(jobs, scenario_.network.wire_bw);
 
   cluster_ = std::make_unique<net::Cluster>(net::ClusterSpec{
-      scenario_.machine, scenario_.network, scenario_.topology, nodes, scenario_.seed});
+      scenario_.machine, scenario_.network, scenario_.topology, node_count(jobs),
+      scenario_.seed});
   cluster_->enable_route_trace(true);
 
-  // All jobs' ranks exist even when `only` restricts the traffic, so the
+  // All jobs' ranks exist even when `labels` restricts the traffic, so the
   // alone/together runs share placement, comm cores and routing state.
   std::vector<mpi::RankConfig> ranks;
-  std::vector<std::vector<int>> world_rank(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    for (int node : jobs[j].nodes) {
-      world_rank[j].push_back(static_cast<int>(ranks.size()));
-      ranks.push_back({node, -1});
-    }
+  for (const JobSpec& job : jobs)
+    for (int node : job.nodes) ranks.push_back({node, -1});
   world_ = std::make_unique<mpi::World>(*cluster_, std::move(ranks));
 
   RunState st;
   st.tenants.resize(jobs.size());
-  st.links = cluster_->fabric_links();
+  st.links = cluster_->fabric().link_resources();
   st.link_acc.resize(st.links.size());
   st.reg = &obs::Registry::global();
   if (st.reg->enabled()) st.bind_link_hist();
 
-  const double wire_rate = scenario_.network.wire_bw;
-  int next_tag = 1000;
-  int next_buffer = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobSpec& job = jobs[j];
-    // Tag/buffer ids advance for skipped jobs too: stream identities are
-    // identical between alone and together runs.
-    for (auto [src, dst] : stream_pairs(job)) {
-      StreamSpec s;
-      s.src_rank = world_rank[j][static_cast<std::size_t>(src)];
-      s.dst_rank = world_rank[j][static_cast<std::size_t>(dst)];
-      s.bytes = job.message_bytes;
-      s.iterations = job.iterations;
-      s.gap = injection_gap(job, wire_rate);
-      s.tag = next_tag;
-      next_tag += 2;
-      s.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);
-      s.tenant = j;
-      if (!labels.empty() &&
-          std::find(labels.begin(), labels.end(), job.label) == labels.end())
-        continue;
-      const int numa = scenario_.machine.nic_numa;
-      st.remaining += static_cast<std::uint64_t>(job.iterations);
-      world_->engine().spawn(sender(*world_, s, numa));
-      world_->engine().spawn(receiver(*world_, s, numa, &st));
-    }
+  const int numa = scenario_.machine.nic_numa;
+  for (const StreamSpec& s : streams) {
+    const std::string& label = jobs[s.tenant].label;
+    if (!labels.empty() && std::find(labels.begin(), labels.end(), label) == labels.end())
+      continue;
+    st.remaining += static_cast<std::uint64_t>(s.iterations);
+    world_->engine().spawn(sender(*world_, s, numa));
+    world_->engine().spawn(receiver(*world_, s, numa, &st));
   }
   // The probe grid derives from every tenant — silenced ones too — so the
   // alone/together runs of the slowdown matrix sample identical instants.
   if (!st.links.empty() && st.remaining > 0) {
     double period = 0.0;
-    for (const JobSpec& job : jobs) {
-      if (stream_pairs(job).empty()) continue;
-      const double gap = injection_gap(job, wire_rate);
-      period = period > 0.0 ? std::min(period, gap) : gap;
-    }
+    for (const StreamSpec& s : streams) period = period > 0.0 ? std::min(period, s.gap) : s.gap;
     if (period > 0.0)
       world_->engine().spawn(link_probe(world_->engine(), period, &st));
   }
   cluster_->engine().run();
 
   FabricReport report;
-  report.tenants.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    TenantReport t;
-    t.label = jobs[j].label;
-    t.bytes = st.tenants[j].bytes;
-    t.finish = st.tenants[j].finish;
-    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
-    t.delivery_latency = trace::Stats::of(std::move(st.tenants[j].latencies));
-    report.total_bytes += t.bytes;
-    report.elapsed = std::max(report.elapsed, t.finish);
-    report.tenants.push_back(std::move(t));
-  }
-  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
+  add_tenant_rows(report, jobs, st.tenants);
   report.links.reserve(st.links.size());
   for (std::size_t li = 0; li < st.links.size(); ++li) {
     LinkReport lr;
@@ -286,22 +299,10 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   // the trace ring still count as routes; only their reroute class is
   // unknown (minimal-routing runs never reroute anyway).
   report.routes = cluster_->route_trace_dropped();
-  const net::Topology& topo = cluster_->topology();
+  const net::FabricGraph& fabric = cluster_->fabric();
   for (const net::Cluster::RouteChoice& rc : cluster_->route_trace()) {
     ++report.routes;
-    switch (topo.kind()) {
-      case net::Topology::Kind::kSingleSwitch:
-        break;
-      case net::Topology::Kind::kFatTree: {
-        const int ls = topo.host_switch(rc.src);
-        const int ld = topo.host_switch(rc.dst);
-        if (ls != ld && rc.via != (ls + ld) % (topo.param_k() / 2)) ++report.reroutes;
-        break;
-      }
-      case net::Topology::Kind::kDragonfly:
-        if (rc.via >= 0) ++report.reroutes;
-        break;
-    }
+    if (rc.via != fabric.minimal_via(rc.src, rc.dst)) ++report.reroutes;
   }
   return report;
 }
@@ -370,43 +371,28 @@ FabricReport FabricLab::run_sharded(int shards) {
   if (shards <= 0) shards = sim::configured_shards();
 
   const net::Topology& topo = scenario_.topology;
+  if (topo.routing() != net::RoutingPolicy::kMinimal)
+    throw std::invalid_argument(
+        "FabricLab::run_sharded: adaptive routing needs global utilization and "
+        "the cluster RNG; sharded fabrics route minimally");
   net::FabricGraph shape(topo, scenario_.network, nodes);
 
-  // Streams with run()'s tag/buffer/gap bookkeeping, plus their static
-  // minimal route and owning shard (the source node's topology group).
+  // run()'s streams plus their static minimal route and owning shard (the
+  // source node's topology group).
   struct Stream {
     StreamSpec spec;
-    int src_node = 0;
-    int dst_node = 0;
     int shard = 0;
     std::vector<int> keys;
   };
-  const double wire_rate = scenario_.network.wire_bw;
   const std::vector<int> group_shard =
       sim::partition_groups(topo.group_graph(nodes), shards);
   std::vector<Stream> streams;
-  int next_tag = 1000;
-  int next_buffer = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const JobSpec& job = jobs[j];
-    for (auto [src, dst] : stream_pairs(job)) {
-      Stream st;
-      st.spec.src_rank = src;
-      st.spec.dst_rank = dst;
-      st.spec.bytes = job.message_bytes;
-      st.spec.iterations = job.iterations;
-      st.spec.gap = injection_gap(job, wire_rate);
-      st.spec.tag = next_tag;
-      next_tag += 2;
-      st.spec.buffer_id = 0x5000 + static_cast<std::uint64_t>(next_buffer++);
-      st.spec.tenant = j;
-      st.src_node = job.nodes[static_cast<std::size_t>(src)];
-      st.dst_node = job.nodes[static_cast<std::size_t>(dst)];
-      const int g = topo.group_of_node(st.src_node);
-      st.shard = g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0;
-      shape.minimal_path(st.src_node, st.dst_node, st.keys);
-      streams.push_back(std::move(st));
-    }
+  for (const StreamSpec& spec : plan_streams(jobs, scenario_.network.wire_bw)) {
+    Stream& st = streams.emplace_back();
+    st.spec = spec;
+    const int g = topo.group_of_node(spec.src_node);
+    st.shard = g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0;
+    shape.minimal_path(spec.src_node, spec.dst_node, st.keys);
   }
 
   // Boundary set: keys whose static routes span several shards.
@@ -540,25 +526,18 @@ FabricReport FabricLab::run_sharded(int shards) {
     for (const Stream& st : streams) ++streams_on[static_cast<std::size_t>(st.shard)];
     for (int c : streams_on) report.populated_shards += c > 0 ? 1 : 0;
   }
-  report.tenants.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    TenantReport t;
-    t.label = jobs[j].label;
-    std::vector<double> lat;
-    for (int s = 0; s < shards; ++s) {
-      TenantAccum& a = ctx[static_cast<std::size_t>(s)]->tenants[j];
-      t.bytes += a.bytes;
-      t.finish = std::max(t.finish, a.finish);
-      lat.insert(lat.end(), a.latencies.begin(), a.latencies.end());
+  // Shard accumulators merged in shard order.  Stats::of sorts, so the
+  // shard-order concatenation of latencies is harmless.
+  std::vector<TenantAccum> merged(jobs.size());
+  for (int s = 0; s < shards; ++s)
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const TenantAccum& a = ctx[static_cast<std::size_t>(s)]->tenants[j];
+      merged[j].bytes += a.bytes;
+      merged[j].finish = std::max(merged[j].finish, a.finish);
+      merged[j].latencies.insert(merged[j].latencies.end(), a.latencies.begin(),
+                                 a.latencies.end());
     }
-    t.achieved_bw = t.finish > 0.0 ? t.bytes / t.finish : 0.0;
-    // Stats::of sorts, so the shard-order concatenation is harmless.
-    t.delivery_latency = trace::Stats::of(std::move(lat));
-    report.total_bytes += t.bytes;
-    report.elapsed = std::max(report.elapsed, t.finish);
-    report.tenants.push_back(std::move(t));
-  }
-  report.aggregate_bw = report.elapsed > 0.0 ? report.total_bytes / report.elapsed : 0.0;
+  add_tenant_rows(report, jobs, merged);
 
   // Link means from delivered-byte integrals (exact and shard-invariant);
   // peaks from delivery-event samples plus the barrier probe.
@@ -590,7 +569,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   // note_route fires once per cross-switch message).
   for (const Stream& st : streams)
     if (topo.kind() != net::Topology::Kind::kSingleSwitch &&
-        topo.host_switch(st.src_node) != topo.host_switch(st.dst_node))
+        topo.host_switch(st.spec.src_node) != topo.host_switch(st.spec.dst_node))
       report.routes += static_cast<std::uint64_t>(st.spec.iterations);
   for (int s = 0; s < shards; ++s) {
     report.solver_flow_visits +=

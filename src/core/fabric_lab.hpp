@@ -10,13 +10,21 @@
 // and the fabric routing counters — the raw material of the
 // job_interference and congestion_onset figures.
 //
+// Both entry points plan the same streams (tags, buffer ids, injection
+// gaps, source and destination nodes) and build tenant rows the same
+// way; they differ in the traffic model.  run() drives every stream
+// through a net::Cluster and mpi::World: NIC/DMA stages, rendezvous,
+// adaptive routing.  run_sharded() runs each stream as one fluid transfer
+// over net::FabricGraph replicas of the fabric (ports, crossbars, links),
+// so compare its results across shard counts, not against run()'s.
+//
 // Determinism: one fresh Cluster per run (same seed), traffic coroutines
 // spawned in job/stream order, link utilization sampled at delivery
 // events plus a fixed mid-injection probe grid (symmetric tenants can
 // complete flows exactly at every delivery instant, so mid-grid probes
 // are what observe the fabric in flight).  Runs are bitwise-reproducible
-// under campaign threads,
-// shard-parallel simulation and schedule exploration like every other lab.
+// under campaign threads, shard-parallel simulation and schedule
+// exploration like every other lab.
 #pragma once
 
 #include <memory>
@@ -84,7 +92,8 @@ class FabricLab {
   /// matrix, with identical placement and routing.  Every run entry point
   /// throws std::invalid_argument, naming the tenant and field, for a
   /// tenant with iterations < 1, a non-finite or non-positive
-  /// offered_load, no nodes, or a negative node index.
+  /// offered_load, message_bytes == 0, no nodes, or a node index that is
+  /// negative or beyond the hosts the topology attaches.
   FabricReport run(std::string_view only = {});
   /// Run only the tenants whose labels appear in `labels` (empty = all):
   /// the "together" cells of the slowdown matrix pair a victim with one

@@ -1,24 +1,23 @@
 // Cluster: N simulated nodes joined by one fabric.
 //
-// Owns the engine, the flow model, the machines, their NICs and the fabric
-// resources described by a net::Topology (per-node tx/rx ports, switch
-// crossbars, inter-switch links).  This is the top-level object every
-// experiment builds.  fabric_path() resolves the resource chain a bulk
-// transfer crosses, delegating spine/gateway selection to the topology's
-// RoutingPolicy (kAdaptive consults current link utilizations and breaks
-// ties through the cluster RNG — deterministic for a given seed).
+// Owns the engine, the flow model, the machines, their NICs and the
+// fabric's resources.  This is the top-level object every experiment
+// builds.  The fabric — its resources and its routes — is a
+// net::FabricGraph materialized into the cluster's flow model; the cluster
+// only decides where a route deviates (`via`), under the topology's
+// RoutingPolicy: kAdaptive consults current link utilizations and breaks
+// ties through the cluster RNG, deterministic for a given seed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hw/machine.hpp"
+#include "net/fabric_graph.hpp"
 #include "net/nic.hpp"
 #include "net/network_params.hpp"
-#include "net/topology.hpp"
 #include "sim/pool.hpp"
 #include "sim/rng.hpp"
 
@@ -55,26 +54,13 @@ class Cluster {
   hw::Machine& machine(int node) { return *machines_.at(static_cast<std::size_t>(node)); }
   Nic& nic(int node) { return *nics_.at(static_cast<std::size_t>(node)); }
   const NetworkParams& net() const { return net_; }
-  const Topology& topology() const { return topology_; }
+  /// The fabric's description, keys and materialized resources: ports by
+  /// key (tx_key/rx_key), switch_resources(), link_resources(), find().
+  const FabricGraph& fabric() const { return fabric_; }
 
   /// Wire-unreliability state (loss/corruption windows, NIC blackouts) the
   /// transport consults per message.  Inert until a FaultInjector arms it.
   FaultState& faults();
-
-  /// Node uplink ports, one per direction (ingress/egress contention).
-  sim::Resource* tx_port(int node) { return tx_ports_.at(static_cast<std::size_t>(node)); }
-  sim::Resource* rx_port(int node) { return rx_ports_.at(static_cast<std::size_t>(node)); }
-
-  /// Every switch crossbar and inter-switch link of the fabric, creation
-  /// order (crossbars first).  Single-switch: exactly the one crossbar.
-  [[nodiscard]] const std::vector<sim::Resource*>& fabric_resources() const {
-    return fabric_resources_;
-  }
-  /// Inter-switch link resources only (empty on single-switch).
-  [[nodiscard]] const std::vector<sim::Resource*>& fabric_links() const { return link_res_; }
-  /// Fabric resource by exact name ("switch", "switch.leaf0",
-  /// "link.g0.r1-g1.r0"); nullptr when absent.
-  [[nodiscard]] sim::Resource* find_link(std::string_view name) const;
 
   /// Resources a bulk transfer src -> dst crosses on the fabric, resolved
   /// under the topology's routing policy.  kAdaptive re-decides on every
@@ -103,44 +89,18 @@ class Cluster {
   /// recorded trace, so call it before traffic runs.
   void set_route_trace_capacity(std::size_t cap);
 
-  // ---- parallel-simulation hints -------------------------------------------
-  /// Topology group of every flow-model resource (index-aligned with the
-  /// solver's resource table): node-local resources carry the node's group,
-  /// shared fabric resources (spines, cross-group links) carry -1.  Feed to
-  /// sim::shard_assignment to carve shards at topology group boundaries.
-  [[nodiscard]] std::vector<int> resource_groups() const;
-  /// Conservative cross-group PDES lookahead on this fabric
-  /// (Topology::min_remote_delay over the cluster's NetworkParams).
-  [[nodiscard]] double shard_lookahead() const {
-    return topology_.min_remote_delay(net_);
-  }
-
  private:
-  /// Append the switch-traversal resources (crossbars + links) of the
-  /// chosen route; tx/rx ports are added by fabric_path itself.
-  void route_fat_tree(int src, int dst, FabricPath& path);
-  void route_dragonfly(int src, int dst, FabricPath& path);
-  /// Within-group dragonfly hop r1 -> r2 (xbar(r1) already pushed).
-  void dragonfly_hop(int r1, int r2, FabricPath& path);
-  [[nodiscard]] sim::Resource* link_between(int s1, int s2) const;
-  [[nodiscard]] double link_utilization(int s1, int s2) const;
+  /// Decide, count and trace the `via` of a multi-switch route.
+  [[nodiscard]] int choose_via(int src, int dst);
   void note_route(int src, int dst, int via);
 
   NetworkParams net_;
-  Topology topology_;
+  FabricGraph fabric_;
   sim::Engine engine_;
   sim::FlowModel model_;
   sim::Rng rng_;
   std::vector<std::unique_ptr<hw::Machine>> machines_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<sim::Resource*> tx_ports_;
-  std::vector<sim::Resource*> rx_ports_;
-  std::vector<sim::Resource*> switch_xbars_;   ///< per switch, topology order
-  std::vector<sim::Resource*> link_res_;       ///< per Topology::links() entry
-  std::vector<sim::Resource*> fabric_resources_;  ///< xbars then links
-  std::vector<int> link_at_;  ///< dense (s1 * S + s2) -> links() index, -1 none
-  std::vector<std::size_t> node_res_begin_;  ///< solver index where node i starts
-  std::size_t fabric_res_begin_ = 0;         ///< solver index of first xbar
   bool route_trace_enabled_ = false;
   // Route-trace ring: route_trace_ holds the last route_trace_cap_
   // decisions, route_trace_head_ is the slot the next one overwrites once

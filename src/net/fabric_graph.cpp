@@ -11,26 +11,13 @@
 
 namespace cci::net {
 
-namespace {
-/// Gateway router indices of the dragonfly builder's global link g -> h
-/// (same arithmetic as Cluster's router; kept local to each to avoid a
-/// header for two one-liners).
-int gateway_out(int g, int h, int routers) { return (h + (h > g ? -1 : 0)) % routers; }
-int gateway_in(int g, int h, int routers) { return (g + (g > h ? -1 : 0)) % routers; }
-}  // namespace
-
 FabricGraph::FabricGraph(const Topology& topo, const NetworkParams& net, int nodes)
-    : topo_(topo), nodes_(nodes), switch_count_(topo.switch_count()),
-      link_count_(topo.links().size()) {
+    : topo_(topo), nodes_(nodes), switch_count_(topo.switch_count()) {
   if (nodes < 1) throw std::invalid_argument("FabricGraph: nodes must be >= 1");
   if (topo.max_hosts() > 0 && nodes > topo.max_hosts())
     throw std::invalid_argument("FabricGraph: topology attaches at most " +
                                 std::to_string(topo.max_hosts()) + " hosts, got " +
                                 std::to_string(nodes));
-  if (topo.routing() != RoutingPolicy::kMinimal)
-    throw std::invalid_argument(
-        "FabricGraph: adaptive routing needs global utilization and the "
-        "cluster RNG; sharded fabrics route minimally");
   const int S = switch_count_;
   const auto& links = topo_.links();
   link_at_.assign(static_cast<std::size_t>(S) * static_cast<std::size_t>(S), -1);
@@ -38,24 +25,18 @@ FabricGraph::FabricGraph(const Topology& topo, const NetworkParams& net, int nod
     link_at_[static_cast<std::size_t>(links[li].src) * static_cast<std::size_t>(S) +
              static_cast<std::size_t>(links[li].dst)] = static_cast<int>(li);
 
-  // Base capacities and names mirror Cluster's materialization exactly
-  // (tests compare them), in key order: tx ports, rx ports, switch
-  // crossbars, links.
+  // Base capacities in key order: tx ports, rx ports, switch crossbars,
+  // links.
   base_cap_.reserve(static_cast<std::size_t>(key_count()));
-  names_.reserve(static_cast<std::size_t>(key_count()));
-  for (int n = 0; n < nodes_; ++n) {
-    base_cap_.push_back(net.wire_bw);
-    names_.push_back("node" + std::to_string(n) + ".tx");
-  }
-  for (int n = 0; n < nodes_; ++n) {
-    base_cap_.push_back(net.wire_bw);
-    names_.push_back("node" + std::to_string(n) + ".rx");
-  }
+  base_cap_.assign(2 * static_cast<std::size_t>(nodes_), net.wire_bw);
   if (topo_.kind() == Topology::Kind::kSingleSwitch) {
+    // The historical fabric: one crossbar scaled by the node count.
     base_cap_.push_back(net.wire_bw * static_cast<double>(nodes_) *
                         topo_.oversubscription());
-    names_.push_back("switch");
   } else {
+    // Crossbars are internally non-blocking: capacity is the hosts actually
+    // attached (the built cluster, not the topology's maximum) plus the
+    // ingress link capacity; congestion lives on ports and links.
     std::vector<int> hosts_at(static_cast<std::size_t>(S), 0);
     for (int n = 0; n < nodes_; ++n)
       ++hosts_at[static_cast<std::size_t>(topo_.host_switch(n))];
@@ -66,76 +47,41 @@ FabricGraph::FabricGraph(const Topology& topo, const NetworkParams& net, int nod
       const double ports = static_cast<double>(hosts_at[static_cast<std::size_t>(s)]) +
                            ingress[static_cast<std::size_t>(s)];
       base_cap_.push_back(net.wire_bw * std::max(ports, 1.0));
-      names_.push_back("switch." + topo_.switch_name(s));
     }
   }
-  for (const Topology::Link& l : links) {
-    base_cap_.push_back(net.wire_bw * l.bw_scale);
-    names_.push_back("link." + topo_.switch_name(l.src) + "-" +
-                     topo_.switch_name(l.dst));
-  }
+  for (const Topology::Link& l : links) base_cap_.push_back(net.wire_bw * l.bw_scale);
   res_.assign(static_cast<std::size_t>(key_count()), nullptr);
+}
+
+std::string FabricGraph::name(int key) const {
+  if (key < 2 * nodes_)
+    return "node" + std::to_string(key % nodes_) + (key < nodes_ ? ".tx" : ".rx");
+  if (key < link_key(0))
+    return topo_.kind() == Topology::Kind::kSingleSwitch
+               ? "switch"
+               : "switch." + topo_.switch_name(key - xbar_key(0));
+  const Topology::Link& l = topo_.links()[static_cast<std::size_t>(key - link_key(0))];
+  return "link." + topo_.switch_name(l.src) + "-" + topo_.switch_name(l.dst);
+}
+
+void FabricGraph::materialize(sim::FlowModel& model, int key) {
+  res_[static_cast<std::size_t>(key)] = model.add_resource(name(key), base_capacity(key));
 }
 
 void FabricGraph::materialize(sim::FlowModel& model) {
   assert(model.solver().resource_count() == 0 &&
          "FabricGraph::materialize: model must be empty so index == key");
-  for (int k = 0; k < key_count(); ++k)
-    res_[static_cast<std::size_t>(k)] =
-        model.add_resource(names_[static_cast<std::size_t>(k)],
-                           base_cap_[static_cast<std::size_t>(k)]);
+  for (int k = 0; k < key_count(); ++k) materialize(model, k);
+}
+
+sim::Resource* FabricGraph::find(std::string_view name) const {
+  for (sim::Resource* r : switch_resources())
+    if (r->name() == name) return r;
+  return nullptr;
 }
 
 void FabricGraph::minimal_path(int src, int dst, std::vector<int>& keys) const {
-  keys.push_back(tx_key(src));
-  switch (topo_.kind()) {
-    case Topology::Kind::kSingleSwitch:
-      keys.push_back(xbar_key(0));
-      break;
-    case Topology::Kind::kFatTree: {
-      const int k = topo_.param_k();
-      const int spines = k / 2;
-      const int ls = topo_.host_switch(src);
-      const int ld = topo_.host_switch(dst);
-      keys.push_back(xbar_key(ls));
-      if (ls != ld) {
-        const int spine = k + (ls + ld) % spines;
-        keys.push_back(link_key(link_index(ls, spine)));
-        keys.push_back(xbar_key(spine));
-        keys.push_back(link_key(link_index(spine, ld)));
-        keys.push_back(xbar_key(ld));
-      }
-      break;
-    }
-    case Topology::Kind::kDragonfly: {
-      const int R = topo_.param_routers();
-      const int rs = topo_.host_switch(src);
-      const int rd = topo_.host_switch(dst);
-      const int g = rs / R;
-      const int h = rd / R;
-      keys.push_back(xbar_key(rs));
-      if (rs == rd) break;
-      if (g == h) {
-        keys.push_back(link_key(link_index(rs, rd)));
-        keys.push_back(xbar_key(rd));
-        break;
-      }
-      const int out = g * R + gateway_out(g, h, R);
-      const int in = h * R + gateway_in(g, h, R);
-      if (rs != out) {
-        keys.push_back(link_key(link_index(rs, out)));
-        keys.push_back(xbar_key(out));
-      }
-      keys.push_back(link_key(link_index(out, in)));
-      keys.push_back(xbar_key(in));
-      if (in != rd) {
-        keys.push_back(link_key(link_index(in, rd)));
-        keys.push_back(xbar_key(rd));
-      }
-      break;
-    }
-  }
-  keys.push_back(rx_key(dst));
+  route(src, dst, minimal_via(src, dst), [&keys](int key) { keys.push_back(key); });
 }
 
 }  // namespace cci::net

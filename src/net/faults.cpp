@@ -254,7 +254,8 @@ void FaultInjector::degrade_wire(sim::Time at, double factor, sim::Time recover_
   record({FaultEvent::Kind::kWireDegrade, at, recover_at, -1, 0, factor});
   // Fabric-wide degradation: every crossbar and inter-switch link.  On the
   // single-switch topology this is exactly the one historical crossbar.
-  for (sim::Resource* r : cluster_.fabric_resources()) schedule(r, at, factor, recover_at);
+  for (sim::Resource* r : cluster_.fabric().switch_resources())
+    schedule(r, at, factor, recover_at);
 }
 
 void FaultInjector::degrade_mem_ctrl(int node, int numa, sim::Time at, double factor,

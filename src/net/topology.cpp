@@ -82,14 +82,11 @@ Topology Topology::dragonfly(int groups, int routers, int hosts) {
             {g * routers + r1, g * routers + r2, LinkClass::kLocal, 1.0});
       }
   // One global link per ordered group pair, attached at deterministic
-  // gateway routers (see gateway_router below).
+  // gateway routers.
   for (int g = 0; g < groups; ++g)
     for (int h = 0; h < groups; ++h) {
       if (g == h) continue;
-      const int src_r = (h + (h > g ? -1 : 0)) % routers;
-      const int dst_r = (g + (g > h ? -1 : 0)) % routers;
-      t.links_.push_back(
-          {g * routers + src_r, h * routers + dst_r, LinkClass::kGlobal, 1.0});
+      t.links_.push_back({t.gateway_out(g, h), t.gateway_in(g, h), LinkClass::kGlobal, 1.0});
     }
   return t;
 }
@@ -104,18 +101,6 @@ std::string Topology::switch_name(int s) const {
       return "g" + std::to_string(s / routers_) + ".r" + std::to_string(s % routers_);
   }
   return "?";
-}
-
-int Topology::host_switch(int node) const {
-  switch (kind_) {
-    case Kind::kSingleSwitch:
-      return 0;
-    case Kind::kFatTree:
-      return node / (k_ / 2);
-    case Kind::kDragonfly:
-      return node / hosts_;
-  }
-  return 0;
 }
 
 int Topology::group_of_switch(int s) const {

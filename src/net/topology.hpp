@@ -6,8 +6,8 @@
 // Application Interference on Dragonfly+", "Characterizing the Impact of
 // Congestion in Modern HPC Interconnects") can be studied under the same
 // flow model.  A Topology is a pure *description* — switches, directed
-// links, host attachment, routing policy — that Cluster materializes into
-// sim::Resources and routes over.  Three builders:
+// links, host attachment, routing policy — that net::FabricGraph turns
+// into resources and routes (see fabric_graph.hpp).  Three builders:
 //
 //  * single_switch(oversub)       — the historical model and the default:
 //    every node's tx/rx port feeds one crossbar whose capacity is
@@ -111,7 +111,26 @@ class Topology {
   /// Hosts the topology can attach (kSingleSwitch: unbounded, returns 0).
   [[nodiscard]] int max_hosts() const { return max_hosts_; }
   /// Edge switch node `n` plugs into.
-  [[nodiscard]] int host_switch(int node) const;
+  [[nodiscard]] int host_switch(int node) const {
+    switch (kind_) {
+      case Kind::kSingleSwitch:
+        return 0;
+      case Kind::kFatTree:
+        return node / (k_ / 2);
+      case Kind::kDragonfly:
+        return node / hosts_;
+    }
+    return 0;
+  }
+  /// Dragonfly gateway routers of the global link from group g to group h:
+  /// the switch it leaves g at and the switch it enters h at.  The builder
+  /// attaches the link there, and every route across it passes both.
+  [[nodiscard]] int gateway_out(int g, int h) const {
+    return g * routers_ + (h + (h > g ? -1 : 0)) % routers_;
+  }
+  [[nodiscard]] int gateway_in(int g, int h) const {
+    return h * routers_ + (g + (g > h ? -1 : 0)) % routers_;
+  }
 
   // ---- groups (PDES carve boundaries) ---------------------------------------
   /// Topology groups are the units parallel simulation may carve at:

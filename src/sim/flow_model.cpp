@@ -159,11 +159,6 @@ void FlowModel::trace_activity(const Activity& act, const char* suffix) {
   tracer.span(track, label + suffix, act.started_at(), engine_.now());
 }
 
-std::size_t FlowModel::resource_component(const Resource* r) const {
-  assert(r != nullptr && r->model_ == this);
-  return solver_.component_root(r->index_);
-}
-
 void FlowModel::on_capacity_changed(Resource* resource) {
   solver_.set_capacity(resource->index_, resource->capacity_);
   // Isolated rates depend only on capacities and the activity's own spec,

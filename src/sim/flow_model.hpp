@@ -69,12 +69,6 @@ class FlowModel {
     solver_.drain_load_changes(std::forward<Visit>(visit));
   }
 
-  /// Union-find component root of `r` in the solver's resource partition.
-  /// Two resources share a root iff some chain of flows couples them — the
-  /// connectivity signal sim::shard_assignment() partitions scenarios with.
-  /// `r` must belong to this model.
-  [[nodiscard]] std::size_t resource_component(const Resource* r) const;
-
   /// Attach (or detach, with nullptr) an interference profiler.  While
   /// attached, every change-point interval is decomposed exactly into
   /// isolated-equivalent time and contention delay per activity class (see

@@ -45,12 +45,6 @@ void MaxMinSolver::set_capacity(std::size_t resource, double capacity) {
   mark_dirty(root);
 }
 
-std::size_t MaxMinSolver::component_root(std::size_t resource) const {
-  std::size_t r = resource;
-  while (parent_[r] != r) r = parent_[r];
-  return r;
-}
-
 std::size_t MaxMinSolver::find_root(std::size_t r) {
   std::size_t root = r;
   while (parent_[root] != root) root = parent_[root];

@@ -126,13 +126,6 @@ class MaxMinSolver {
   [[nodiscard]] std::size_t resource_count() const { return capacity_.size(); }
   [[nodiscard]] std::size_t live_flow_count() const { return live_flows_; }
 
-  /// Root of the union-find component containing `resource`.  Resources
-  /// answering the same root are (transitively) coupled by shared flows —
-  /// the grouping the shard partitioner seeds from.  Const: walks parent
-  /// links without path compression, so calling it never perturbs solver
-  /// state (bitwise determinism of subsequent solves is preserved).
-  [[nodiscard]] std::size_t component_root(std::size_t resource) const;
-
   /// Cumulative work/quality counters, for perf guards and benches.
   struct Stats {
     std::uint64_t solves = 0;            ///< solve() calls

@@ -1,9 +1,9 @@
 // Topology-group partitioning for cross-shard fabric simulation.
 //
-// shard_assignment() (shard.hpp) refuses to cut a solver component: flows
-// coupled through a hot fabric all land on one shard, which on a
-// thousand-node fat-tree/dragonfly degenerates ShardGroup to serial.  This
-// module is the other half of the carve: given the *topology group graph*
+// Traffic on a hot fabric couples every resource into one solver
+// component, so a carve that keeps components whole degenerates
+// ShardGroup to serial on a thousand-node fat-tree/dragonfly.  This
+// module cuts the topology instead: given the *topology group graph*
 // (groups as vertices weighted by host count, inter-group links as edges
 // weighted by capacity), partition_groups() maps every group to a shard,
 // cutting at minimum-boundary-capacity edges while keeping per-shard host

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -9,7 +10,6 @@
 #include <cmath>
 
 #include "sched/point.hpp"
-#include "sim/maxmin.hpp"
 #include "sim/resource.hpp"
 #include "sim/stall.hpp"
 
@@ -28,57 +28,8 @@ int configured_shards() {
   if (env == nullptr || *env == '\0') return 1;
   char* end = nullptr;
   const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1) return 1;
+  if (end == env || *end != '\0' || v < 1 || v > INT_MAX) return 1;
   return static_cast<int>(v);
-}
-
-std::vector<int> shard_assignment(const MaxMinSolver& solver, int shards) {
-  const std::size_t n_res = solver.resource_count();
-  std::vector<int> out(n_res, 0);
-  if (shards <= 1) return out;
-  // Rank roots by smallest member: scanning resources in index order, the
-  // first time a root appears is at its minimum member, so ranks — and the
-  // resulting deal — are a pure function of the flow structure.
-  std::vector<int> root_rank(n_res, -1);
-  int next_rank = 0;
-  for (std::size_t r = 0; r < n_res; ++r) {
-    const std::size_t root = solver.component_root(r);
-    if (root_rank[root] < 0) root_rank[root] = next_rank++;
-    out[r] = root_rank[root] % shards;
-  }
-  return out;
-}
-
-std::vector<int> shard_assignment(const MaxMinSolver& solver, int shards,
-                                  const std::vector<int>& resource_group) {
-  const std::size_t n_res = solver.resource_count();
-  std::vector<int> out(n_res, 0);
-  if (shards <= 1) return out;
-  // Pass 1: per component root, the smallest pinned topology group of any
-  // member (a component spanning two groups — a cross-group flow live at
-  // carve time — collapses to the smaller group, deterministically).
-  std::vector<int> root_group(n_res, -1);
-  const std::size_t n_grouped = std::min(n_res, resource_group.size());
-  for (std::size_t r = 0; r < n_grouped; ++r) {
-    const int g = resource_group[r];
-    if (g < 0) continue;
-    const std::size_t root = solver.component_root(r);
-    if (root_group[root] < 0 || g < root_group[root]) root_group[root] = g;
-  }
-  // Pass 2: pinned components follow their topology group; free components
-  // are dealt round-robin by first-appearance rank as above.
-  std::vector<int> root_rank(n_res, -1);
-  int next_rank = 0;
-  for (std::size_t r = 0; r < n_res; ++r) {
-    const std::size_t root = solver.component_root(r);
-    if (root_group[root] >= 0) {
-      out[r] = root_group[root] % shards;
-      continue;
-    }
-    if (root_rank[root] < 0) root_rank[root] = next_rank++;
-    out[r] = root_rank[root] % shards;
-  }
-  return out;
 }
 
 ShardGroup::ShardGroup() : ShardGroup(Options{}) {}

@@ -1,10 +1,13 @@
 // Conservative-window parallel discrete-event simulation.
 //
 // A ShardGroup runs N independent sim::Engine instances — one per worker
-// thread — over a scenario partitioned into *shards* (node groups whose
-// resources never share a flow).  Shard-local events run lock-free on the
-// shard's own EventQueue, pools and obs registry; the only synchronisation
-// is a barrier at conservative *window horizons*:
+// thread — over a scenario partitioned into *shards*.  The caller owns the
+// carve: core::FabricLab::run_sharded maps topology groups to shards
+// (sim::partition_groups over Topology::group_graph) and couples the
+// shards' replicas of resources they share through boundary proxies
+// (add_boundary_link).  Shard-local events run lock-free on the shard's
+// own EventQueue, pools and obs registry; the only synchronisation is a
+// barrier at conservative *window horizons*:
 //
 //     W = min over shards of (earliest pending event) + lookahead
 //
@@ -49,33 +52,13 @@
 
 namespace cci::sim {
 
-class MaxMinSolver;
 class Resource;
 
 /// Shard count requested via the CCI_SIM_SHARDS environment variable
 /// (re-read on every call, like CCI_SIM_POOLS).  Unset, empty, or
-/// unparsable values mean 1 — the serial engine.
+/// unparsable values — including counts beyond INT_MAX — mean 1, the
+/// serial engine.
 int configured_shards();
-
-/// Deterministic partition of a solver's resources across `shards` shards,
-/// seeded by the union-find connected components: resources coupled by any
-/// chain of flows land in the same shard.  Components are ranked by their
-/// smallest member resource index and dealt round-robin (rank % shards),
-/// so the assignment depends only on the registered flow structure — never
-/// on pointer values or hashing.  Returns one shard index per resource.
-std::vector<int> shard_assignment(const MaxMinSolver& solver, int shards);
-
-/// Topology-aware partition: `resource_group[r]` pins resource r to a
-/// topology group (net::Cluster::resource_groups() — fat-tree leaves,
-/// dragonfly groups) or leaves it free (-1, shared fabric such as spines
-/// and cross-group links).  Components containing any pinned resource land
-/// on (smallest pinned group) % shards, so a topology group — and every
-/// flow chain coupled to it — never splits across shards; fully unpinned
-/// components are dealt round-robin exactly as the ungrouped overload.
-/// The safe cross-shard window for the result is the cluster's
-/// shard_lookahead() (Topology::min_remote_delay per link class).
-std::vector<int> shard_assignment(const MaxMinSolver& solver, int shards,
-                                  const std::vector<int>& resource_group);
 
 class ShardGroup {
  public:

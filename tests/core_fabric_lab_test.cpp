@@ -51,10 +51,13 @@ TEST(FabricLab, EmptyJobListRunsTheDefaultTwoNodePair) {
   EXPECT_EQ(r.reroutes, 0u);
 }
 
-/// Runs one invalid tenant through run() and run_sharded(1): both must
-/// throw std::invalid_argument naming the tenant's label and `field`.
-void expect_rejected(JobSpec bad, const std::string& field) {
+/// Runs one invalid tenant through run() and run_sharded(1) on `topology`:
+/// both must throw std::invalid_argument naming the tenant's label and
+/// `field`.
+void expect_rejected(JobSpec bad, const std::string& field,
+                     net::Topology topology = net::Topology::single_switch()) {
   Scenario s;
+  s.topology = std::move(topology);
   s.jobs = {std::move(bad)};
   FabricLab lab(s);
   for (const bool sharded : {false, true}) {
@@ -88,6 +91,17 @@ TEST(FabricLab, RejectsANonFiniteOrNonPositiveOfferedLoad) {
     j.offered_load = load;
     expect_rejected(j, "offered_load");
   }
+}
+
+TEST(FabricLab, RejectsAZeroMessageSize) {
+  JobSpec j = job("bad-tenant", {0, 1});
+  j.message_bytes = 0;
+  expect_rejected(j, "message_bytes");
+}
+
+TEST(FabricLab, RejectsANodeIndexBeyondTheTopology) {
+  // fat_tree(4) attaches 8 hosts: nodes 0..7.
+  expect_rejected(job("bad-tenant", {0, 8}), "nodes", net::Topology::fat_tree(4));
 }
 
 TEST(FabricLab, RejectsAnEmptyNodeList) {

@@ -101,7 +101,7 @@ TEST(Faults, RestoreIsDeltaTrackedNotFactorScaled) {
   // `capacity / factor` restore would scale the external write; the delta
   // restore must add back exactly what the fault removed.
   Cluster cluster(ClusterSpec{});
-  sim::Resource* wire = cluster.find_link("switch");
+  sim::Resource* wire = cluster.fabric().find("switch");
   const double c0 = wire->capacity();
   FaultInjector faults(cluster);
   faults.degrade_wire(/*at=*/1.0, /*factor=*/0.5, /*recover_at=*/3.0);
@@ -115,7 +115,7 @@ TEST(Faults, OverlappingWindowsRestoreExactly) {
   // Two nested degradations of the same resource: each restore returns the
   // delta it took, so after both recoveries the capacity is bit-exact.
   Cluster cluster(ClusterSpec{});
-  sim::Resource* wire = cluster.find_link("switch");
+  sim::Resource* wire = cluster.fabric().find("switch");
   const double c0 = wire->capacity();
   FaultInjector faults(cluster);
   faults.degrade_wire(1.0, 0.5, /*recover_at=*/4.0);

@@ -1,8 +1,11 @@
 // Topology-graph fabric: builder shapes, materialized resources, minimal
 // and adaptive routing (fat-tree spines, dragonfly Valiant detours),
-// single-switch bitwise compatibility and the PDES carve hints.
+// single-switch bitwise compatibility, the PDES carve exports and a route
+// oracle over generated shapes.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "sim/flow_model.hpp"
 #include "sim/partition.hpp"
+#include "sim/rng.hpp"
 
 namespace cci::net {
 namespace {
@@ -36,7 +40,7 @@ std::vector<std::string> path_names(const Cluster::FabricPath& path) {
 /// Pin a unit-demand flow on `r` so its utilization reads 1.0 — the
 /// congestion signal adaptive routing reacts to.
 sim::ActivityPtr load_link(Cluster& cluster, const char* name) {
-  sim::Resource* r = cluster.find_link(name);
+  sim::Resource* r = cluster.fabric().find(name);
   EXPECT_NE(r, nullptr) << name;
   sim::ActivitySpec spec;
   spec.work = 1e18;  // effectively forever
@@ -144,10 +148,10 @@ TEST(Fabric, SingleSwitchSpecMatchesLegacyClusterExactly) {
   // with the same name and capacity.
   EXPECT_EQ(topo.model().solver().resource_count(),
             legacy.model().solver().resource_count());
-  ASSERT_EQ(topo.fabric_resources().size(), 1u);
-  EXPECT_TRUE(topo.fabric_links().empty());
-  sim::Resource* a = legacy.find_link("switch");
-  sim::Resource* b = topo.find_link("switch");
+  ASSERT_EQ(topo.fabric().switch_resources().size(), 1u);
+  EXPECT_TRUE(topo.fabric().link_resources().empty());
+  sim::Resource* a = legacy.fabric().find("switch");
+  sim::Resource* b = topo.fabric().find("switch");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->capacity(), b->capacity());
@@ -294,7 +298,7 @@ TEST(DragonflyRouting, TwoGroupFabricNeverDetours) {
   cluster.model().cancel(pin);
 }
 
-// ---- fabric metrics and carve hints -----------------------------------------
+// ---- fabric metrics ---------------------------------------------------------
 
 TEST(Fabric, RouteCountersRegisterOnMultiSwitchTopologiesOnly) {
   obs::Registry reg;
@@ -313,32 +317,6 @@ TEST(Fabric, RouteCountersRegisterOnMultiSwitchTopologiesOnly) {
   }
   EXPECT_DOUBLE_EQ(reg.counter("net.fabric.routes").value(), 2.0);
   EXPECT_DOUBLE_EQ(reg.counter("net.fabric.adaptive_reroutes").value(), 0.0);
-}
-
-TEST(Fabric, ResourceGroupsFollowTopologyGroups) {
-  Cluster cluster(spec_with(Topology::dragonfly(3, 2, 2), 12));
-  const std::vector<int> groups = cluster.resource_groups();
-  ASSERT_EQ(groups.size(), cluster.model().solver().resource_count());
-  // Tail of the table: 6 crossbars (group-major), 6 local links pinned to
-  // their group, 6 global links shared (-1).
-  const std::size_t n = groups.size();
-  for (std::size_t i = n - 6; i < n; ++i) EXPECT_EQ(groups[i], -1);
-  const std::vector<int> local_links(groups.end() - 12, groups.end() - 6);
-  EXPECT_EQ(local_links, (std::vector<int>{0, 0, 1, 1, 2, 2}));
-  const std::vector<int> xbars(groups.end() - 18, groups.end() - 12);
-  EXPECT_EQ(xbars, (std::vector<int>{0, 0, 1, 1, 2, 2}));
-  // Every node-local resource carries its node's group; node 0 is group 0,
-  // node 11 group 2.
-  EXPECT_EQ(groups.front(), 0);
-  // Shard lookahead crosses a global link (3x base latency).
-  EXPECT_DOUBLE_EQ(cluster.shard_lookahead(),
-                   3.0 * cluster.net().min_remote_delay());
-}
-
-TEST(Fabric, SingleSwitchResourcesAllShareOneGroup) {
-  Cluster cluster(spec_with(Topology::single_switch(), 3));
-  for (int g : cluster.resource_groups()) EXPECT_EQ(g, 0);
-  EXPECT_DOUBLE_EQ(cluster.shard_lookahead(), cluster.net().min_remote_delay());
 }
 
 // ---- cross-shard carve: group graph, cut links, fabric replicas -------------
@@ -404,18 +382,35 @@ TEST(FabricGraph, ReplicaMirrorsClusterResourcesExactly) {
     Cluster cluster(spec_with(c.topo, c.nodes));
     FabricGraph fg(c.topo, cluster.net(), c.nodes);
     for (int n = 0; n < c.nodes; ++n) {
-      EXPECT_EQ(fg.name(fg.tx_key(n)), cluster.tx_port(n)->name());
-      EXPECT_EQ(fg.base_capacity(fg.tx_key(n)), cluster.tx_port(n)->capacity());
-      EXPECT_EQ(fg.name(fg.rx_key(n)), cluster.rx_port(n)->name());
-      EXPECT_EQ(fg.base_capacity(fg.rx_key(n)), cluster.rx_port(n)->capacity());
+      const sim::Resource* tx = cluster.fabric().at(fg.tx_key(n));
+      const sim::Resource* rx = cluster.fabric().at(fg.rx_key(n));
+      EXPECT_EQ(fg.name(fg.tx_key(n)), tx->name());
+      EXPECT_EQ(fg.base_capacity(fg.tx_key(n)), tx->capacity());
+      EXPECT_EQ(fg.name(fg.rx_key(n)), rx->name());
+      EXPECT_EQ(fg.base_capacity(fg.rx_key(n)), rx->capacity());
     }
-    const std::vector<sim::Resource*>& fabric = cluster.fabric_resources();
+    const std::span<sim::Resource* const> fabric = cluster.fabric().switch_resources();
     for (int s = 0; s < c.topo.switch_count(); ++s) {
       EXPECT_EQ(fg.name(fg.xbar_key(s)), fabric[static_cast<std::size_t>(s)]->name());
       EXPECT_EQ(fg.base_capacity(fg.xbar_key(s)),
                 fabric[static_cast<std::size_t>(s)]->capacity());
     }
-    const std::vector<sim::Resource*>& links = cluster.fabric_links();
+    // Solver resource order: each node's machine and NIC, then its tx and
+    // rx port; after every node, the crossbars and links in key order.
+    const auto index = [&](int key) { return cluster.fabric().at(key)->index(); };
+    const std::size_t stride = index(fg.tx_key(1)) - index(fg.tx_key(0));
+    for (int n = 0; n < c.nodes; ++n) {
+      EXPECT_EQ(index(fg.tx_key(n)), (static_cast<std::size_t>(n) + 1) * stride - 2) << n;
+      EXPECT_EQ(index(fg.rx_key(n)), index(fg.tx_key(n)) + 1) << n;
+    }
+    for (int key = fg.xbar_key(0); key < fg.key_count(); ++key)
+      EXPECT_EQ(index(key), static_cast<std::size_t>(c.nodes) * stride +
+                                static_cast<std::size_t>(key - fg.xbar_key(0)))
+          << key;
+    EXPECT_EQ(cluster.model().solver().resource_count(),
+              static_cast<std::size_t>(c.nodes) * stride +
+                  static_cast<std::size_t>(fg.key_count() - fg.xbar_key(0)));
+    const std::span<sim::Resource* const> links = cluster.fabric().link_resources();
     ASSERT_EQ(links.size(), c.topo.links().size());
     for (std::size_t li = 0; li < links.size(); ++li) {
       const int key = fg.link_key(static_cast<int>(li));
@@ -454,11 +449,186 @@ TEST(FabricGraph, MinimalPathMatchesTheClusterRoute) {
 }
 
 TEST(FabricGraph, AdaptiveRoutingIsRejectedAtConstruction) {
-  Topology t = Topology::dragonfly(2, 2, 2);
-  t.routing(RoutingPolicy::kAdaptive);
-  EXPECT_THROW(FabricGraph(t, NetworkParams::ib_edr(), 8), std::invalid_argument);
+  // The graph also describes Cluster's adaptively routed fabrics, so the
+  // adaptive half of this check lives in FabricLab::run_sharded
+  // (FabricShard.AdaptiveRoutingIsRejected).  A node count beyond the
+  // topology is still rejected here.
   EXPECT_THROW(FabricGraph(Topology::fat_tree(4), NetworkParams::ib_edr(), 9),
                std::invalid_argument);  // beyond max_hosts
+}
+
+// ---- route oracle over generated shapes -------------------------------------
+
+struct Shape {
+  Topology topo;
+  int nodes;
+
+  [[nodiscard]] std::string describe() const {
+    std::ostringstream os;
+    topo.serialize(os);
+    os << " nodes=" << nodes;
+    return os.str();
+  }
+};
+
+/// Seeded small shapes: every fat-tree k = 2..8 at oversubscription 1 and
+/// 0.5, dragonflies of 1-5 groups x 1-4 routers x 1-3 hosts, single
+/// switches of 1-5 nodes.
+std::vector<Shape> generated_shapes() {
+  std::vector<Shape> shapes;
+  for (int k = 2; k <= 8; k += 2)
+    for (const double oversub : {1.0, 0.5})
+      shapes.push_back({Topology::fat_tree(k, oversub), k * k / 2});
+  sim::Rng rng(19);
+  const auto draw = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  for (int i = 0; i < 16; ++i) {
+    const int groups = draw(1, 5), routers = draw(1, 4), hosts = draw(1, 3);
+    shapes.push_back({Topology::dragonfly(groups, routers, hosts), groups * routers * hosts});
+  }
+  for (int i = 0; i < 4; ++i) shapes.push_back({Topology::single_switch(), draw(1, 5)});
+  return shapes;
+}
+
+/// Every `via` a route src -> dst may take, worked out from the shape
+/// alone: any spine across fat-tree leaves, the direct global link (-1) or
+/// any third group across dragonfly groups, else just the minimal one.
+std::vector<int> legal_vias(const FabricGraph& fg, int src, int dst) {
+  const Topology& t = fg.topology();
+  const int a = t.host_switch(src);
+  const int b = t.host_switch(dst);
+  std::vector<int> vias;
+  if (t.kind() == Topology::Kind::kFatTree && a != b) {
+    for (int s = 0; s < t.param_k() / 2; ++s) vias.push_back(s);
+  } else if (t.kind() == Topology::Kind::kDragonfly && t.group_of_switch(a) != t.group_of_switch(b)) {
+    vias.push_back(-1);
+    for (int g = 0; g < t.group_count(); ++g)
+      if (g != t.group_of_switch(a) && g != t.group_of_switch(b)) vias.push_back(g);
+  } else {
+    vias.push_back(fg.minimal_via(src, dst));
+  }
+  return vias;
+}
+
+std::vector<int> route_keys(const FabricGraph& fg, int src, int dst, int via) {
+  std::vector<int> keys;
+  fg.route(src, dst, via, [&keys](int key) { keys.push_back(key); });
+  return keys;
+}
+
+std::vector<std::string> key_names(const FabricGraph& fg, const std::vector<int>& keys) {
+  std::vector<std::string> names;
+  for (int key : keys) names.push_back(fg.name(key));
+  return names;
+}
+
+/// Checks one route against the key layout and Topology::links() only:
+/// tx port, then crossbars and links alternately from the source's edge
+/// switch to the destination's, then rx port; every link joins the
+/// crossbars beside it, none repeats, and the route fits FabricPath inline.
+void expect_legal_route(const FabricGraph& fg, int src, int dst, int via,
+                        const std::vector<int>& keys) {
+  const Topology& t = fg.topology();
+  const std::string where = std::to_string(src) + "->" + std::to_string(dst) +
+                            " via " + std::to_string(via);
+  ASSERT_GE(keys.size(), 3u) << where;
+  ASSERT_EQ(keys.size() % 2, 1u) << where;
+  EXPECT_LE(keys.size(), 13u) << where;
+  EXPECT_EQ(keys.front(), fg.tx_key(src)) << where;
+  EXPECT_EQ(keys.back(), fg.rx_key(dst)) << where;
+  const auto switch_at = [&](std::size_t i) {
+    EXPECT_GE(keys[i], fg.xbar_key(0)) << where << " key " << i;
+    EXPECT_LT(keys[i], fg.link_key(0)) << where << " key " << i;
+    return keys[i] - fg.xbar_key(0);
+  };
+  EXPECT_EQ(switch_at(1), t.host_switch(src)) << where;
+  EXPECT_EQ(switch_at(keys.size() - 2), t.host_switch(dst)) << where;
+  std::set<int> links;
+  for (std::size_t i = 2; i + 2 < keys.size(); i += 2) {
+    ASSERT_GE(keys[i], fg.link_key(0)) << where << " key " << i;
+    ASSERT_LT(keys[i], fg.key_count()) << where << " key " << i;
+    const Topology::Link& l = t.links()[static_cast<std::size_t>(keys[i] - fg.link_key(0))];
+    EXPECT_EQ(l.src, switch_at(i - 1)) << where << " key " << i;
+    EXPECT_EQ(l.dst, switch_at(i + 1)) << where << " key " << i;
+    EXPECT_TRUE(links.insert(keys[i]).second) << where << " repeats key " << keys[i];
+  }
+  // The route deviates where `via` says: through that spine, or through a
+  // crossbar of that intermediate group.
+  if (t.kind() == Topology::Kind::kFatTree && keys.size() > 3) {
+    EXPECT_EQ(switch_at(3), t.param_k() + via) << where;
+  } else if (t.kind() == Topology::Kind::kDragonfly && via >= 0) {
+    bool visits = false;
+    for (std::size_t i = 1; i + 1 < keys.size(); i += 2)
+      visits = visits || t.group_of_switch(switch_at(i)) == via;
+    EXPECT_TRUE(visits) << where;
+  }
+}
+
+TEST(FabricRouting, EveryViaRoutesOverTopologyLinksOnGeneratedShapes) {
+  for (const Shape& shape : generated_shapes()) {
+    SCOPED_TRACE(shape.describe());
+    const FabricGraph fg(shape.topo, NetworkParams::ib_edr(), shape.nodes);
+    for (int src = 0; src < shape.nodes; ++src)
+      for (int dst = 0; dst < shape.nodes; ++dst) {
+        std::size_t shortest = 0;
+        for (const int via : legal_vias(fg, src, dst)) {
+          const std::vector<int> keys = route_keys(fg, src, dst, via);
+          expect_legal_route(fg, src, dst, via, keys);
+          if (shortest == 0 || keys.size() < shortest) shortest = keys.size();
+        }
+        // The minimal route is a legal one, and no legal route is shorter.
+        const int minimal = fg.minimal_via(src, dst);
+        std::vector<int> keys;
+        fg.minimal_path(src, dst, keys);
+        expect_legal_route(fg, src, dst, minimal, keys);
+        EXPECT_EQ(keys.size(), shortest) << src << "->" << dst;
+      }
+  }
+}
+
+TEST(FabricRouting, ClusterRoutesAgreeWithTheGraphOnGeneratedShapes) {
+  for (const Shape& shape : generated_shapes()) {
+    SCOPED_TRACE(shape.describe());
+    Topology adaptive_topo = shape.topo;
+    adaptive_topo.routing(RoutingPolicy::kAdaptive).adaptive_threshold(0.0);
+    Cluster minimal(spec_with(shape.topo, shape.nodes));
+    Cluster adaptive(spec_with(adaptive_topo, shape.nodes));
+    const FabricGraph& fg = minimal.fabric();
+    for (int src = 0; src < shape.nodes; ++src)
+      for (int dst = 0; dst < shape.nodes; ++dst) {
+        std::vector<int> keys;
+        fg.minimal_path(src, dst, keys);
+        EXPECT_EQ(path_names(minimal.fabric_path(src, dst)), key_names(fg, keys))
+            << src << "->" << dst;
+        // Pin the minimal route's first uplink or global link — the link
+        // adaptive routing weighs — at utilization 1.
+        int pinned_key = -1;
+        for (const int key : keys) {
+          if (key < fg.link_key(0) || key >= fg.key_count()) continue;
+          const LinkClass cls =
+              shape.topo.links()[static_cast<std::size_t>(key - fg.link_key(0))].cls;
+          if (cls == LinkClass::kUp || cls == LinkClass::kGlobal) {
+            pinned_key = key;
+            break;
+          }
+        }
+        sim::ActivityPtr pin;
+        if (pinned_key >= 0) pin = load_link(adaptive, fg.name(pinned_key).c_str());
+        const std::vector<std::string> taken = path_names(adaptive.fabric_path(src, dst));
+        if (pin) adaptive.model().cancel(pin);
+        const std::vector<int> vias = legal_vias(fg, src, dst);
+        bool legal = false;
+        for (const int via : vias)
+          legal = legal || taken == key_names(fg, route_keys(fg, src, dst, via));
+        EXPECT_TRUE(legal) << src << "->" << dst;
+        // Every other candidate is idle, so any alternative beats the pin.
+        if (vias.size() > 1) {
+          for (const std::string& name : taken)
+            EXPECT_NE(name, fg.name(pinned_key)) << src << "->" << dst;
+        }
+      }
+  }
 }
 
 // ---- route-trace ring -------------------------------------------------------
