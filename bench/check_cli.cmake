@@ -1,6 +1,26 @@
 # cci_bench CLI checks, run by ctest (see CMakeLists.txt):
 #   -DCCI_BENCH=<exe> -DFIGURES=a,b,c  `cci_bench --list` names exactly a, b, c
 #   -DCCI_BENCH=<exe> -DREJECT=a,b,c   `cci_bench a b c` exits with code 2
+#   -DCCI_BENCH=<exe> -DSAME=a,b|c,d   `cci_bench a b` and `cci_bench c d` exit 0
+#                                      and print the same stdout
+if(DEFINED SAME)
+  string(REPLACE "|" ";" runs "${SAME}")
+  set(i 0)
+  foreach(run IN LISTS runs)
+    string(REPLACE "," ";" args "${run}")
+    # Each output in its own variable: a table may hold ';'.
+    execute_process(COMMAND ${CCI_BENCH} ${args} RESULT_VARIABLE rc OUTPUT_VARIABLE out${i})
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "cci_bench ${args}: exit code ${rc}, expected 0")
+    endif()
+    math(EXPR i "${i} + 1")
+  endforeach()
+  if(NOT out0 STREQUAL out1)
+    message(FATAL_ERROR "cci_bench ${SAME}: outputs differ\n${out0}\n---\n${out1}")
+  endif()
+  return()
+endif()
+
 if(DEFINED REJECT)
   string(REPLACE "," ";" args "${REJECT}")
   execute_process(COMMAND ${CCI_BENCH} ${args} RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

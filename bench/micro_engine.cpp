@@ -40,6 +40,9 @@ struct ChurnStats {
   std::uint64_t flow_visits = 0;
   std::uint64_t solves = 0;
   std::uint64_t resource_visits = 0;
+  std::uint64_t components_solved = 0;
+  std::uint64_t components_filled = 0;
+  std::uint64_t replay_resource_visits = 0;
 };
 
 /// Clustered flow churn through the full FlowModel: staggered activities over
@@ -127,7 +130,8 @@ ChurnStats run_fat_tree_fanout(bool incremental) {
   }
   cluster.engine().run();
   const sim::MaxMinSolver::Stats& st = cluster.model().solver().stats();
-  return {st.flow_visits, st.solves, st.resource_visits};
+  return {st.flow_visits,       st.solves,           st.resource_visits,
+          st.components_solved, st.components_filled, st.replay_resource_visits};
 }
 
 void BM_FatTreeFanout(benchmark::State& state) {
@@ -147,6 +151,13 @@ void BM_FatTreeFanout(benchmark::State& state) {
   // unfixed flow still loads.  Deterministic, CI-gated like the flow visits.
   state.counters["res_visits_per_event"] =
       static_cast<double>(inc.resource_visits) / static_cast<double>(inc.solves);
+  // The work the solver actually did: the share of component solves that
+  // ran a full filling (the rest replayed their trace), and the resources
+  // replays recomputed per event.  Deterministic, CI-gated at tolerance 0.
+  state.counters["filled_share"] =
+      static_cast<double>(inc.components_filled) / static_cast<double>(inc.components_solved);
+  state.counters["replay_res_per_event"] =
+      static_cast<double>(inc.replay_resource_visits) / static_cast<double>(inc.solves);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(inc.solves));
 }

@@ -1,7 +1,10 @@
 #include "bench/registry.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -130,8 +133,26 @@ void usage(std::ostream& os) {
 
 bool parse_int(const char* s, long long& out) {
   char* end = nullptr;
+  errno = 0;
   out = std::strtoll(s, &end, 10);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && errno != ERANGE;
+}
+
+/// A 64-bit seed in [-2^63, 2^64 - 1]; a negative value names its
+/// two's-complement bits.  Values beyond are malformed, never clamped.
+bool parse_seed(const char* s, std::uint64_t& out) {
+  const char* p = s;
+  while (std::isspace(static_cast<unsigned char>(*p))) ++p;
+  if (*p == '-') {
+    long long v = 0;
+    if (!parse_int(s, v)) return false;
+    out = static_cast<std::uint64_t>(v);
+    return true;
+  }
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(s, &end, 10);
+  return end != s && *end == '\0' && errno != ERANGE;
 }
 
 /// A count in [lo, INT_MAX]: larger values are malformed, never wrapped
@@ -196,13 +217,11 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       options.shard_count = count;
     } else if (arg == "--seed") {
       const char* v = value("--seed");
-      long long s = 0;
-      if (v == nullptr || !parse_int(v, s)) {
-        std::cerr << "cci_bench: --seed wants an integer\n";
+      if (v == nullptr || !parse_seed(v, options.base_seed)) {
+        std::cerr << "cci_bench: --seed wants an integer in [-2^63, 2^64-1]\n";
         return false;
       }
       options.override_base_seed = true;
-      options.base_seed = static_cast<std::uint64_t>(s);
     } else if (arg == "--sim-shards") {
       const char* v = value("--sim-shards");
       int n = 0;
@@ -222,8 +241,8 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       const char* v = value("--timeline-period");
       char* end = nullptr;
       const double p = v != nullptr ? std::strtod(v, &end) : 0.0;
-      if (v == nullptr || end == v || *end != '\0' || !(p > 0.0)) {
-        std::cerr << "cci_bench: --timeline-period wants a positive number of "
+      if (v == nullptr || end == v || *end != '\0' || !(p > 0.0) || !std::isfinite(p)) {
+        std::cerr << "cci_bench: --timeline-period wants a positive, finite number of "
                      "simulated seconds\n";
         return false;
       }
@@ -238,12 +257,10 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       sched_cli.replay_path = v;
     } else if (arg == "--sched-seed") {
       const char* v = value("--sched-seed");
-      long long s = 0;
-      if (v == nullptr || !parse_int(v, s)) {
-        std::cerr << "cci_bench: --sched-seed wants an integer\n";
+      if (v == nullptr || !parse_seed(v, sched_cli.seed)) {
+        std::cerr << "cci_bench: --sched-seed wants an integer in [-2^63, 2^64-1]\n";
         return false;
       }
-      sched_cli.seed = static_cast<std::uint64_t>(s);
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       return false;

@@ -1,10 +1,50 @@
 #include "core/result_io.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <optional>
 #include <ostream>
 
 namespace cci::core {
+
+namespace {
+
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+void write_string(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      case '\b': os << "\\b"; break;
+      case '\f': os << "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
+
+/// The shortest text that parses back to the same bits.
+template <typename T>
+void write_number(std::ostream& os, T value) {
+  char buf[32];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, value);
+  os.write(buf, res.ptr - buf);
+}
+
+}  // namespace
 
 JsonWriter::JsonWriter(std::ostream& os) : os_(os) { first_in_scope_.push_back(true); }
 JsonWriter::~JsonWriter() = default;
@@ -14,6 +54,12 @@ void JsonWriter::comma() {
   first_in_scope_.back() = false;
   os_ << "\n";
   indent();
+}
+
+void JsonWriter::key(const std::string& k) {
+  comma();
+  write_string(os_, k);
+  os_ << ": ";
 }
 
 void JsonWriter::indent() {
@@ -37,9 +83,9 @@ JsonWriter& JsonWriter::end_object() {
   return *this;
 }
 
-JsonWriter& JsonWriter::begin_array(const std::string& key) {
-  comma();
-  os_ << '"' << key << "\": [";
+JsonWriter& JsonWriter::begin_array(const std::string& k) {
+  key(k);
+  os_ << "[";
   ++depth_;
   first_in_scope_.push_back(true);
   return *this;
@@ -54,33 +100,38 @@ JsonWriter& JsonWriter::end_array() {
   return *this;
 }
 
-JsonWriter& JsonWriter::object_field(const std::string& key) {
-  comma();
-  os_ << '"' << key << "\": {";
+JsonWriter& JsonWriter::object_field(const std::string& k) {
+  key(k);
+  os_ << "{";
   ++depth_;
   first_in_scope_.push_back(true);
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, double value) {
-  comma();
-  if (std::isfinite(value)) {
-    os_ << '"' << key << "\": " << value;
-  } else {
-    os_ << '"' << key << "\": null";
-  }
+JsonWriter& JsonWriter::field(const std::string& k, double value) {
+  key(k);
+  if (std::isfinite(value))
+    write_number(os_, value);
+  else
+    os_ << "null";
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, const std::string& value) {
-  comma();
-  os_ << '"' << key << "\": \"" << value << '"';
+JsonWriter& JsonWriter::field(const std::string& k, const std::string& value) {
+  key(k);
+  write_string(os_, value);
   return *this;
 }
 
-JsonWriter& JsonWriter::field(const std::string& key, int value) {
-  comma();
-  os_ << '"' << key << "\": " << value;
+JsonWriter& JsonWriter::field(const std::string& k, int value) {
+  key(k);
+  write_number(os_, value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::field(const std::string& k, std::uint64_t value) {
+  key(k);
+  write_number(os_, value);
   return *this;
 }
 
@@ -163,7 +214,7 @@ void write_result_json(std::ostream& os, const Scenario& scenario,
   w.field("message_bytes", static_cast<double>(scenario.message_bytes));
   w.field("data_placement", to_string(scenario.data));
   w.field("comm_thread_placement", to_string(scenario.comm_thread));
-  w.field("seed", static_cast<double>(scenario.seed));
+  w.field("seed", scenario.seed);
   w.end_object();
   write_compute(w, "compute_alone", result.compute_alone);
   write_comm(w, "comm_alone", result.comm_alone);

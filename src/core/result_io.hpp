@@ -2,9 +2,13 @@
 //
 // Every figure bench can be replotted offline; this writer produces a
 // stable, self-describing JSON document from scenarios and results (no
-// third-party JSON dependency — the subset we emit is trivial).
+// third-party JSON dependency — the subset we emit is trivial).  Records
+// are exact: a number is written as the shortest text that parses back to
+// the same bits (non-finite values as null), integers in full, and keys and
+// strings with quotes, backslashes and control characters escaped.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -27,12 +31,14 @@ class JsonWriter {
   JsonWriter& field(const std::string& key, double value);
   JsonWriter& field(const std::string& key, const std::string& value);
   JsonWriter& field(const std::string& key, int value);
+  JsonWriter& field(const std::string& key, std::uint64_t value);
   /// Open a nested object under `key`.
   JsonWriter& object_field(const std::string& key);
 
  private:
   void comma();
   void indent();
+  void key(const std::string& k);  ///< separator, then `"k": `
   std::ostream& os_;
   int depth_ = 0;
   std::vector<bool> first_in_scope_;

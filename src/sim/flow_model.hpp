@@ -7,8 +7,11 @@
 // by the change are re-run; rates and loads elsewhere carry over verbatim —
 // and (3) retimes one engine timer to the earliest predicted completion.
 // Between change points all rates are constant, so progress is exactly
-// linear — the classic fluid-flow DES, with change-point cost proportional
-// to the touched component instead of the whole machine.
+// linear — the classic fluid-flow DES.  A touched component is re-solved
+// by replaying its previous progressive filling where the change leaves
+// each round's lambda in place (see sim/maxmin.hpp), so a change point
+// costs work in proportion to the change rather than to the component;
+// every rate and load is bitwise what a full filling gives.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +53,9 @@ class FlowModel {
 
   [[nodiscard]] std::size_t running_count() const { return running_.size(); }
 
-  /// Toggle connected-component partial re-solves (on by default).  Off
-  /// forces the from-scratch reference path; useful for A/B determinism
+  /// Toggle connected-component partial re-solves and replays (on by
+  /// default).  Off forces the from-scratch reference path — every
+  /// component filled in full at every solve; useful for A/B determinism
   /// checks.
   void set_incremental(bool on) { incremental_ = on; }
   [[nodiscard]] bool incremental() const { return incremental_; }

@@ -18,14 +18,34 @@
 //    Flows are registered once and updated in place; resources linked by
 //    shared flows are grouped into connected components via a union-find,
 //    and a change (flow added/removed, capacity changed) dirty-marks only
-//    the touched component.  solve() then re-runs progressive filling on
-//    the dirty components only — rates, loads and pressures of untouched
-//    components carry over verbatim (bitwise), which is what makes partial
-//    re-solves indistinguishable from full ones.
+//    the touched component.  solve() then re-solves the dirty components
+//    only — rates, loads and pressures of untouched components carry over
+//    verbatim (bitwise), which is what makes partial re-solves
+//    indistinguishable from full ones.
+//
+// Replayed solves.  A component's progressive filling leaves a trace: each
+// round's lambda, how many resource ratios and flow caps equal it and how
+// many flows froze in it, each flow's freeze round, and each resource's
+// bottleneck round.  Each resource also lists the (flow, entry) pairs that
+// demand it, in registration order.  The component's next solve replays
+// that trace instead of filling again.  Round by round, it recomputes only
+// the resources the changes reach (capacity changes, added and removed
+// flows, and flows whose freeze round moved): their weighted demand and
+// capacity left, from the same operands in the same order as a filling.
+// From these it checks that no ratio or cap falls below the round's lambda
+// and that at least one still equals it, so the lambda is still the exact
+// minimum; it then re-derives the freezes those resources decide.  Anything
+// else reads the same bits in every round, so the outcome is bitwise the
+// full filling's, including the changed-flow list, the load-change report
+// and the visit counters.  A replay that cannot prove a round falls back to
+// the full filling, and a component whose replays keep falling back waits
+// exponentially more solves before it tries again.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cci::sim {
@@ -132,15 +152,36 @@ class MaxMinSolver {
     std::uint64_t full_solves = 0;       ///< solves that visited every live flow
     std::uint64_t partial_solves = 0;    ///< solves that skipped >= 1 clean component
     std::uint64_t components_solved = 0; ///< dirty components re-solved
-    std::uint64_t flow_visits = 0;       ///< flow scans inside filling rounds
+    /// Flow scans inside filling rounds: the sum of the solved components'
+    /// freeze rounds, whether the component was filled or replayed.
+    std::uint64_t flow_visits = 0;
     /// Resources scanned inside filling rounds: per round, those reached by
     /// an unfixed flow (a dense pass would scan every component member).
+    /// A replay adds what the filling would have scanned.
     std::uint64_t resource_visits = 0;
     std::uint64_t partition_rebuilds = 0;///< union-find rebuilds after removals
+    /// Dirty components solved by a full progressive filling: those with no
+    /// trace to replay, and replays that fell back.
+    std::uint64_t components_filled = 0;
+    /// Resources a replay recomputed, summed over its rounds (the filling's
+    /// counterpart is resource_visits).
+    std::uint64_t replay_resource_visits = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// A demand entry's place in its resource's adjacency list:
+  /// (flow slot << 32) | entry index.
+  using Link = std::uint64_t;
+  static constexpr Link kNoLink = ~Link{0};
+  static constexpr std::size_t kNoRes = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoTrace = ~std::uint32_t{0};
+
+  struct EntryLinks {
+    Link prev = kNoLink;
+    Link next = kNoLink;
+  };
+
   struct FlowRec {
     double weight = 1.0;
     double rate_cap = 0.0;
@@ -149,15 +190,74 @@ class MaxMinSolver {
     /// weight and cap are immutable, so the filling rounds never divide.
     double cap_lambda = 0.0;
     std::uint64_t seq = 0;    ///< registration order; solve order within a component
+    FlowId comp_next = kNoFlow;  ///< neighbours in the component's flow list
+    FlowId comp_prev = kNoFlow;
+    /// Freeze round in its component's trace; 0 while it is not in one.
+    std::uint32_t round = 0;
+    std::uint32_t next_round = 0;   ///< replay: freeze round derived so far (0: unfixed)
+    bool live = false;
+    bool pressure_valid = false;
     std::vector<MaxMinFlow::Entry> entries;
     /// Per-entry demand-pressure contribution (solo-rate * demand / capacity),
     /// cached because it only depends on this flow and the capacities it
-    /// touches: recomputed lazily after a set_capacity() on the component.
+    /// touches: recomputed lazily after a set_capacity() on one of them.
     /// Empty with pressure_valid set means the solo rate is unbounded.
     std::vector<double> pressure_contrib;
-    std::size_t comp_pos = 0; ///< position inside its component's flow list
-    bool live = false;
-    bool pressure_valid = false;
+    std::vector<EntryLinks> links;  ///< per entry: neighbours in its resource's adjacency
+    std::uint64_t replay_mark = 0;  ///< replay that put it in the changed set
+    std::uint64_t tested = 0;       ///< round epoch of its last replayed saturation test
+  };
+
+  /// One filling round of a trace.
+  struct Round {
+    double lambda = 0.0;
+    std::uint32_t n_eq = 0;      ///< loaded resource ratios and unfixed flow caps == lambda
+    std::uint32_t n_frozen = 0;  ///< flows frozen in the round
+  };
+  /// A filling of more rounds keeps no trace.  Fixed storage keeps a
+  /// recycled trace from growing, so steady state allocates nothing.
+  static constexpr std::uint32_t kMaxRounds = 32;
+  static constexpr std::uint32_t kNoChange = ~std::uint32_t{0};
+  /// A change to a traced component since its trace was taken: a removed
+  /// traced flow, kept by value (its slot may be reused before the next
+  /// solve), or a capacity change (round 0).  Flows added since are the
+  /// component list's tail of flows with round 0.
+  struct Change {
+    double cap_lambda = 0.0;
+    std::uint32_t round = 0;
+    std::uint32_t next = kNoChange;  ///< the trace's next change
+    std::uint32_t res_begin = 0;     ///< its resources in change_res_
+    std::uint32_t res_end = 0;
+  };
+  /// A component's last progressive filling, and the changes since.
+  struct Trace {
+    std::array<Round, kMaxRounds> rounds;
+    std::uint32_t n_rounds = 0;
+    std::uint32_t first_change = kNoChange;
+    std::uint32_t last_change = kNoChange;
+    std::uint64_t flow_rounds = 0;  ///< sum of the flows' freeze rounds
+    std::uint64_t res_rounds = 0;   ///< sum of the members' reach rounds
+    /// Recent replay fallbacks of this component (one more per fallback,
+    /// halved per replay), and the solves it fills without trying one: a
+    /// component whose lambda moves at most changes backs off
+    /// exponentially instead of paying a failed replay before each
+    /// filling.
+    std::uint8_t misses = 0;
+    std::uint8_t wait = 0;
+  };
+  static constexpr std::uint8_t kMaxMisses = 6;  ///< longest wait: 31 solves
+  /// Replay scratch: a resource the changes reach, with its re-derived state.
+  struct ReachedRes {
+    std::size_t r = 0;
+    std::uint32_t from = 0;   ///< first round its operands may differ
+    std::uint32_t bneck = 0;  ///< re-derived bottleneck round << 1 | ratio == lambda
+    double cap_left = 0.0;    ///< capacity left at the round being replayed
+    bool pressure = false;    ///< its pressure contributions changed
+  };
+  struct OrderedEntry {
+    FlowId flow;
+    std::uint32_t entry;
+    std::uint32_t round;
   };
 
   std::size_t find_root(std::size_t r);
@@ -165,28 +265,82 @@ class MaxMinSolver {
   std::size_t unite(std::size_t a, std::size_t b);
   void mark_dirty(std::size_t root);
   void rebuild_partition();
-  void solve_component(std::size_t root, bool list_touched);
+  void release_trace(std::size_t root);
+  /// Journal a change to root's trace, if it has one: round 0 for a
+  /// capacity change, else a removed flow's freeze round and cap.
+  void record_change(std::size_t root, double cap_lambda, std::uint32_t round,
+                     std::span<const MaxMinFlow::Entry> entries);
+  template <typename Fn>
+  void for_each_change(const Trace& tr, Fn&& fn) const {
+    for (std::uint32_t c = tr.first_change; c != kNoChange; c = changes_[c].next) fn(changes_[c]);
+  }
+  void fill_component(std::size_t root, bool list_touched);
+  bool replay_component(std::size_t root, bool list_touched);
+  void ensure_pressure(FlowRec& rec);
+  void append_flow(std::size_t root, FlowId id);
+  /// A flow's freeze round as the replay in progress derives it.
+  [[nodiscard]] std::uint32_t replay_round(const FlowRec& rec) const {
+    return rec.replay_mark == replay_epoch_ ? rec.next_round : rec.round;
+  }
+  ReachedRes& reach_resource(std::size_t r, std::uint32_t from);
+  /// Fill order_ with r's entries frozen in rounds 1..upto, in freeze
+  /// order: round, then registration, then entry.
+  void order_by_round(std::size_t r, std::uint32_t upto);
+
+  template <typename Fn>
+  void for_each_adjacent(std::size_t r, Fn&& fn) {
+    for (Link l = adj_head_[r]; l != kNoLink;) {
+      const FlowId f = static_cast<FlowId>(l >> 32);
+      const auto e = static_cast<std::uint32_t>(l);
+      const Link next = flows_[f].links[e].next;
+      fn(f, e);
+      l = next;
+    }
+  }
 
   // Resources.
   std::vector<double> capacity_;
   std::vector<double> load_;
   std::vector<double> pressure_;
+  // Adjacency: the demand entries naming each resource, in registration
+  // order, linked through FlowRec::links.
+  std::vector<Link> adj_head_;
+  std::vector<Link> adj_tail_;
+  // Per-resource trace state (meaningful while its component has a trace;
+  // 0 for a resource no flow reaches): bottleneck round << 1 | whether its
+  // ratio equalled lambda there, and the last round a flow reached it.
+  std::vector<std::uint32_t> bneck_;
+  std::vector<std::uint32_t> reach_;
 
   // Union-find over resources (merged on flow registration; removals leave
   // the partition over-merged, which is conservative-but-correct, and a
   // rebuild is scheduled once removals pile up).
   std::vector<std::size_t> parent_;
   std::vector<std::size_t> comp_size_;              ///< valid at roots
-  // comp_flows_ is kept sorted by FlowRec::seq (registration order) as an
-  // invariant: appends are monotone in seq and removals erase in place, so
-  // the common case needs no per-solve sort.  Merges and partition rebuilds
-  // may break the order; they set comp_unsorted_ and solve_component()
-  // restores it lazily.
-  std::vector<std::vector<FlowId>> comp_flows_;     ///< valid at roots
+  // Each component lists its flows through FlowRec::comp_prev/comp_next,
+  // kept sorted by FlowRec::seq (registration order) as an invariant:
+  // appends are monotone in seq and removals unlink in place, so the common
+  // case needs no per-solve sort.  Merges and partition rebuilds may break
+  // the order; they set comp_unsorted_ and fill_component() restores it
+  // lazily.
+  std::vector<FlowId> flow_head_;                   ///< valid at roots
+  std::vector<FlowId> flow_tail_;                   ///< valid at roots
+  std::vector<std::size_t> comp_flows_;             ///< flow count, valid at roots
   std::vector<char> comp_unsorted_;                 ///< valid at roots
-  std::vector<std::vector<std::size_t>> comp_res_;  ///< valid at roots
+  // Member resources, linked root first: res_next_ per resource, the last
+  // member at each root.
+  std::vector<std::size_t> res_next_;
+  std::vector<std::size_t> res_tail_;               ///< valid at roots
   std::vector<char> dirty_;                         ///< valid at roots
   std::vector<std::size_t> dirty_roots_;
+  std::vector<std::uint32_t> trace_of_;             ///< index into traces_, valid at roots
+  std::vector<Trace> traces_;
+  std::vector<std::uint32_t> free_traces_;
+  // Change journal of every trace, linked per trace through Change::next.
+  // Every traced component with a change is dirty, so each solve() consumes
+  // them all and empties the journal.
+  std::vector<Change> changes_;
+  std::vector<std::size_t> change_res_;
 
   // Flows.
   std::vector<FlowRec> flows_;
@@ -208,6 +362,7 @@ class MaxMinSolver {
   std::vector<char> rebuild_res_dirty_;        ///< rebuild_partition scratch
   std::vector<std::uint32_t> res_local_;       ///< global res -> local slot
   std::vector<std::size_t> scratch_res_;       ///< component resources
+  std::vector<FlowId> scratch_flows_;          ///< component flows, seq order
   // Dense per-solve gather of the component's flows: per-flow weights plus
   // flattened demand entries (local resource slot, raw and weighted demand,
   // cached pressure contribution), indexed by sc_ent_begin_[f]..[f+1].
@@ -224,17 +379,34 @@ class MaxMinSolver {
   std::vector<double> sc_pressure_;
   std::vector<double> sc_cap_lambda_;
   std::vector<double> sc_rate_;
+  std::vector<std::uint32_t> sc_round_;  ///< per flow: its freeze round
   // Filling-round state.  Per local resource slot: the weighted demand of
   // unfixed flows, and the round that last summed it or marked it a
-  // bottleneck.  Rounds are numbered by a solver-lifetime epoch, so a stamp
-  // left by an earlier round or solve never matches and nothing is cleared.
+  // bottleneck (with whether its ratio equalled lambda there).  Rounds are
+  // numbered by a solver-lifetime epoch, so a stamp left by an earlier
+  // round or solve never matches and nothing is cleared.
   std::vector<double> sc_weighted_demand_;
   std::vector<std::uint64_t> sc_res_round_;
   std::vector<std::uint64_t> sc_res_bottleneck_;
+  std::vector<char> sc_res_eq_;
   std::vector<std::uint32_t> sc_active_flows_;  ///< unfixed flows, flow order
   std::vector<std::uint32_t> sc_active_res_;    ///< resources those reach
   std::vector<double> sc_ratio_;  ///< max(0, cap_left) / weighted demand, per loaded resource
   std::uint64_t round_epoch_ = 0;
+
+  // Replay scratch.  A resource is in rp_res_ when rp_res_mark_ holds the
+  // current replay epoch; a flow is in the changed set rp_flows_ when its
+  // replay_mark does.
+  std::uint64_t replay_epoch_ = 0;
+  std::vector<std::uint64_t> rp_res_mark_;
+  std::vector<std::uint32_t> rp_res_slot_;
+  std::vector<ReachedRes> rp_res_;
+  std::vector<FlowId> rp_flows_;
+  std::vector<std::size_t> rp_member_changed_;
+  std::vector<Round> rp_rounds_;
+  std::vector<OrderedEntry> order_;
+  std::vector<OrderedEntry> order_tmp_;
+  std::vector<std::uint32_t> order_count_;
 
   Stats stats_;
 };
