@@ -3,6 +3,57 @@
 #   -DCCI_BENCH=<exe> -DREJECT=a,b,c   `cci_bench a b c` exits with code 2
 #   -DCCI_BENCH=<exe> -DSAME=a,b|c,d   `cci_bench a b` and `cci_bench c d` exit 0
 #                                      and print the same stdout
+#   -DCCI_BENCH=<exe> -DHELP=a         `cci_bench a --help` exits 0 and prints
+#                                      the usage with single `%` signs
+#   -DCCI_BENCH=<exe> -DMETRICS=a      `CCI_METRICS=1 cci_bench a` exits 0 and
+#                                      prints the end-of-run metrics table
+#   -DCCI_BENCH=<exe> -DRESULTS=a -DRECORDS=path
+#                                      `CCI_RESULTS=path cci_bench a` exits 0 and
+#                                      writes JSON records for bench a to path
+if(DEFINED METRICS)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCI_METRICS=1 ${CCI_BENCH} ${METRICS}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "CCI_METRICS=1 cci_bench ${METRICS}: exit code ${rc}, expected 0")
+  endif()
+  string(FIND "${out}" "[cci-obs] end-of-run metrics (" at)
+  string(FIND "${out}" "sim.engine.events_dispatched" events)
+  if(at EQUAL -1 OR events EQUAL -1)
+    message(FATAL_ERROR "CCI_METRICS=1 cci_bench ${METRICS}: no end-of-run metrics table\n${out}")
+  endif()
+  return()
+endif()
+
+if(DEFINED RESULTS)
+  file(REMOVE "${RECORDS}")
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCI_RESULTS=${RECORDS} ${CCI_BENCH} ${RESULTS}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "CCI_RESULTS=${RECORDS} cci_bench ${RESULTS}: exit code ${rc}, expected 0")
+  endif()
+  if(NOT EXISTS "${RECORDS}")
+    message(FATAL_ERROR "CCI_RESULTS=${RECORDS} cci_bench ${RESULTS}: no records written")
+  endif()
+  file(READ "${RECORDS}" records)
+  string(FIND "${records}" "\"metrics\"" metrics)
+  if(metrics EQUAL -1)
+    message(FATAL_ERROR "CCI_RESULTS records carry no metrics snapshot\n${records}")
+  endif()
+  return()
+endif()
+if(DEFINED HELP)
+  execute_process(COMMAND ${CCI_BENCH} ${HELP} --help RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cci_bench ${HELP} --help: exit code ${rc}, expected 0")
+  endif()
+  string(FIND "${out}" "index % n == i" single)
+  string(FIND "${out}" "%%" doubled)
+  if(single EQUAL -1 OR NOT doubled EQUAL -1)
+    message(FATAL_ERROR "cci_bench ${HELP} --help: usage should say `index % n == i`\n${out}")
+  endif()
+  return()
+endif()
+
 if(DEFINED SAME)
   string(REPLACE "|" ";" runs "${SAME}")
   set(i 0)

@@ -174,9 +174,9 @@ int run(FigureContext& ctx) {
   ctx.out() << "\nSolver work per event grows with the coupled component (the ring\n"
                "spans the whole fabric) but each shard only solves its own quarter\n"
                "of it, while windows/event falls ~8x from 256 to 4k nodes — the\n"
-               "barriers amortise over ever more per-window work.  Falling sync\n"
-               "overhead against per-shard solver savings is why the 4-shard\n"
-               "speedup survives to 4k nodes.\n";
+               "barriers amortise over ever more per-window work.  These columns\n"
+               "count work, not host time: they show the synchronisation cost per\n"
+               "event falling, not that four shards run faster than one.\n";
   return 0;
 }
 

@@ -257,7 +257,7 @@ BENCHMARK(BM_EagerPingPong);
 // groups — each group its own FlowModel and private resources, so the
 // scenario is *shard-closed* (no cross-shard flows) — run on a ShardGroup
 // at shards = 1/2/4.  A finite lookahead forces the real window machinery
-// (horizon computation, barriers, mailbox drains) rather than the one-shot
+// (horizon computation, barriers) rather than the one-shot
 // embarrassingly-parallel path.  Counters:
 //
 //   shard_windows       — synchronisation windows in one steady round; a

@@ -104,7 +104,7 @@ void banner(const std::string& figure, const std::string& what) {
 
 void usage(std::ostream& os) {
   os << "usage: cci_bench <figure> [--jobs N] [--csv out.csv] [--cache dir]\n"
-        "                 [--shard i/n] [--seed S] [--sim-shards N]\n"
+        "                 [--shard i/n] [--seed S]\n"
         "                 [--timeline out.csv] [--timeline-period S]\n"
         "       cci_bench --list\n"
         "\n"
@@ -113,12 +113,8 @@ void usage(std::ostream& os) {
         "  --csv PATH   append every campaign table to PATH as CSV\n"
         "  --cache DIR  content-addressed result cache: re-runs and other\n"
         "               shards skip already-solved points\n"
-        "  --shard i/n  run only points with index %% n == i (0-based)\n"
+        "  --shard i/n  run only points with index % n == i (0-based)\n"
         "  --seed S     override the base seed campaigns mix per-point seeds from\n"
-        "  --sim-shards N  run each simulation on N conservative-window shard\n"
-        "               threads (overrides CCI_SIM_SHARDS for this run; part\n"
-        "               of the result-cache key, so cached points never mix\n"
-        "               shard configurations)\n"
         "  --timeline PATH        sample metrics on a simulated-time grid and\n"
         "                         append tidy CSV (campaign,point,time,series,value);\n"
         "                         deterministic for any --jobs/--shard split\n"
@@ -174,10 +170,12 @@ struct SchedCli {
 };
 
 /// Parse the campaign flags; returns false (after printing a message) on
-/// malformed input.  Unrecognised arguments are rejected so typos do not
+/// malformed input, and after printing the usage for --help, which also
+/// sets `help`.  Unrecognised arguments are rejected so typos do not
 /// silently run a full-size campaign.
 bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
-                 std::string& csv_path, std::string& timeline_path, SchedCli& sched_cli) {
+                 std::string& csv_path, std::string& timeline_path, SchedCli& sched_cli,
+                 bool& help) {
   double timeline_period = 1e-3;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -222,17 +220,6 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
         return false;
       }
       options.override_base_seed = true;
-    } else if (arg == "--sim-shards") {
-      const char* v = value("--sim-shards");
-      int n = 0;
-      if (v == nullptr || !parse_count(v, 1, n)) {
-        std::cerr << "cci_bench: --sim-shards wants a positive integer\n";
-        return false;
-      }
-      // The shard machinery reads CCI_SIM_SHARDS at each simulation setup,
-      // so a per-run override is just a process-local env write — it also
-      // flows into core::cache_key() with no extra plumbing.
-      setenv("CCI_SIM_SHARDS", v, 1);
     } else if (arg == "--timeline") {
       const char* v = value("--timeline");
       if (v == nullptr) return false;
@@ -263,6 +250,7 @@ bool parse_flags(int argc, char** argv, core::CampaignOptions& options,
       }
     } else if (arg == "--help" || arg == "-h") {
       usage(std::cout);
+      help = true;
       return false;
     } else {
       std::cerr << "cci_bench: unknown argument '" << arg << "'\n";
@@ -288,7 +276,9 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   std::string csv_path;
   std::string timeline_path;
   SchedCli sched_cli;
-  if (!parse_flags(argc, argv, options, csv_path, timeline_path, sched_cli)) return 2;
+  bool help = false;
+  if (!parse_flags(argc, argv, options, csv_path, timeline_path, sched_cli, help))
+    return help ? 0 : 2;
   if (!sched_cli.record_path.empty() && !sched_cli.replay_path.empty()) {
     std::cerr << "cci_bench: --sched-record and --sched-replay are exclusive\n";
     return 2;

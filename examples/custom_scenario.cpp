@@ -1,7 +1,7 @@
 // Command-line scenario runner: compose your own interference experiment.
 //
 //   ./custom_scenario [--machine henri|bora|billy|pyxis]
-//                     [--kernel triad|copy|primes|avx|stencil|ai=<flop/B>]
+//                     [--kernel triad|copy|primes|avx|ai=<flop/B>]
 //                     [--cores N] [--bytes N]
 //                     [--data near|far] [--comm-thread near|far]
 //
@@ -12,7 +12,6 @@
 
 #include "core/interference_lab.hpp"
 #include "kernels/primes.hpp"
-#include "kernels/stencil.hpp"
 #include "kernels/stream.hpp"
 #include "kernels/tunable_triad.hpp"
 #include "kernels/vecflops.hpp"
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
       else if (k == "copy") s.kernel = kernels::copy_traits();
       else if (k == "primes") s.kernel = kernels::prime_traits();
       else if (k == "avx") s.kernel = kernels::VecFlops::traits();
-      else if (k == "stencil") s.kernel = kernels::Stencil3D::traits();
       else if (k.rfind("ai=", 0) == 0) {
         int cursor = kernels::TunableTriad::cursor_for_intensity(std::stod(k.substr(3)));
         s.kernel = kernels::TunableTriad(16, cursor).traits();

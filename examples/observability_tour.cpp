@@ -1,17 +1,19 @@
 // Observability tour: the cross-layer metrics registry and span tracer
-// (src/obs), plus the hardware counters (the pmu-tools substitute) and
-// frequency residency — the instruments behind Fig. 2/3/10.
+// (src/obs), read back as memory-controller counters (the pmu-tools
+// substitute) and, from the governor's transition trace, frequency
+// residency — the instruments behind Fig. 2/3/10.
 //
 // The tour enables the global obs::Registry up front, runs a small
 // task-DAG workload, dumps every metric the layers recorded, and writes
 // a Chrome trace file (open it at https://ui.perfetto.dev).
 #include <iostream>
+#include <map>
 
-#include "hw/counters.hpp"
 #include "kernels/stream.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/freq_trace.hpp"
 #include "trace/metrics_table.hpp"
 #include "trace/table.hpp"
 
@@ -24,9 +26,8 @@ int main() {
 
   net::Cluster cluster(net::ClusterSpec{});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
-
-  hw::CounterSampler counters(cluster.machine(0), 0.5e-3);
-  counters.start();
+  hw::Machine& node0 = cluster.machine(0);
+  trace::FreqTrace freqs(node0);  // every governor transition, timestamped
 
   runtime::RuntimeConfig cfg = runtime::RuntimeConfig::for_machine("henri");
   cfg.workers = 8;
@@ -45,12 +46,13 @@ int main() {
   for (auto* m : mids) runtime::Runtime::add_dependency(m, tail);
 
   auto& done = rt.run();
+  double finished = 0.0;
   cluster.engine().spawn([](runtime::Runtime& r, sim::OneShotEvent& d,
-                            hw::CounterSampler& c) -> sim::Coro {
+                            double& at) -> sim::Coro {
     co_await d;
+    at = r.engine().now();
     r.shutdown();
-    c.stop();
-  }(rt, done, counters));
+  }(rt, done, finished));
   cluster.engine().run();
 
   std::cout << "Task execution trace (Gantt rows):\n";
@@ -61,19 +63,41 @@ int main() {
                         trace::fmt(rec.end * 1e3, 3)});
   gantt.print(std::cout);
 
-  std::cout << "\nMemory-controller counters (node 0):\n";
-  trace::Table ctrl({"numa", "mean_util", "peak_pressure", "GB_moved"});
-  for (int n = 0; n < 4; ++n) {
-    auto s = counters.mem_ctrl_stats(n);
-    ctrl.add_text_row({std::to_string(n), trace::fmt(s.mean_utilization, 2),
-                       trace::fmt(s.peak_pressure, 2),
-                       trace::fmt(s.bytes_transferred / 1e9, 3)});
+  // The flow model integrates every resource's load exactly between
+  // change points, so the registry already holds each controller's bytes
+  // moved (work_units) and its peak utilization and pressure (gauge max).
+  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const auto peak = [&snap](const std::string& name) {
+    const obs::Snapshot::Entry* e = snap.find(name);
+    return e != nullptr ? e->max : 0.0;
+  };
+  std::cout << "\nMemory-controller counters (node 0, until the DAG finished at "
+            << trace::format_time(finished) << "):\n";
+  trace::Table ctrl({"numa", "mean_GBps", "peak_util", "peak_pressure", "GB_moved"});
+  for (int n = 0; n < node0.config().numa_count(); ++n) {
+    const std::string res = "sim.resource." + node0.mem_ctrl(n)->name();
+    const double bytes = snap.value_of(res + ".work_units");
+    ctrl.add_text_row({std::to_string(n), trace::fmt(bytes / finished / 1e9, 2),
+                       trace::fmt(peak(res + ".utilization"), 2),
+                       trace::fmt(peak(res + ".pressure"), 2), trace::fmt(bytes / 1e9, 3)});
   }
   ctrl.print(std::cout);
 
+  // Residency: the time between consecutive core-0 transitions, up to the
+  // DAG's finish.  Transitions at one instant (policy re-applied at start)
+  // leave states held for no time; those are not listed.
   std::cout << "\nFrequency residency of core 0 (seconds at each frequency):\n";
-  for (auto& [freq, seconds] : counters.freq_residency(0))
-    std::cout << "  " << freq / 1e9 << " GHz : " << trace::format_time(seconds) << "\n";
+  std::map<double, double> residency;
+  const trace::FreqTrace::Event* last = nullptr;
+  for (const trace::FreqTrace::Event& e : freqs.events()) {
+    if (e.core != 0 || e.time > finished) continue;
+    if (last != nullptr) residency[last->freq_hz] += e.time - last->time;
+    last = &e;
+  }
+  if (last != nullptr) residency[last->freq_hz] += finished - last->time;
+  for (const auto& [freq, seconds] : residency)
+    if (seconds > 0.0)
+      std::cout << "  " << freq / 1e9 << " GHz : " << trace::format_time(seconds) << "\n";
 
   // Everything above was also captured by the cross-layer registry: dump
   // it (name-sorted, deterministic) and export the span timeline.

@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sched/point.hpp"
-#include "sim/shard.hpp"
 
 namespace cci::core {
 
@@ -526,11 +525,6 @@ namespace {
 std::string cache_key_text(const Campaign& campaign, const SweepPoint& point) {
   std::ostringstream os;
   os << "cci-campaign-v" << kCampaignSchemaVersion << ';';
-  // Shard-parallel simulation is bitwise-deterministic at a *fixed* shard
-  // count, but gauges/histograms (heap depth, per-shard maxima) legitimately
-  // differ across counts — results cached at one shard setting must not be
-  // served for another.
-  put_int(os, "sim_shards", sim::configured_shards());
   os << "eval=" << campaign.evaluator_id() << ';';
   os << "axes=";
   for (const std::string& l : campaign.spec().axis_labels()) os << l << ',';

@@ -245,15 +245,17 @@ class Campaign {
 /// tests; the format is versioned by kCampaignSchemaVersion).
 void serialize_scenario(std::ostream& os, const Scenario& s);
 
-// v2: cache key folds in the simulation shard count (CCI_SIM_SHARDS /
-// --sim-shards), so cached points can never mix shard configurations.
+// v2: cache key folds in the process-wide simulation shard count, so
+// cached points can never mix shard configurations (dropped in v5).
 // v3: scenario serialization covers the fabric topology (kind, routing
 // policy, adaptive threshold, shape parameters) and the multi-job tenant
 // list (label, rank->node mapping, traffic shape per JobSpec).
 // v4: every entry stores the exact text its key hashes, and a load
 // compares it, so a 64-bit key collision is a counted rejection
 // (campaign.cache_rejected), never a wrong hit.
-inline constexpr int kCampaignSchemaVersion = 4;
+// v5: the key drops the simulation shard count: every evaluator that
+// shards names its count in code, so the count is part of the evaluator.
+inline constexpr int kCampaignSchemaVersion = 5;
 
 // ---- engine -----------------------------------------------------------------
 

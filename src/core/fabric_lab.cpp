@@ -366,9 +366,11 @@ sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
 }  // namespace
 
 FabricReport FabricLab::run_sharded(int shards) {
+  if (shards < 1)
+    throw std::invalid_argument("FabricLab::run_sharded: shards must be >= 1, got " +
+                                std::to_string(shards));
   const std::vector<JobSpec> jobs = checked_jobs(scenario_);
   const int nodes = node_count(jobs);
-  if (shards <= 0) shards = sim::configured_shards();
 
   const net::Topology& topo = scenario_.topology;
   if (topo.routing() != net::RoutingPolicy::kMinimal)

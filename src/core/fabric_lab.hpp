@@ -117,17 +117,17 @@ class FabricLab {
   /// cuts, so a dragonfly split at global links runs 3x longer windows
   /// than the generic floor and stays conservative.
   ///
-  /// `shards` <= 0 takes sim::configured_shards() (CCI_SIM_SHARDS).  At
+  /// `shards` must be >= 1 (std::invalid_argument otherwise).  At
   /// shards == 1 this is the plain serial engine — no workers, proxies or
   /// barriers — and bitwise-identical across runs; at a fixed shard count
-  /// > 1 runs are bitwise run-to-run deterministic (mailbox lanes and the
-  /// exchange are drained in deterministic order).  Requires kMinimal
+  /// > 1 runs are bitwise run-to-run deterministic (the exchange and the
+  /// barrier probe visit links in a fixed order).  Requires kMinimal
   /// routing: adaptive routing reads global utilization and the cluster
   /// RNG, neither of which survives the carve.  This is the fluid-fabric
   /// model (tx port, crossbars, links, rx port; no NIC/DMA stages), so
   /// compare run_sharded results across shard counts and against each
   /// other — not against run().
-  FabricReport run_sharded(int shards = 0);
+  FabricReport run_sharded(int shards);
 
   /// Cluster of the most recent run().  Route traces are always recorded
   /// (Cluster::route_trace), so determinism tests can byte-compare the

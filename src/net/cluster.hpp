@@ -81,8 +81,8 @@ class Cluster {
   /// offered-load sweep on a 1k-node fabric used to).  Byte-compare tests
   /// stay exact: at a fixed seed both runs drop the same prefix.
   [[nodiscard]] std::vector<RouteChoice> route_trace() const;
-  /// Decisions evicted from the ring since construction (like the shard
-  /// mailbox spill counter: nothing is lost silently).
+  /// Decisions evicted from the ring since construction: nothing is lost
+  /// silently.
   [[nodiscard]] std::uint64_t route_trace_dropped() const { return route_trace_dropped_; }
   [[nodiscard]] std::size_t route_trace_capacity() const { return route_trace_cap_; }
   /// Resize the ring (diagnostics that need deeper history); clears any

@@ -20,10 +20,9 @@ namespace cci::sched {
 namespace {
 
 constexpr const char* kKindNames[] = {
-    "thread_begin", "thread_end",    "queue_pop",     "queue_steal",
-    "registry_merge", "cache_read",  "cache_write",   "cache_rename",
-    "mailbox_post", "mailbox_drain", "barrier_arrive", "cond_wait",
-    "blocked_exit",
+    "thread_begin",   "thread_end",  "queue_pop",   "queue_steal",
+    "registry_merge", "cache_read",  "cache_write", "cache_rename",
+    "barrier_arrive", "cond_wait",   "blocked_exit",
 };
 constexpr std::size_t kKindCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
 

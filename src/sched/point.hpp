@@ -1,14 +1,14 @@
 // Schedule-exploration hook points for the concurrent host layers.
 //
 // The concurrent host code (work-stealing CampaignEngine, thread-local obs
-// registries with commutative merge, ShardGroup mailbox lanes) promises
+// registries with commutative merge, ShardGroup window barriers) promises
 // bitwise determinism: jobs=8 == jobs=1, shards=4 run-to-run identical.
 // Those promises are tested only under whatever interleavings CI hardware
 // happens to produce — until a controlled scheduler can *choose* the
 // interleaving.  This header is the instrumentation half of that scheduler:
 // a `CCI_SCHED_POINT(kind, id)` macro placed at every scheduling-relevant
 // operation (deque pop/steal, registry merge, cache read/write/rename,
-// mailbox post/drain, window-barrier arrival).
+// window-barrier arrival).
 //
 // Provenance pattern (mirrors CCI_OBS_DISABLE / CCI_SIM_POOLS): the macros
 // compile to nothing unless the build defines CCI_SCHED, so default builds
@@ -32,8 +32,8 @@
 namespace cci::sched {
 
 /// What kind of scheduling-relevant operation a hook point marks.  The kind
-/// (plus a small integer id: worker index, shard index, lane index, cache
-/// key low bits) names the step in recorded traces, so a minimized failing
+/// (plus a small integer id: worker index, shard index, cache key low
+/// bits) names the step in recorded traces, so a minimized failing
 /// trace reads as a story: "worker 1 stole from 0, then merged, then ...".
 enum class Kind : std::uint8_t {
   kThreadBegin,    ///< a registered thread's first stop (ThreadScope ctor)
@@ -44,8 +44,6 @@ enum class Kind : std::uint8_t {
   kCacheRead,      ///< result-cache entry load
   kCacheWrite,     ///< result-cache tmp-file write
   kCacheRename,    ///< result-cache tmp -> final rename (the publish step)
-  kMailboxPost,    ///< ShardGroup cross-shard lane push
-  kMailboxDrain,   ///< ShardGroup coordinator drains one lane at the barrier
   kBarrierArrive,  ///< ShardGroup worker arrives at the window barrier
   kCondWait,       ///< controlled condition re-check (cv_wait / await loops)
   kBlockedExit,    ///< thread re-enters the controlled world after a native wait

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -23,19 +21,10 @@ std::string shard_thread_name(int index) {
 
 namespace cci::sim {
 
-int configured_shards() {
-  const char* env = std::getenv("CCI_SIM_SHARDS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1 || v > INT_MAX) return 1;
-  return static_cast<int>(v);
-}
-
-ShardGroup::ShardGroup() : ShardGroup(Options{}) {}
-
-ShardGroup::ShardGroup(Options opts) : opts_(opts) {
-  n_ = opts_.shards > 0 ? opts_.shards : configured_shards();
+ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
+  if (n_ < 1)
+    throw std::invalid_argument("ShardGroup: shards must be >= 1, got " +
+                                std::to_string(n_));
   if (opts_.lookahead <= 0.0)
     throw std::invalid_argument("ShardGroup: lookahead must be > 0");
   shards_.reserve(static_cast<std::size_t>(n_));
@@ -48,11 +37,8 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts) {
     shards_.push_back(std::move(sh));
     return;
   }
-  lanes_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
   const bool obs_on = obs::Registry::global().enabled();
   obs_windows_ = &obs::Registry::global().counter("sim.shard.windows");
-  obs_messages_ = &obs::Registry::global().counter("sim.shard.messages");
-  obs_spills_ = &obs::Registry::global().counter("sim.shard.spills");
   obs_exchanges_ = &obs::Registry::global().counter("sim.shard.exchanges");
   for (int s = 0; s < n_; ++s) {
     auto sh = std::make_unique<Shard>();
@@ -64,7 +50,7 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts) {
   for (int s = 0; s < n_; ++s) {
     Shard* sh = shards_[static_cast<std::size_t>(s)].get();
     CCI_SCHED_EXPECT_THREAD(shard_thread_name(s).c_str());
-    sh->thread = std::thread(&ShardGroup::worker_main, this, sh);
+    sh->thread = std::thread(&ShardGroup::worker_main, sh);
   }
   // Engines come up on the workers (busy starts true, cleared after
   // construction); wait so engine(s) is valid once the ctor returns.
@@ -100,12 +86,7 @@ ShardGroup::Shard& ShardGroup::shard_at(int s) {
   return *shards_[static_cast<std::size_t>(s)];
 }
 
-obs::Registry& ShardGroup::registry(int s) {
-  if (n_ == 1) return obs::Registry::global();
-  return *shard_at(s).registry;
-}
-
-void ShardGroup::worker_main(ShardGroup* group, Shard* shard) {
+void ShardGroup::worker_main(Shard* shard) {
   // The shard registry is this thread's Registry::global() for the whole
   // worker lifetime: the engine's metric handles, every FlowModel built via
   // with_shard(), and all pool-stat channels bind into it.  The engine is
@@ -155,7 +136,6 @@ void ShardGroup::worker_main(ShardGroup* group, Shard* shard) {
     }
   }
   shard->engine.reset();
-  (void)group;
 }
 
 void ShardGroup::submit(Shard& sh, std::function<void()> job) {
@@ -208,49 +188,6 @@ void ShardGroup::with_each_shard(const std::function<void(int, Engine&)>& fn) {
   rethrow_any();
 }
 
-void ShardGroup::post(int from, int to, Time at, EventQueue::Callback fn) {
-  assert(from >= 0 && from < n_ && to >= 0 && to < n_);
-  if (n_ == 1 || from == to) {
-    shard_at(to).engine->call_at(at, std::move(fn));
-    return;
-  }
-  if (opts_.lookahead == kNever)
-    throw std::logic_error(
-        "ShardGroup: cross-shard post in a shard-closed group "
-        "(construct with a finite lookahead)");
-  // The conservative contract: the sender may not reach closer than one
-  // lookahead to the delivery time, or the window proof breaks down.
-  assert(at >= shard_at(from).engine->now() + opts_.lookahead - kTimeEpsilon);
-  CCI_SCHED_POINT(kMailboxPost, static_cast<std::uint64_t>(from) *
-                                        static_cast<std::uint64_t>(n_) +
-                                    static_cast<std::uint64_t>(to));
-  Lane& lane = lanes_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-                      static_cast<std::size_t>(to)];
-  if (lane.mail.size() >= opts_.mailbox_capacity) ++lane.spills;
-  lane.mail.push_back(Mail{at, std::move(fn)});
-}
-
-void ShardGroup::drain_mail() {
-  // Deterministic delivery: (receiver asc, sender asc, FIFO within lane).
-  // The receiving queue stamps its own sequence numbers in this order, so
-  // same-instant ties resolve identically run after run.
-  for (int to = 0; to < n_; ++to) {
-    Engine& dst = *shard_at(to).engine;
-    for (int from = 0; from < n_; ++from) {
-      CCI_SCHED_POINT(kMailboxDrain, static_cast<std::uint64_t>(from) *
-                                             static_cast<std::uint64_t>(n_) +
-                                         static_cast<std::uint64_t>(to));
-      Lane& lane = lanes_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-                          static_cast<std::size_t>(to)];
-      stats_.messages += lane.mail.size();
-      stats_.spills += lane.spills;
-      lane.spills = 0;
-      for (Mail& m : lane.mail) dst.call_at(m.at, std::move(m.fn));
-      lane.mail.clear();  // keeps capacity: steady-state lanes do not allocate
-    }
-  }
-}
-
 Time ShardGroup::run(Time until) {
   if (n_ == 1) return shard_at(0).engine->run(until);
   const auto run_window = [this](Time horizon) {
@@ -280,12 +217,11 @@ Time ShardGroup::run(Time until) {
     rethrow_any();
   };
   for (;;) {
-    drain_mail();
     Time tmin = kNever;
     for (auto& sh : shards_) tmin = std::min(tmin, sh->engine->next_event_time());
     if (tmin == kNever || tmin > until) {
       // Nothing left below the caller's horizon: advance every clock (and
-      // sampler) to `until` and stop.  No events run, so no new mail.
+      // sampler) to `until` and stop.
       run_window(until);
       break;
     }
@@ -364,8 +300,6 @@ void ShardGroup::publish_stats() {
     }
   };
   flush(obs_windows_, stats_.windows, published_.windows);
-  flush(obs_messages_, stats_.messages, published_.messages);
-  flush(obs_spills_, stats_.spills, published_.spills);
   flush(obs_exchanges_, stats_.exchanges, published_.exchanges);
 }
 

@@ -11,29 +11,27 @@
 //
 //     W = min over shards of (earliest pending event) + lookahead
 //
-// where `lookahead` is the minimum cross-shard delivery delay — for node
-// groups separated by a fabric, NetworkParams::min_remote_delay() (LogGP
-// wire latency plus the DMA engine's per-byte floor).  Every shard may
-// process all events with t <= W: a cross-shard message sent from an event
-// at time t has delivery >= t + lookahead >= W, so it can never land in a
-// receiver's past.  Cross-shard sends go through per-(sender, receiver)
-// mailbox lanes drained at the barrier in deterministic (receiver,
-// sender, FIFO) order, which makes multi-shard runs bitwise reproducible.
+// where `lookahead` is the minimum cross-shard coupling delay — for node
+// groups separated by a fabric, the delay of the cheapest link class the
+// carve cuts (Topology::min_cut_delay).  Every shard may process all
+// events with t <= W; at the barrier the coordinator exchanges boundary
+// capacities and runs the barrier probe in a fixed order, which makes
+// multi-shard runs bitwise reproducible at a fixed shard count.
 //
-// Thread/memory discipline (this is what keeps the pooled hot path of PR 5
-// safe): each shard's Engine is constructed, run, and destroyed on its
-// worker thread, with the shard's private obs::Registry installed as the
-// thread's Registry::global() for the worker's whole lifetime.  Coroutine
-// frames therefore live and die in the worker's thread-local FrameArena,
-// and metric handles bind into the shard registry.  Build and tear down
+// Thread/memory discipline (this is what keeps the pooled hot path of
+// sim/pool.hpp safe): each shard's Engine is constructed, run, and
+// destroyed on its worker thread, with the shard's private obs::Registry
+// installed as the thread's Registry::global() for the worker's whole
+// lifetime.  Coroutine frames therefore live and die in the worker's
+// thread-local FrameArena, and metric handles bind into the shard
+// registry.  Build and tear down
 // shard-owned scenario state (FlowModel, activities, processes) inside
 // with_shard() or with_each_shard() for the same reason.
 //
 // shards == 1 is special-cased to *no* parallel machinery at all: the one
 // Engine is constructed inline on the caller's thread, with the caller's
-// registry, no worker, no mailbox, no extra counters — byte-for-byte the
-// serial engine, which is what makes `CCI_SIM_SHARDS=1` bitwise-identical
-// to pre-shard behaviour.
+// registry, no worker, no barrier, no extra counters — byte-for-byte the
+// serial engine.
 #pragma once
 
 #include <condition_variable>
@@ -47,43 +45,29 @@
 
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace cci::sim {
 
 class Resource;
 
-/// Shard count requested via the CCI_SIM_SHARDS environment variable
-/// (re-read on every call, like CCI_SIM_POOLS).  Unset, empty, or
-/// unparsable values — including counts beyond INT_MAX — mean 1, the
-/// serial engine.
-int configured_shards();
-
 class ShardGroup {
  public:
   struct Options {
-    /// Number of shards; 0 means "take configured_shards()".
-    int shards = 0;
-    /// Minimum cross-shard delivery delay (window size).  kNever declares
-    /// the scenario shard-closed: no cross-shard messages are allowed and
-    /// every shard runs to the horizon in a single window.  Must be > 0.
+    /// Number of shards, >= 1.
+    int shards = 1;
+    /// Minimum cross-shard coupling delay (window size).  kNever declares
+    /// the scenario shard-closed: every shard runs to the horizon in a
+    /// single window.  Must be > 0.
     Time lookahead = kNever;
-    /// Soft per-lane mailbox bound: exceeding it is recorded as a spill
-    /// (sim.shard.spills / Stats::spills) for capacity diagnostics, but
-    /// messages are never dropped — that would change the simulation.
-    std::size_t mailbox_capacity = 4096;
   };
 
-  ShardGroup();  ///< defaulted Options (defined out-of-line: GCC rejects
-                 ///< `Options opts = {}` while the enclosing class is open)
   explicit ShardGroup(Options opts);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
   ~ShardGroup();
 
   [[nodiscard]] int shards() const { return n_; }
-  [[nodiscard]] Time lookahead() const { return opts_.lookahead; }
 
   /// Run `fn(engine)` on shard s's worker thread (inline on the caller's
   /// thread when shards() == 1) and wait for it.  All construction and
@@ -104,18 +88,8 @@ class ShardGroup {
   /// mutate only from with_shard() (or freely when shards() == 1).
   [[nodiscard]] Engine& engine(int s) { return *shard_at(s).engine; }
 
-  /// Shard s's private metrics registry (the caller's global registry when
-  /// shards() == 1).
-  [[nodiscard]] obs::Registry& registry(int s);
-
-  /// Cross-shard message: run `fn` on shard `to` at absolute time `at`.
-  /// Same-shard posts collapse to a plain Engine::call_at.  Cross-shard
-  /// posts are only legal from shard `from`'s worker during a window, need
-  /// a finite lookahead, and must honour it: at >= sender now + lookahead.
-  void post(int from, int to, Time at, EventQueue::Callback fn);
-
   /// Conservative-window loop: repeatedly compute the horizon, run every
-  /// shard up to it in parallel, and drain cross-shard mailboxes at the
+  /// shard up to it in parallel, and exchange boundary capacities at the
   /// barrier, until all queues drain or `until` is reached.  A SimStalled
   /// (or any exception) thrown inside a shard aborts the run after the
   /// window barrier and is rethrown in shard-index order — deterministic
@@ -159,24 +133,11 @@ class ShardGroup {
 
   struct Stats {
     std::uint64_t windows = 0;    ///< synchronisation windows executed
-    std::uint64_t messages = 0;   ///< cross-shard messages delivered
-    std::uint64_t spills = 0;     ///< lane pushes beyond mailbox_capacity
     std::uint64_t exchanges = 0;  ///< boundary capacity updates delivered
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  struct Mail {
-    Time at = 0.0;
-    EventQueue::Callback fn;
-  };
-  /// One direction of one (sender, receiver) pair.  Written only by the
-  /// sender's worker during a window, drained only by the coordinator at
-  /// the barrier; the job-slot mutex handoff orders the two.
-  struct Lane {
-    std::vector<Mail> mail;
-    std::uint64_t spills = 0;
-  };
   struct Shard {
     int index = 0;  ///< position in shards_; names the worker in diagnostics
     std::unique_ptr<obs::Registry> registry;
@@ -195,13 +156,10 @@ class ShardGroup {
   void stop_workers();
   void submit(Shard& sh, std::function<void()> job);
   void wait(Shard& sh);
-  static void worker_main(ShardGroup* group, Shard* shard);
+  static void worker_main(Shard* shard);
   /// Clear every stored worker exception and rethrow the lowest shard
   /// index's, if any.
   void rethrow_any();
-  /// Deliver all mailbox lanes into the receiving engines; runs on the
-  /// coordinator while every worker is parked at the barrier.
-  void drain_mail();
   /// Damped residual-capacity exchange over every boundary link; runs on
   /// the coordinator at the window barrier, posting set_capacity events at
   /// `barrier` into the replicas' engines.
@@ -223,15 +181,12 @@ class ShardGroup {
   Options opts_;
   int n_ = 1;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Lane> lanes_;  ///< lanes_[from * n_ + to], multi-shard only
   std::vector<Boundary> boundaries_;
   std::function<void(Time)> barrier_probe_;
   Stats stats_;
   Stats published_;  ///< counters already flushed to obs
   // sim.shard.* counters in the coordinator's registry; multi-shard only.
   obs::Counter* obs_windows_ = nullptr;
-  obs::Counter* obs_messages_ = nullptr;
-  obs::Counter* obs_spills_ = nullptr;
   obs::Counter* obs_exchanges_ = nullptr;
 };
 

@@ -3,7 +3,6 @@
 // determinism contract (threads, shards, schema-v3 cache keys).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -186,22 +185,6 @@ TEST(FabricLab, RepeatRunsAreBitwiseIdentical) {
     EXPECT_EQ(trace_a[i].dst, trace_b[i].dst);
     EXPECT_EQ(trace_a[i].via, trace_b[i].via);
   }
-}
-
-TEST(FabricLab, SimShardCountDoesNotTouchTheLab) {
-  // FabricLab always runs its cluster serially (one engine, one event
-  // order); CCI_SIM_SHARDS must not leak into its physics.
-  Scenario s = contended_fat_tree();
-  s.topology.routing(net::RoutingPolicy::kAdaptive);
-  FabricReport base = FabricLab(s).run();
-  setenv("CCI_SIM_SHARDS", "4", 1);
-  FabricReport sharded = FabricLab(s).run();
-  unsetenv("CCI_SIM_SHARDS");
-  EXPECT_EQ(base.elapsed, sharded.elapsed);
-  EXPECT_EQ(base.routes, sharded.routes);
-  EXPECT_EQ(base.reroutes, sharded.reroutes);
-  for (std::size_t i = 0; i < base.tenants.size(); ++i)
-    EXPECT_EQ(base.tenants[i].finish, sharded.tenants[i].finish);
 }
 
 // ---- campaign integration ---------------------------------------------------

@@ -282,6 +282,22 @@ TEST(FabricShard, ShardedRunDeliversTheSameBytesAsSerial) {
   EXPECT_GT(split.elapsed, 0.0);
 }
 
+TEST(FabricShard, ShardCountBelowOneThrows) {
+  // There is no default count: zero and negative counts are errors that
+  // name the value.
+  FabricLab lab(interleaved_rings(4, 2, 2, 2));
+  for (int shards : {0, -1}) {
+    try {
+      lab.run_sharded(shards);
+      ADD_FAILURE() << "run_sharded(" << shards << ") did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(shards)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FabricShard, AdaptiveRoutingIsRejected) {
   Scenario s = interleaved_rings(4, 2, 2, 2);
   s.topology.routing(net::RoutingPolicy::kAdaptive);

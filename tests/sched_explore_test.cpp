@@ -1,8 +1,9 @@
 // Explorer-driven determinism oracles over the real concurrent layers:
-// campaign jobs=8 vs serial, 2-shard ShardGroup runs, mailbox drain order,
-// the planted merge-order mutation, and a bounded-exhaustive small
-// campaign.  These tests only bite in instrumented builds (-DCCI_SCHED=ON);
-// elsewhere the whole suite skips so default ctest stays seed-equivalent.
+// campaign jobs=8 vs serial, 2-shard ShardGroup runs, boundary-proxy
+// exchange across 3 fabric shards, the planted merge-order mutation, and a
+// bounded-exhaustive small campaign.  These tests only bite in instrumented
+// builds (-DCCI_SCHED=ON); elsewhere the whole suite skips so default ctest
+// stays seed-equivalent.
 //
 // Environment knobs (all optional):
 //   CCI_SCHED_SEEDS      how many random seeds per oracle test (default 5;
@@ -20,6 +21,7 @@ TEST(SchedExplore, RequiresInstrumentedBuild) {
 
 #else  // CCI_SCHED
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -265,57 +267,48 @@ TEST(SchedExplore, TwoShardRunsAreScheduleInvariant) {
   }
 }
 
-// ---- mailbox-lane stress (satellite: drain order + spill accounting) --------
+// ---- boundary-exchange oracle -----------------------------------------------
 
-struct MailboxRun {
-  std::vector<std::vector<std::string>> delivered;  // per receiver, in order
-  std::uint64_t messages = 0;
-  std::uint64_t spills = 0;
-
-  bool operator==(const MailboxRun& o) const {
-    return delivered == o.delivered && messages == o.messages && spills == o.spills;
+/// Everything a sharded fabric run decides at its window barriers, as exact
+/// text: tenant rows, link peaks, and the window and exchange counts.
+std::string fabric_report_text(const core::FabricReport& r) {
+  std::ostringstream os;
+  char buf[256];
+  for (const core::TenantReport& t : r.tenants) {
+    const trace::Stats& d = t.delivery_latency;
+    std::snprintf(buf, sizeof buf, "tenant %s %.17g %.17g %.17g | %zu %.17g %.17g %.17g\n",
+                  t.label.c_str(), t.bytes, t.finish, t.achieved_bw, d.n, d.median,
+                  d.mean, d.max);
+    os << buf;
   }
-};
-
-/// Every shard posts tagged messages to both other shards at staggered
-/// times, overflowing the tiny per-lane capacity on purpose.  Each
-/// receiver's delivery sequence is recorded by its own worker only, so the
-/// observable is race-free by construction and must be schedule-invariant.
-MailboxRun run_mailbox_stress() {
-  sim::ShardGroup::Options go;
-  go.shards = 3;
-  go.lookahead = 1.0;
-  go.mailbox_capacity = 2;
-  sim::ShardGroup group(go);
-  MailboxRun out;
-  out.delivered.resize(3);
-  for (int from = 0; from < 3; ++from) {
-    group.with_shard(from, [&group, &out, from](sim::Engine& eng) {
-      eng.call_at(0.0, [&group, &out, from] {
-        for (int burst = 0; burst < 4; ++burst)
-          for (int hop = 1; hop <= 2; ++hop) {
-            const int to = (from + hop) % 3;
-            const sim::Time at = 1.0 + 0.125 * burst;
-            const std::string tag = std::to_string(from) + "->" + std::to_string(to) +
-                                    "@" + std::to_string(burst);
-            group.post(from, to, at, [&out, to, tag] {
-              out.delivered[static_cast<std::size_t>(to)].push_back(tag);
-            });
-          }
-      });
-    });
+  for (const core::LinkReport& l : r.links) {
+    std::snprintf(buf, sizeof buf, "link %s %.17g\n", l.name.c_str(), l.peak);
+    os << buf;
   }
-  group.run();
-  out.messages = group.stats().messages;
-  out.spills = group.stats().spills;
-  return out;
+  os << "windows " << r.windows << " exchanges " << r.exchanges << '\n';
+  return os.str();
 }
 
-TEST(SchedExplore, MailboxDrainOrderAndSpillsAreScheduleInvariant) {
-  const MailboxRun ref = run_mailbox_stress();  // uncontrolled reference
-  ASSERT_EQ(ref.messages, 24u);                 // 3 senders x 2 receivers x 4 bursts
-  ASSERT_GT(ref.spills, 0u) << "stress must overflow the lane capacity";
-  for (const auto& seq : ref.delivered) ASSERT_EQ(seq.size(), 8u);
+/// One ring over every host of a 4-group dragonfly, carved into 3 shards:
+/// the ring crosses groups, so the carve cuts global links and the shards
+/// couple only through boundary-proxy exchange and the barrier probe.
+core::FabricReport run_boundary_exchange() {
+  core::Scenario s;
+  s.topology = net::Topology::dragonfly(4, 2, 2);
+  core::JobSpec ring;
+  ring.label = "ring";
+  ring.iterations = 2;
+  ring.pattern = core::TrafficPattern::kRing;
+  for (int n = 0; n < 16; ++n) ring.nodes.push_back(n);
+  s.jobs = {ring};
+  return core::FabricLab(std::move(s)).run_sharded(3);
+}
+
+TEST(SchedExplore, BoundaryExchangeIsScheduleInvariant) {
+  const core::FabricReport ref = run_boundary_exchange();  // uncontrolled reference
+  ASSERT_GT(ref.boundary_links, 0) << "the carve must cut links";
+  ASSERT_GT(ref.windows, 1u) << "the run must cross window barriers";
+  const std::string ref_text = fabric_report_text(ref);
 
   const int seeds = seeds_from_env();
   for (int seed = 1; seed <= seeds; ++seed) {
@@ -323,13 +316,12 @@ TEST(SchedExplore, MailboxDrainOrderAndSpillsAreScheduleInvariant) {
     o.mode = sched::Options::Mode::kRandom;
     o.seed = static_cast<std::uint64_t>(seed);
     sched::Session session(o);
-    const MailboxRun got = run_mailbox_stress();
+    const std::string got = fabric_report_text(run_boundary_exchange());
     ASSERT_EQ(session.error(), "") << "seed " << seed;
-    if (!(got == ref))
-      FAIL() << "mailbox drain order or spill accounting changed under schedule seed "
-             << seed << "; "
+    if (got != ref_text)
+      FAIL() << "boundary exchange diverged under schedule seed " << seed << "; "
              << save_failing_trace(session.trace(),
-                                   "mailbox_seed" + std::to_string(seed));
+                                   "boundary_seed" + std::to_string(seed));
   }
 }
 

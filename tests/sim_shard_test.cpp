@@ -1,12 +1,11 @@
-// Conservative-window shard-parallel simulation: shard-count parsing,
+// Conservative-window shard-parallel simulation: boundary-proxy exchange,
 // serial-path equivalence, run-to-run and cross-shard-count determinism,
-// mailbox delivery, and error propagation.
+// jobs on every shard, and error propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -108,25 +107,6 @@ struct GroupedScenario {
   }
 };
 
-// ---- shard count ------------------------------------------------------------
-
-TEST(ShardConfig, ConfiguredShardsParsesEnvironment) {
-  unsetenv("CCI_SIM_SHARDS");
-  EXPECT_EQ(configured_shards(), 1);
-  setenv("CCI_SIM_SHARDS", "4", 1);
-  EXPECT_EQ(configured_shards(), 4);
-  setenv("CCI_SIM_SHARDS", "0", 1);
-  EXPECT_EQ(configured_shards(), 1);
-  setenv("CCI_SIM_SHARDS", "garbage", 1);
-  EXPECT_EQ(configured_shards(), 1);
-  // Counts beyond INT_MAX are unparsable, not wrapped into an int.
-  for (const char* huge : {"2147483648", "3000000000", "99999999999"}) {
-    setenv("CCI_SIM_SHARDS", huge, 1);
-    EXPECT_EQ(configured_shards(), 1) << huge;
-  }
-  unsetenv("CCI_SIM_SHARDS");
-}
-
 // ---- boundary proxies -------------------------------------------------------
 
 /// One fluid transfer of `work` through `res`; records its finish instant.
@@ -189,8 +169,6 @@ TEST(ShardBoundary, ResidualExchangeSplitsASharedLinkFairly) {
   EXPECT_LT(sc.side[0].done[0], 12.0);
   EXPECT_GT(sc.group.stats().exchanges, 0u);
   EXPECT_GT(sc.group.stats().windows, 4u);
-  // No cross-shard mail is involved: the exchange is the only coupling.
-  EXPECT_EQ(sc.group.stats().messages, 0u);
 }
 
 TEST(ShardBoundary, ExchangeRestoresCapacityWhenALoadDrains) {
@@ -313,8 +291,10 @@ ShardRunResult run_sharded(int shards, Time lookahead, bool with_timeline) {
         sl.store = std::make_unique<obs::TimelineStore>();
         obs::SamplerConfig cfg;
         cfg.period = 0.25;
-        sl.sampler =
-            std::make_unique<obs::Sampler>(s.group.registry(sh), *sl.store, cfg);
+        // On the worker, global() is the shard's own registry (the
+        // caller's at one shard).
+        sl.sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
+                                                    *sl.store, cfg);
         eng.set_sampler(sl.sampler.get());
       });
     }
@@ -381,71 +361,6 @@ TEST(ShardGroupDeterminism, FiniteLookaheadMatchesShardClosedResults) {
   EXPECT_EQ(closed.events, windowed.events);
   EXPECT_EQ(closed.end, windowed.end);
   EXPECT_GT(windowed.windows, 1u);
-}
-
-// ---- cross-shard mail -------------------------------------------------------
-
-TEST(ShardMailbox, DeliversCrossShardPostsAtTheirInstant) {
-  ShardGroup::Options o;
-  o.shards = 2;
-  o.lookahead = 2.0;
-  ShardGroup group(o);
-  std::vector<Time> received;  // written by shard 1's worker only
-  group.with_shard(0, [&](Engine& eng) {
-    for (int i = 0; i < 3; ++i) {
-      const Time t = static_cast<Time>(i);
-      eng.call_at(t, [&group, &received, t] {
-        group.post(0, 1, t + 2.0, [&group, &received] {
-          received.push_back(group.engine(1).now());
-        });
-      });
-    }
-  });
-  group.run();
-  EXPECT_EQ(received, (std::vector<Time>{2.0, 3.0, 4.0}));
-  EXPECT_EQ(group.stats().messages, 3u);
-  EXPECT_GE(group.stats().windows, 2u);
-  EXPECT_EQ(group.stats().spills, 0u);
-}
-
-TEST(ShardMailbox, SpillsAreCountedNeverDropped) {
-  ShardGroup::Options o;
-  o.shards = 2;
-  o.lookahead = 1.0;
-  o.mailbox_capacity = 1;
-  ShardGroup group(o);
-  std::vector<Time> received;
-  group.with_shard(0, [&](Engine& eng) {
-    eng.call_at(0.0, [&group, &received] {
-      for (int i = 0; i < 3; ++i)
-        group.post(0, 1, 1.0 + 0.125 * i, [&group, &received] {
-          received.push_back(group.engine(1).now());
-        });
-    });
-  });
-  group.run();
-  EXPECT_EQ(received, (std::vector<Time>{1.0, 1.125, 1.25}));
-  EXPECT_EQ(group.stats().messages, 3u);
-  EXPECT_EQ(group.stats().spills, 2u);  // lane pushes 2 and 3 exceeded cap 1
-}
-
-TEST(ShardMailbox, CrossShardPostInShardClosedGroupThrows) {
-  ShardGroup::Options o;
-  o.shards = 2;  // lookahead stays kNever: declared shard-closed
-  ShardGroup group(o);
-  bool threw = false;
-  group.with_shard(0, [&](Engine& eng) {
-    eng.call_at(0.0, [&group, &threw] {
-      try {
-        group.post(0, 1, 100.0, [] {});
-      } catch (const std::logic_error&) {
-        threw = true;
-      }
-    });
-  });
-  group.run();
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(group.stats().messages, 0u);
 }
 
 // ---- jobs on every shard at once ---------------------------------------------
@@ -558,6 +473,19 @@ TEST(ShardGroupErrors, InvalidLookaheadRejectedAtConstruction) {
   o.shards = 2;
   o.lookahead = 0.0;
   EXPECT_THROW(ShardGroup g(o), std::invalid_argument);
+}
+
+TEST(ShardGroupErrors, ShardCountBelowOneRejectedAtConstruction) {
+  for (int shards : {0, -3}) {
+    try {
+      ShardGroup g(shard_options(shards));
+      ADD_FAILURE() << "shards = " << shards << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(shards)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
