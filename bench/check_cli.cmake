@@ -10,6 +10,45 @@
 #   -DCCI_BENCH=<exe> -DRESULTS=a -DRECORDS=path
 #                                      `CCI_RESULTS=path cci_bench a` exits 0 and
 #                                      writes JSON records for bench a to path
+#   ... -DRESULTS=a -DRECORDS=path -DUNWRITABLE=1
+#                                      `CCI_RESULTS=path cci_bench a` exits 2 and
+#                                      names path before a prints anything
+#   -DCCI_BENCH=<exe> -DTIMELINE=a -DTIMELINE_FILE=path -DEXPECT=rows
+#                                      `cci_bench a --timeline path` exits 0 and
+#                                      writes rows below the CSV header
+#   ... -DEXPECT=no_campaign           the same exits 2 with a named error and
+#                                      leaves an existing path as it was
+if(DEFINED TIMELINE)
+  if(EXPECT STREQUAL "no_campaign")
+    file(WRITE "${TIMELINE_FILE}" "keep\n")
+  else()
+    file(REMOVE "${TIMELINE_FILE}")
+  endif()
+  execute_process(COMMAND ${CCI_BENCH} ${TIMELINE} --timeline ${TIMELINE_FILE}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(EXPECT STREQUAL "no_campaign")
+    if(NOT rc EQUAL 2)
+      message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: exit code ${rc}, expected 2")
+    endif()
+    string(FIND "${err}" "runs no campaign" named)
+    file(READ "${TIMELINE_FILE}" kept)
+    if(named EQUAL -1 OR NOT kept STREQUAL "keep\n")
+      message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: want a named error and the "
+                          "file left as it was\nstderr: ${err}\nfile: ${kept}")
+    endif()
+    return()
+  endif()
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: exit code ${rc}, expected 0\n${err}")
+  endif()
+  file(STRINGS "${TIMELINE_FILE}" lines LIMIT_COUNT 2)
+  list(LENGTH lines count)
+  if(count LESS 2)
+    message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: no rows below the header")
+  endif()
+  return()
+endif()
+
 if(DEFINED METRICS)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env CCI_METRICS=1 ${CCI_BENCH} ${METRICS}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out)
@@ -20,6 +59,20 @@ if(DEFINED METRICS)
   string(FIND "${out}" "sim.engine.events_dispatched" events)
   if(at EQUAL -1 OR events EQUAL -1)
     message(FATAL_ERROR "CCI_METRICS=1 cci_bench ${METRICS}: no end-of-run metrics table\n${out}")
+  endif()
+  return()
+endif()
+
+if(DEFINED RESULTS AND UNWRITABLE)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCI_RESULTS=${RECORDS} ${CCI_BENCH} ${RESULTS}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "CCI_RESULTS=${RECORDS} cci_bench ${RESULTS}: exit code ${rc}, expected 2")
+  endif()
+  string(FIND "${err}" "${RECORDS}" named)
+  if(named EQUAL -1 OR NOT out STREQUAL "")
+    message(FATAL_ERROR "CCI_RESULTS=${RECORDS} cci_bench ${RESULTS}: want the path named "
+                        "before the figure runs\nstdout: ${out}\nstderr: ${err}")
   endif()
   return()
 endif()

@@ -7,8 +7,6 @@
 // git history of this file) and the gap must stay below ~5%.
 #include <benchmark/benchmark.h>
 
-#include <optional>
-
 #include "mpi/pingpong.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -54,13 +52,15 @@ BENCHMARK(BM_PingPong)
     ->Arg(static_cast<int>(ObsMode::kTracing))
     ->ArgNames({"mode(0=off,1=metrics,2=trace)"});
 
-// Sampler overhead on the ping-pong workload.  mode 0: sampler detached —
-// the engine pays one pointer test per event and the timeline must stay
-// exactly empty (sampler_rows is a zero baseline in
-// bench/baselines/micro_obs_sampler.json, guarded at tolerance 0).
-// mode 1: sampler attached at a 10 us simulated period — sampler_rows is a
-// fixed-seed deterministic row count; a growth means a metric started
-// churning every tick (or the deny lists stopped filtering), not noise.
+// Sampler overhead on the ping-pong workload.  mode 0: the engine is
+// built with the ambient sampling off, so it has no sampler — it pays one
+// pointer test per event and the timeline must stay exactly empty
+// (sampler_rows is a zero baseline in bench/baselines/micro_obs_sampler.json,
+// guarded at tolerance 0).  mode 1: the engine is built inside an
+// obs::ScopedRunSampling at a 10 us simulated period and samples into the
+// store itself — sampler_rows is a fixed-seed deterministic row count; a
+// growth means a metric started churning every tick (or the deny lists
+// stopped filtering), not noise.
 void BM_SamplerPingPong(benchmark::State& state) {
   const bool attached = state.range(0) != 0;
   auto& reg = obs::Registry::global();
@@ -71,24 +71,24 @@ void BM_SamplerPingPong(benchmark::State& state) {
     // deltas — the row count is then identical across iterations.
     reg.reset();
     reg.set_enabled(true);
+    obs::TimelineStore store;
+    obs::RunSampling rs;
+    if (attached) {
+      rs.timeline_period = 1e-5;
+      rs.timeline = &store;
+    }
+    obs::ScopedRunSampling sampling(rs);
     net::Cluster cluster(net::ClusterSpec{});
     mpi::World world(cluster, {{0, -1}, {1, -1}});
     mpi::PingPongOptions opt;
     opt.bytes = 4;
     opt.iterations = 100;
     mpi::PingPong pp(world, 0, 1, opt);
-    obs::TimelineStore store;
-    std::optional<obs::Sampler> sampler;
-    if (attached) {
-      obs::SamplerConfig sc;
-      sc.period = 1e-5;
-      sampler.emplace(reg, store, std::move(sc));
-      cluster.engine().set_sampler(&*sampler);
-    }
     pp.start();
     cluster.engine().run();
     rows = static_cast<double>(store.size());
-    ticks = attached ? static_cast<double>(sampler->samples_taken()) : 0.0;
+    const obs::Sampler* sampler = cluster.engine().sampler();
+    ticks = sampler != nullptr ? static_cast<double>(sampler->samples_taken()) : 0.0;
     benchmark::DoNotOptimize(rows);
   }
   state.counters["sampler_rows"] = rows;

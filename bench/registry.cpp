@@ -7,9 +7,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <system_error>
 
 #include "core/result_io.hpp"
 #include "trace/metrics_table.hpp"
@@ -20,13 +22,16 @@
 
 namespace cci::bench {
 
+std::string BenchObs::results_path_from_env() {
+  if (const char* results = std::getenv("CCI_RESULTS")) return results;
+  const char* trace = std::getenv("CCI_TRACE");  // tracing iff non-empty
+  return trace != nullptr && trace[0] != '\0' ? std::string(trace) + ".records.json" : "";
+}
+
 BenchObs::BenchObs(std::string bench_name)
-    : bench_(std::move(bench_name)), session_(obs::Session::from_env()) {
-  if (const char* results = std::getenv("CCI_RESULTS")) {
-    results_path_ = results;
-  } else if (session_.tracing()) {
-    results_path_ = session_.path() + ".records.json";
-  }
+    : bench_(std::move(bench_name)),
+      session_(obs::Session::from_env()),
+      results_path_(results_path_from_env()) {
   if (!results_path_.empty()) obs::Registry::global().set_enabled(true);
 }
 
@@ -58,12 +63,23 @@ void FigureContext::print(const trace::Table& table, const std::string& name) {
   }
 }
 
-void FigureContext::print(const core::Campaign& campaign, const core::CampaignRun& run) {
-  print(run.table(campaign), campaign.name());
-  if (timeline_ != nullptr && !run.timelines.empty()) {
-    run.write_timeline_csv(*timeline_, campaign.name(), !timeline_header_written_);
+core::CampaignRun FigureContext::run(const core::Campaign& campaign) {
+  ran_campaign_ = true;
+  core::CampaignRun run = engine_.run(campaign);
+  if (timeline_path_.empty() || timeline_failed_) return run;
+  if (!timeline_.is_open()) timeline_.open(timeline_path_, std::ios::trunc);
+  if (!timeline_) {
+    std::cerr << "cci_bench: cannot write --timeline path " << timeline_path_ << '\n';
+    timeline_failed_ = true;
+  } else if (!run.timelines.empty()) {
+    run.write_timeline_csv(timeline_, campaign.name(), !timeline_header_written_);
     timeline_header_written_ = true;
   }
+  return run;
+}
+
+void FigureContext::print(const core::Campaign& campaign, const core::CampaignRun& run) {
+  print(run.table(campaign), campaign.name());
 }
 
 FigureRegistry& FigureRegistry::instance() {
@@ -115,9 +131,13 @@ void usage(std::ostream& os) {
         "               shards skip already-solved points\n"
         "  --shard i/n  run only points with index % n == i (0-based)\n"
         "  --seed S     override the base seed campaigns mix per-point seeds from\n"
-        "  --timeline PATH        sample metrics on a simulated-time grid and\n"
-        "                         append tidy CSV (campaign,point,time,series,value);\n"
-        "                         deterministic for any --jobs/--shard split\n"
+        "  --timeline PATH        write the figure's campaign points as tidy CSV\n"
+        "                         (campaign,point,time,series,value) of metrics\n"
+        "                         sampled on a simulated-time grid: every engine a\n"
+        "                         point builds adds one segment, from t = 0, its\n"
+        "                         deltas counted from that engine's construction;\n"
+        "                         deterministic for any --jobs/--shard split.  A\n"
+        "                         figure that runs no campaign exits 2\n"
         "  --timeline-period SEC  sampling period in simulated seconds\n"
         "                         (default 1e-3; implies nothing without --timeline)\n"
         "  --sched-record PATH    run under a controlled random schedule and save\n"
@@ -125,6 +145,16 @@ void usage(std::ostream& os) {
         "  --sched-replay PATH    replay a recorded schedule trace bit-for-bit\n"
         "                         (CCI_SCHED builds only)\n"
         "  --sched-seed S         seed for --sched-record's schedule (default 1)\n";
+}
+
+/// True when `path` can be opened for appending.  Probes without writing,
+/// and removes the file again when the probe created it.
+bool appendable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
 }
 
 bool parse_int(const char* s, long long& out) {
@@ -292,6 +322,23 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   }
 #endif
 
+  // The --timeline file is truncated rather than appended to, but only once
+  // a campaign has run (FigureContext::run): a timeline file is a single
+  // dataset with one header, not a log; shard outputs are meant to be
+  // concatenated by the caller after stripping the extra headers (or by
+  // using one file per shard).
+  if (!timeline_path.empty() && !appendable(timeline_path)) {
+    std::cerr << "cci_bench: cannot open --timeline path " << timeline_path << '\n';
+    return 2;
+  }
+  // Records are appended as the figure runs: an unwritable path fails now,
+  // not silently at the first record.
+  if (const std::string records = BenchObs::results_path_from_env();
+      !records.empty() && !appendable(records)) {
+    std::cerr << "cci_bench: cannot append records to " << records
+              << " (CCI_RESULTS, or CCI_TRACE plus .records.json)\n";
+    return 2;
+  }
   std::ofstream csv_file;
   std::ostream* csv = nullptr;
   if (!csv_path.empty()) {
@@ -302,25 +349,11 @@ int run_cli(const std::string& figure, int argc, char** argv) {
     }
     csv = &csv_file;
   }
-  std::ofstream timeline_file;
-  std::ostream* timeline = nullptr;
-  if (!timeline_path.empty()) {
-    // Truncate rather than append: a timeline file is a single dataset with
-    // one header, not a log; shard outputs are meant to be concatenated by
-    // the caller after stripping the extra headers (or by using one file
-    // per shard).
-    timeline_file.open(timeline_path, std::ios::trunc);
-    if (!timeline_file) {
-      std::cerr << "cci_bench: cannot open --timeline path " << timeline_path << '\n';
-      return 2;
-    }
-    timeline = &timeline_file;
-  }
 
   BenchObs obs(def->obs_name.empty() ? def->name : def->obs_name);
   banner(def->title, def->what);
   core::CampaignEngine engine(options);
-  FigureContext ctx(engine, obs, std::cout, csv, timeline);
+  FigureContext ctx(engine, obs, std::cout, csv, timeline_path);
 #ifdef CCI_SCHED
   std::unique_ptr<sched::Session> sched_session;
   if (!sched_cli.record_path.empty()) {
@@ -361,7 +394,13 @@ int run_cli(const std::string& figure, int argc, char** argv) {
   }
 #endif
 
-  if (!ctx.ran_campaign()) return rc;
+  if (!ctx.ran_campaign()) {
+    if (timeline_path.empty()) return rc;
+    std::cerr << "cci_bench: " << def->name << " runs no campaign, so --timeline has no "
+              << "samples to write; " << timeline_path << " was left as it was\n";
+    return 2;
+  }
+  if (ctx.timeline_failed()) return 2;
   std::cout << "\n[campaign] " << def->name << ": points total=" << engine.points_total()
             << " executed=" << engine.points_executed()
             << " cached=" << engine.points_cached() << " (jobs=" << options.jobs;

@@ -4,10 +4,12 @@
 // name, banner metadata, and a run function.  One binary (`cci_bench
 // <figure> [--jobs N] [--csv out.csv] [--cache dir] [--shard i/n]
 // [--seed S]`) drives them all.  Figures written against the campaign API
-// get parallelism, caching and sharding from the engine; hand-loop figures
-// print their tables through the same context and get --csv.
+// get parallelism, caching, sharding and --timeline from the engine;
+// hand-loop figures print their tables through the same context and get
+// --csv.
 #pragma once
 
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -33,6 +35,10 @@ class BenchObs {
   explicit BenchObs(std::string bench_name);
   ~BenchObs();
 
+  /// Where write_record() appends: CCI_RESULTS, else
+  /// "<CCI_TRACE>.records.json" when tracing, else "" (no records).
+  [[nodiscard]] static std::string results_path_from_env();
+
   /// Append one JSON record (bench name + fields + current metrics snapshot).
   void write_record(const std::vector<std::pair<std::string, double>>& fields);
 
@@ -51,23 +57,27 @@ class BenchObs {
 /// and the per-bench observability hookup.
 class FigureContext {
  public:
+  /// `timeline_path` is the --timeline file ("" without the flag); it is
+  /// created, or truncated, when the first campaign has run.
   FigureContext(core::CampaignEngine& engine, BenchObs& obs, std::ostream& out,
-                std::ostream* csv, std::ostream* timeline = nullptr)
-      : engine_(engine), obs_(obs), out_(out), csv_(csv), timeline_(timeline) {}
+                std::ostream* csv, std::string timeline_path = {})
+      : engine_(engine),
+        obs_(obs),
+        out_(out),
+        csv_(csv),
+        timeline_path_(std::move(timeline_path)) {}
 
-  /// Run (the local shard of) a campaign through the engine.
-  core::CampaignRun run(const core::Campaign& campaign) {
-    ran_campaign_ = true;
-    return engine_.run(campaign);
-  }
+  /// Run (the local shard of) a campaign through the engine.  With
+  /// --timeline, also appends the run's time-resolved samples
+  /// (`campaign,point,time,series,value`; header once per file), whether
+  /// or not the figure prints the campaign's table through print().
+  core::CampaignRun run(const core::Campaign& campaign);
 
   /// Print a table to stdout and, when --csv was given, append the same
   /// table as CSV (prefixed by `name`).
   void print(const trace::Table& table, const std::string& name);
 
-  /// Print a finished campaign's table (named after the campaign).  When
-  /// --timeline was given, also appends the run's time-resolved samples
-  /// (`campaign,point,time,series,value`; header once per file).
+  /// Print a finished campaign's table (named after the campaign).
   void print(const core::Campaign& campaign, const core::CampaignRun& run);
 
   core::CampaignEngine& engine() { return engine_; }
@@ -76,14 +86,18 @@ class FigureContext {
   /// True once the figure ran a campaign (run_cli then reports the point
   /// totals; hand-loop figures print exactly their tables).
   [[nodiscard]] bool ran_campaign() const { return ran_campaign_; }
+  /// True when the --timeline file could not be opened for writing.
+  [[nodiscard]] bool timeline_failed() const { return timeline_failed_; }
 
  private:
   core::CampaignEngine& engine_;
   BenchObs& obs_;
   std::ostream& out_;
   std::ostream* csv_;
-  std::ostream* timeline_ = nullptr;
+  std::string timeline_path_;
+  std::ofstream timeline_;
   bool timeline_header_written_ = false;
+  bool timeline_failed_ = false;
   bool ran_campaign_ = false;
 };
 

@@ -671,7 +671,8 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   }
 
   // Time-resolved mode: every executed point gets a fresh, enabled scratch
-  // registry plus an ambient RunSampling naming its private TimelineStore.
+  // registry plus an ambient RunSampling naming its private TimelineStore,
+  // which every engine the point builds samples into.
   // Fresh-per-point registries are what make the timeline deterministic:
   // no gauge state or sampler channel survives from a neighbouring point,
   // so the bytes depend only on the point itself — not on jobs, sharding,

@@ -275,11 +275,13 @@ struct CampaignOptions {
   bool override_base_seed = false;
   std::uint64_t base_seed = 0;
   /// > 0 enables time-resolved sampling: every *executed* point runs with a
-  /// fresh, enabled scratch registry and an obs::Sampler at this period,
-  /// filling CampaignRun::timelines[i].  Per-point registries make the
-  /// timeline bytes independent of jobs/sharding; cached points keep an
-  /// empty timeline.  0 (default) leaves every pre-existing code path —
-  /// including the process registry's contents — bitwise untouched.
+  /// fresh, enabled scratch registry and an ambient obs::RunSampling at
+  /// this period, so every engine the point builds samples into
+  /// CampaignRun::timelines[i], one segment per engine.  Per-point
+  /// registries make the timeline bytes independent of jobs/sharding;
+  /// cached points keep an empty timeline.  0 (default) leaves every
+  /// pre-existing code path — including the process registry's contents —
+  /// bitwise untouched.
   double timeline_period = 0.0;
 };
 

@@ -10,8 +10,6 @@
 
 #include "net/fabric_graph.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
-#include "obs/timeline.hpp"
 #include "sim/coro.hpp"
 #include "sim/flow_model.hpp"
 #include "sim/maxmin.hpp"
@@ -310,13 +308,11 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
 namespace {
 
 /// Per-shard state of a run_sharded() fluid simulation.  Built and torn
-/// down inside with_each_shard() so pooled frames, metric handles and
-/// timeline blocks bind to the worker thread.
+/// down inside with_each_shard() so pooled frames and metric handles bind
+/// to the worker thread.
 struct FluidShard {
   std::unique_ptr<net::FabricGraph> fabric;
   std::unique_ptr<sim::FlowModel> model;
-  std::unique_ptr<obs::TimelineStore> store;  ///< multi-shard sampling only
-  std::unique_ptr<obs::Sampler> sampler;
   std::vector<TenantAccum> tenants;
   std::vector<double> link_peak;  ///< per links() index, load / base capacity
   std::uint64_t link_reads = 0;   ///< link loads read by sample_links()
@@ -424,7 +420,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   for (int key = 0; key < shape.key_count(); ++key)
     if (first_user[static_cast<std::size_t>(key)] == -2) {
       boundary_id[static_cast<std::size_t>(key)] =
-          group.add_boundary_link(shape.name(key), shape.base_capacity(key));
+          group.add_boundary_link(shape.base_capacity(key));
       boundary_users.emplace_back();
     }
   for (const Stream& st : streams)
@@ -438,10 +434,8 @@ FabricReport FabricLab::run_sharded(int shards) {
   for (std::vector<int>& users : boundary_users) std::sort(users.begin(), users.end());
 
   // Per-shard build, on every worker at once: fabric replica, flow model,
-  // sampler, stream coroutines.  Each job writes only its own shard's state
-  // and reads the shared topology, jobs and streams.
-  const obs::RunSampling& rs = obs::run_sampling();
-  const bool sampling = rs.sampling_on();
+  // stream coroutines.  Each job writes only its own shard's state and
+  // reads the shared topology, jobs and streams.
   std::vector<std::unique_ptr<FluidShard>> ctx(static_cast<std::size_t>(shards));
   group.with_each_shard([&](int s, sim::Engine& eng) {
     auto fs = std::make_unique<FluidShard>();
@@ -450,22 +444,6 @@ FabricReport FabricLab::run_sharded(int shards) {
     fs->fabric->materialize(*fs->model);
     fs->tenants.resize(jobs.size());
     fs->link_peak.assign(topo.links().size(), 0.0);
-    if (sampling) {
-      obs::SamplerConfig sc;
-      sc.period = rs.timeline_period;
-      if (shards == 1) {
-        // Serial: sample straight into the ambient store, like run().
-        fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
-                                                     *rs.timeline, std::move(sc));
-      } else {
-        // Per-shard store, merged below with a "shardN." series prefix
-        // (replica resources share names across shards).
-        fs->store = std::make_unique<obs::TimelineStore>();
-        fs->sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
-                                                     *fs->store, std::move(sc));
-      }
-      eng.set_sampler(fs->sampler.get());
-    }
     std::vector<sim::LabelId> tenant_label(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j)
       tenant_label[j] = eng.intern("fabric." + jobs[j].label);
@@ -580,44 +558,9 @@ FabricReport FabricLab::run_sharded(int shards) {
     report.events += group.engine(s).events_dispatched();
   }
 
-  // Merge per-shard timelines into the ambient store: k-way by (time,
-  // shard), series renamed "shardN.<name>" so replicas stay distinct.
-  if (sampling && shards > 1) {
-    std::vector<std::vector<std::uint32_t>> mapped(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      const auto& names = ctx[static_cast<std::size_t>(s)]->store->series_names();
-      auto& m = mapped[static_cast<std::size_t>(s)];
-      m.reserve(names.size());
-      for (const std::string& nm : names)
-        m.push_back(rs.timeline->series("shard" + std::to_string(s) + "." + nm));
-    }
-    std::vector<std::size_t> cur(static_cast<std::size_t>(shards), 0);
-    for (;;) {
-      int best = -1;
-      double bt = 0.0;
-      for (int s = 0; s < shards; ++s) {
-        const obs::TimelineStore& store = *ctx[static_cast<std::size_t>(s)]->store;
-        if (cur[static_cast<std::size_t>(s)] >= store.size()) continue;
-        const double t = store.row(cur[static_cast<std::size_t>(s)]).time;
-        if (best < 0 || t < bt) {
-          best = s;
-          bt = t;
-        }
-      }
-      if (best < 0) break;
-      const obs::TimelineRow& row =
-          ctx[static_cast<std::size_t>(best)]->store->row(cur[static_cast<std::size_t>(best)]++);
-      rs.timeline->append(row.time, mapped[static_cast<std::size_t>(best)][row.series],
-                          row.value);
-    }
-  }
-
-  // Tear down on the owning workers, all at once (pooled frames and
-  // timeline blocks are thread-affine).
-  group.with_each_shard([&](int s, sim::Engine& eng) {
-    eng.set_sampler(nullptr);
-    ctx[static_cast<std::size_t>(s)].reset();
-  });
+  // Tear down on the owning workers, all at once (pooled frames are
+  // thread-affine).
+  group.with_each_shard([&](int s, sim::Engine&) { ctx[static_cast<std::size_t>(s)].reset(); });
   return report;
 }
 

@@ -1,7 +1,6 @@
 #include "core/interference_lab.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -144,18 +143,6 @@ SideBySideResult InterferenceLab::run() {
     if (tracer.on()) tracer.span(track, name, t0, engine.now());
   };
 
-  // Ambient time-resolved sampling (campaign --timeline): the sampler rides
-  // the engine across all three phases so the resulting timeline covers the
-  // whole protocol on one simulated-time axis.
-  const obs::RunSampling& rs = obs::run_sampling();
-  std::optional<obs::Sampler> sampler;
-  if (rs.sampling_on()) {
-    obs::SamplerConfig sc;
-    sc.period = rs.timeline_period;
-    sampler.emplace(reg, *rs.timeline, std::move(sc));
-    engine.set_sampler(&*sampler);
-  }
-
   SideBySideResult result;
   sim::Time t0 = engine.now();
   result.compute_alone = run_compute_alone();
@@ -175,7 +162,6 @@ SideBySideResult InterferenceLab::run() {
     result.attribution = profiler.report();
   }
   phase_span("side_by_side", t0);
-  if (sampler) engine.set_sampler(nullptr);
   return result;
 }
 

@@ -1,50 +1,11 @@
 #include "core/result_io.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <optional>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace cci::core {
-
-namespace {
-
-/// `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped.
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-/// The shortest text that parses back to the same bits.
-template <typename T>
-void write_number(std::ostream& os, T value) {
-  char buf[32];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, value);
-  os.write(buf, res.ptr - buf);
-}
-
-}  // namespace
 
 JsonWriter::JsonWriter(std::ostream& os) : os_(os) { first_in_scope_.push_back(true); }
 JsonWriter::~JsonWriter() = default;
@@ -58,7 +19,7 @@ void JsonWriter::comma() {
 
 void JsonWriter::key(const std::string& k) {
   comma();
-  write_string(os_, k);
+  obs::write_json_string(os_, k);
   os_ << ": ";
 }
 
@@ -110,28 +71,25 @@ JsonWriter& JsonWriter::object_field(const std::string& k) {
 
 JsonWriter& JsonWriter::field(const std::string& k, double value) {
   key(k);
-  if (std::isfinite(value))
-    write_number(os_, value);
-  else
-    os_ << "null";
+  obs::write_json_number(os_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::field(const std::string& k, const std::string& value) {
   key(k);
-  write_string(os_, value);
+  obs::write_json_string(os_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::field(const std::string& k, int value) {
   key(k);
-  write_number(os_, value);
+  obs::write_json_number(os_, static_cast<std::int64_t>(value));
   return *this;
 }
 
 JsonWriter& JsonWriter::field(const std::string& k, std::uint64_t value) {
   key(k);
-  write_number(os_, value);
+  obs::write_json_number(os_, value);
   return *this;
 }
 

@@ -7,34 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace cci::obs {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string fmt_ts(double seconds) {
   char buf[64];
@@ -169,7 +148,9 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
   for (const LaneName& ln : lane_names) {
     sep();
     os << R"({"ph": "M", "pid": 1, "tid": )" << ln.tid
-       << R"(, "name": "thread_name", "args": {"name": ")" << escape(ln.label) << "\"}}";
+       << R"(, "name": "thread_name", "args": {"name": )";
+    write_json_string(os, ln.label);
+    os << "}}";
     sep();
     os << R"({"ph": "M", "pid": 1, "tid": )" << ln.tid
        << R"(, "name": "thread_sort_index", "args": {"sort_index": )" << ln.tid << "}}";
@@ -180,15 +161,22 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
       case 'B':
       case 'E':
         os << "{\"ph\": \"" << ev.ph << "\", \"pid\": 1, \"tid\": " << ev.tid
-           << ", \"ts\": " << fmt_ts(ev.ts) << ", \"name\": \"" << escape(*ev.name) << "\"}";
+           << ", \"ts\": " << fmt_ts(ev.ts) << ", \"name\": ";
+        write_json_string(os, *ev.name);
+        os << "}";
         break;
       case 'i':
         os << "{\"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": " << ev.tid
-           << ", \"ts\": " << fmt_ts(ev.ts) << ", \"name\": \"" << escape(*ev.name) << "\"}";
+           << ", \"ts\": " << fmt_ts(ev.ts) << ", \"name\": ";
+        write_json_string(os, *ev.name);
+        os << "}";
         break;
       case 'C':
-        os << "{\"ph\": \"C\", \"pid\": 1, \"ts\": " << fmt_ts(ev.ts) << ", \"name\": \""
-           << escape(*ev.name) << "\", \"args\": {\"value\": " << ev.value << "}}";
+        os << "{\"ph\": \"C\", \"pid\": 1, \"ts\": " << fmt_ts(ev.ts) << ", \"name\": ";
+        write_json_string(os, *ev.name);
+        os << ", \"args\": {\"value\": ";
+        write_json_number(os, ev.value);
+        os << "}}";
         break;
       default: break;
     }

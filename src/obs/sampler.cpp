@@ -11,6 +11,17 @@ Sampler::Sampler(Registry& registry, TimelineStore& store, SamplerConfig config)
   assert(config_.period > 0.0);
   next_tick_ = config_.period;  // tick 0 (t = 0) would always be all-zero deltas
   tick_index_ = 1;
+  // Start every existing channel at the registry's current value: what an
+  // earlier simulation left in the registry is not this sampler's delta.
+  registry_->visit_counters([&](const std::string& name, const Counter& c) {
+    channel(&c, name, /*histogram=*/false).last = c.value();
+  });
+  registry_->visit_gauges([&](const std::string& name, const Gauge& g) {
+    channel(&g, name, /*histogram=*/false).last = g.value();
+  });
+  registry_->visit_histograms([&](const std::string& name, const Histogram& h) {
+    channel(&h, name, /*histogram=*/true).last = static_cast<double>(h.count());
+  });
 }
 
 void Sampler::advance_to(double t) {

@@ -16,11 +16,15 @@
 // deny lists below exist precisely to drop the metrics that are *not*
 // simulation-deterministic (pool occupancy, wall-clock histograms).
 //
-// The engine drives the sampler from its event loop (Engine::set_sampler):
-// advance_to(t) runs before the first event at any time >= the next tick,
-// so the sample at tick T reflects every event strictly before T and none
-// at T — the documented tie-break.  Detached, the cost is one pointer test
-// per event; the 0-allocs/event guard runs with the sampler compiled in.
+// Who samples: every sim::Engine built while its thread's RunSampling is
+// on creates and owns a Sampler into that RunSampling's store, so each
+// engine appends one segment whose ticks start at t = 0 and whose deltas
+// count from the engine's construction (channels start at the registry's
+// values then).  The engine drives it from its event loop: advance_to(t)
+// runs before the first event at any time >= the next tick, so the sample
+// at tick T reflects every event strictly before T and none at T — the
+// documented tie-break.  An engine without a sampler pays one pointer
+// test per event; the 0-allocs/event guard runs with it compiled in.
 //
 // When the tracer is enabled every appended row is mirrored as a tracer
 // counter sample, which the Chrome exporter renders as Perfetto counter
@@ -49,6 +53,8 @@ struct SamplerConfig {
 
 class Sampler {
  public:
+  /// Channels of the metrics `registry` already holds start at their
+  /// current values; metrics created later start at zero.
   Sampler(Registry& registry, TimelineStore& store, SamplerConfig config = {});
 
   /// Fire every pending tick with tick time <= t, in order.  Called by the
@@ -82,13 +88,14 @@ class Sampler {
   std::unordered_map<const void*, Channel> channels_;
 };
 
-/// Ambient per-run observability request, consumed by InterferenceLab (and
-/// anything else that owns an engine): when timeline_period > 0 and a store
-/// is given, the lab attaches a Sampler to its engine; when attribution is
-/// set it runs the flow model's interference profiler.  The campaign engine
-/// installs this around each point so per-point sampling composes with
-/// worker threads and the result cache without touching Scenario (and so
-/// cache keys stay stable).
+/// Ambient per-run observability request: when timeline_period > 0 and a
+/// store is given, every sim::Engine built on the thread samples into the
+/// store (the store must outlive those engines); when attribution is set,
+/// InterferenceLab runs the flow model's interference profiler.  The
+/// campaign engine installs this around each point so per-point sampling
+/// composes with worker threads and the result cache without touching
+/// Scenario (and so cache keys stay stable); sim::ShardGroup gives each
+/// worker its own store and folds them back in merge_obs().
 struct RunSampling {
   double timeline_period = 0.0;
   TimelineStore* timeline = nullptr;

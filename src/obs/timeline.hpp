@@ -1,13 +1,15 @@
 // In-memory time-series store for the simulated-time metrics sampler.
 //
-// A TimelineStore holds (time, series, value) rows in simulated-time order:
-// series names are interned once, rows land in fixed-size blocks recycled
-// through a thread-local slab pool (sim/pool.hpp — header-only and
-// dependency-free, so this is not a layering cycle), and the store is
-// ring-bounded — when the row budget is exhausted the oldest block is
-// dropped and recycled, so a long campaign can sample forever in O(bound)
-// memory.  Campaign workers each get their own pool, so per-point stores
-// create and destroy without touching the global heap at steady state.
+// A TimelineStore holds (time, series, value) rows in append order, one
+// simulated-time-ordered segment per engine that sampled into it (each
+// engine's clock starts at 0): series names are interned once, rows land
+// in fixed-size blocks recycled through a thread-local slab pool
+// (sim/pool.hpp — header-only and dependency-free, so this is not a
+// layering cycle), and the store is ring-bounded — when the row budget is
+// exhausted the oldest block is dropped and recycled, so a long campaign
+// can sample forever in O(bound) memory.  Campaign workers each get their
+// own pool, so per-point stores create and destroy without touching the
+// global heap at steady state.
 //
 // The tidy CSV export writes one row per sample — `time,series,value` with
 // optional caller-supplied prefix columns (campaign, point) — which loads
@@ -53,8 +55,8 @@ class TimelineStore {
     return series_names_;
   }
 
-  /// Append one row.  Rows must arrive in non-decreasing time order (the
-  /// sampler guarantees this); the store does not re-sort.
+  /// Append one row.  Within one sampler's segment rows arrive in
+  /// non-decreasing time order; the store does not re-sort.
   void append(double time, std::uint32_t series, double value);
 
   /// Retained rows, oldest first.  O(1) random access across blocks.

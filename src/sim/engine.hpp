@@ -33,6 +33,11 @@
 // Memory: the engine also owns the combinator wait-node pool and the symbol
 // table that interns activity/resource labels to 4-byte ids.  Pool stats
 // are published through obs as `sim.pool.*` when a run() drains.
+//
+// Sampling: an engine built while its thread's obs::RunSampling is on owns
+// an obs::Sampler into that store, on Registry::global() of the building
+// thread (obs/sampler.hpp).  It is the only way a simulation is sampled,
+// so every engine of a campaign point appends its own timeline segment.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +45,7 @@
 #include <coroutine>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,6 +72,11 @@ class Engine {
     obs_watchdog_trips_ = &reg.counter("sim.watchdog_trips");
     register_pool(&wait_pool_);
     register_pool(&FrameArena::local());
+    if (const obs::RunSampling& rs = obs::run_sampling(); rs.sampling_on()) {
+      obs::SamplerConfig sc;
+      sc.period = rs.timeline_period;
+      sampler_ = std::make_unique<obs::Sampler>(reg, *rs.timeline, std::move(sc));
+    }
   }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -132,14 +143,13 @@ class Engine {
   void set_watchdog(WatchdogConfig config) { watchdog_ = config; }
   [[nodiscard]] const WatchdogConfig& watchdog() const { return watchdog_; }
 
-  /// Attach (or detach, with nullptr) a simulated-time metrics sampler.
-  /// run() then advances it *before* dispatching each event, so a sample at
-  /// tick T reflects exactly the events strictly before T — independent of
-  /// how events happen to batch within a run() call.  Detached, the cost is
-  /// one pointer test per event; no coroutine is involved, so the sampler
-  /// never keeps the queue alive and run() still drains naturally.
-  void set_sampler(obs::Sampler* sampler) { sampler_ = sampler; }
-  [[nodiscard]] obs::Sampler* sampler() const { return sampler_; }
+  /// The sampler this engine owns (nullptr when it was built with the
+  /// ambient sampling off).  run() advances it *before* dispatching each
+  /// event, so a sample at tick T reflects exactly the events strictly
+  /// before T — independent of how events happen to batch within a run()
+  /// call.  No coroutine is involved, so the sampler never keeps the queue
+  /// alive and run() still drains naturally.
+  [[nodiscard]] obs::Sampler* sampler() const { return sampler_.get(); }
 
   /// Register a callback that appends human-readable descriptions of
   /// currently-blocked work (stalled activities, pending receives, ...) to a
@@ -372,7 +382,7 @@ class Engine {
   Time until_ = kNever;
   bool guarded_ = false;  ///< run() has a watchdog armed
   WatchdogConfig watchdog_;
-  obs::Sampler* sampler_ = nullptr;
+  std::unique_ptr<obs::Sampler> sampler_;
   std::vector<StallInspector> stall_inspectors_;
   SlabPool<WaitNode> wait_pool_;
   SymbolTable symbols_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <cmath>
 
@@ -40,11 +41,18 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
   const bool obs_on = obs::Registry::global().enabled();
   obs_windows_ = &obs::Registry::global().counter("sim.shard.windows");
   obs_exchanges_ = &obs::Registry::global().counter("sim.shard.exchanges");
+  const obs::RunSampling& sampling = obs::run_sampling();
+  if (sampling.sampling_on()) timeline_ = sampling.timeline;
   for (int s = 0; s < n_; ++s) {
     auto sh = std::make_unique<Shard>();
     sh->index = s;
     sh->registry = std::make_unique<obs::Registry>();
     sh->registry->set_enabled(obs_on);
+    sh->sampling = sampling;
+    if (timeline_ != nullptr) {
+      sh->timeline = std::make_unique<obs::TimelineStore>();
+      sh->sampling.timeline = sh->timeline.get();
+    }
     shards_.push_back(std::move(sh));
   }
   for (int s = 0; s < n_; ++s) {
@@ -91,8 +99,11 @@ void ShardGroup::worker_main(Shard* shard) {
   // worker lifetime: the engine's metric handles, every FlowModel built via
   // with_shard(), and all pool-stat channels bind into it.  The engine is
   // built and destroyed here so coroutine frames stay in this thread's
-  // FrameArena from first allocation to final free.
+  // FrameArena from first allocation to final free.  The engine samples
+  // into the shard's own timeline store, whose row blocks come from this
+  // thread's pool, so the store is freed here too.
   obs::Registry::ScopedThreadLocal scope(*shard->registry);
+  obs::ScopedRunSampling sampling(shard->sampling);
 #ifdef CCI_SCHED
   sched::ThreadScope sched_scope(shard_thread_name(shard->index).c_str());
 #endif
@@ -130,12 +141,15 @@ void ShardGroup::worker_main(Shard* shard) {
     CCI_SCHED_POINT(kBarrierArrive, idle_id);
     {
       std::lock_guard<std::mutex> lk(shard->mutex);
-      if (error) shard->error = error;
+      // Moved, not copied: the worker keeps no reference to the exception
+      // once the coordinator may rethrow it and read it.
+      if (error) shard->error = std::move(error);
       shard->busy = false;
       shard->cv.notify_all();
     }
   }
   shard->engine.reset();
+  shard->timeline.reset();
 }
 
 void ShardGroup::submit(Shard& sh, std::function<void()> job) {
@@ -241,18 +255,47 @@ Time ShardGroup::run(Time until) {
 }
 
 void ShardGroup::merge_obs(obs::Registry& dst) {
+  if (n_ == 1) return;
+  if (timeline_ != nullptr) fold_timelines();
   // A disabled destination records nothing, and merge_from would still
   // create every shard metric in it by name.
-  if (n_ == 1 || !dst.enabled()) return;
+  if (!dst.enabled()) return;
   for (auto& sh : shards_) {
     dst.merge_from(*sh->registry);
     sh->registry->reset();
   }
 }
 
-int ShardGroup::add_boundary_link(std::string name, double base_capacity) {
+void ShardGroup::fold_timelines() {
+  // Shard stores are read, never modified, here: their row blocks belong
+  // to the workers' pools.  A row's absolute index counts evicted rows.
+  std::vector<std::vector<std::uint32_t>> mapped(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    for (const std::string& name : shards_[s]->timeline->series_names())
+      mapped[s].push_back(timeline_->series("shard" + std::to_string(s) + "." + name));
+  for (;;) {
+    Shard* best = nullptr;
+    double best_time = 0.0;
+    for (auto& sh : shards_) {
+      const obs::TimelineStore& store = *sh->timeline;
+      sh->timeline_folded = std::max(sh->timeline_folded, store.dropped());
+      if (sh->timeline_folded >= store.dropped() + store.size()) continue;
+      const double t = store.row(sh->timeline_folded - store.dropped()).time;
+      if (best == nullptr || t < best_time) {
+        best = sh.get();
+        best_time = t;
+      }
+    }
+    if (best == nullptr) return;
+    const obs::TimelineStore& store = *best->timeline;
+    const obs::TimelineRow& row = store.row(best->timeline_folded++ - store.dropped());
+    timeline_->append(row.time, mapped[static_cast<std::size_t>(best->index)][row.series],
+                      row.value);
+  }
+}
+
+int ShardGroup::add_boundary_link(double base_capacity) {
   Boundary b;
-  b.name = std::move(name);
   b.base = base_capacity;
   boundaries_.push_back(std::move(b));
   return static_cast<int>(boundaries_.size()) - 1;

@@ -28,10 +28,15 @@
 // shard-owned scenario state (FlowModel, activities, processes) inside
 // with_shard() or with_each_shard() for the same reason.
 //
+// Sampling follows the engine rule (sim/engine.hpp): when the thread that
+// builds the group has an obs::RunSampling on, each worker installs one
+// naming the shard's own TimelineStore before it builds its engine, and
+// merge_obs() folds those stores into the builder's store.
+//
 // shards == 1 is special-cased to *no* parallel machinery at all: the one
 // Engine is constructed inline on the caller's thread, with the caller's
-// registry, no worker, no barrier, no extra counters — byte-for-byte the
-// serial engine.
+// registry and ambient sampling, no worker, no barrier, no extra counters
+// — byte-for-byte the serial engine.
 #pragma once
 
 #include <condition_variable>
@@ -39,11 +44,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
+#include "obs/timeline.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -98,17 +104,22 @@ class ShardGroup {
   Time run(Time until = kNever);
 
   /// Fold every shard registry into `dst` (commutative merge_from) and
-  /// reset the shard registries.  No-op when shards() == 1 — metrics
-  /// already accrued to the caller's registry — or when `dst` is disabled.
+  /// reset the shard registries; skipped when `dst` is disabled.  When the
+  /// group was built with sampling on, also append the shard timelines'
+  /// rows not yet folded to the builder's store: merged by time, ties in
+  /// shard order, each series renamed "shard<N>.<name>" (replica resources
+  /// share names across shards).  No-op when shards() == 1 — metrics and
+  /// samples already went to the caller's registry and store.
   void merge_obs(obs::Registry& dst);
 
   // ---- boundary proxies (cross-shard fabric) --------------------------------
   /// Register one cut fabric resource (global link, spine port) that flows
-  /// on several shards share.  Each sharing shard models it with a local
-  /// *proxy replica* in its own FlowModel, attached via bind_boundary();
-  /// replicas must start at `base_capacity`.  At every window barrier the
-  /// coordinator reads each replica's allocated load (workers are parked),
-  /// computes a damped residual-capacity target
+  /// on several shards share, by its uncontended capacity.  Each sharing
+  /// shard models it with a local *proxy replica* in its own FlowModel,
+  /// attached via bind_boundary(); replicas must start at `base_capacity`.
+  /// At every window barrier the coordinator reads each replica's
+  /// allocated load (workers are parked), computes a damped
+  /// residual-capacity target
   ///     cap' = cap + 1/2 * ((base - other shards' load) - cap)
   /// clamped to a small positive floor, and delivers the update as an
   /// engine event at the barrier time — so Resource::set_capacity(), which
@@ -116,7 +127,7 @@ class ShardGroup {
   /// Staleness is bounded by one window (the lookahead), and links and
   /// replicas are visited in registration order, so multi-shard runs stay
   /// bitwise deterministic at a fixed shard count.  Returns the link id.
-  int add_boundary_link(std::string name, double base_capacity);
+  int add_boundary_link(double base_capacity);
   /// Attach shard `shard`'s replica for boundary link `link`.  Call from
   /// the coordinator between with_shard() setup calls (never during run).
   void bind_boundary(int link, int shard, Resource* replica);
@@ -141,6 +152,11 @@ class ShardGroup {
   struct Shard {
     int index = 0;  ///< position in shards_; names the worker in diagnostics
     std::unique_ptr<obs::Registry> registry;
+    /// The worker's ambient sampling: the builder's, with `timeline`
+    /// pointing at the shard's own store when sampling is on.
+    obs::RunSampling sampling;
+    std::unique_ptr<obs::TimelineStore> timeline;  ///< appended to and freed on the worker
+    std::uint64_t timeline_folded = 0;  ///< rows merge_obs() already appended
     std::unique_ptr<Engine> engine;  ///< built/destroyed on the worker
     std::thread thread;
     // Job slot: coordinator submits, worker executes, coordinator waits.
@@ -165,6 +181,8 @@ class ShardGroup {
   /// `barrier` into the replicas' engines.
   void exchange_boundaries(Time barrier);
   void publish_stats();
+  /// merge_obs()'s timeline half: k-way merge of the unfolded shard rows.
+  void fold_timelines();
 
   /// One cut fabric resource and its per-shard proxy replicas.
   struct Boundary {
@@ -173,7 +191,6 @@ class ShardGroup {
       Resource* res = nullptr;
       double cap = 0.0;  ///< capacity last delivered (coordinator's view)
     };
-    std::string name;
     double base = 0.0;
     std::vector<Replica> replicas;
   };
@@ -183,6 +200,8 @@ class ShardGroup {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Boundary> boundaries_;
   std::function<void(Time)> barrier_probe_;
+  /// The builder's ambient store; set only for multi-shard sampling.
+  obs::TimelineStore* timeline_ = nullptr;
   Stats stats_;
   Stats published_;  ///< counters already flushed to obs
   // sim.shard.* counters in the coordinator's registry; multi-shard only.

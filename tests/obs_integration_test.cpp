@@ -5,12 +5,18 @@
 // run with observability disabled must record nothing.  Per-object
 // metrics (resources, governors, NICs) bind only when a registry can read
 // them: eagerly when it is on at construction, at first use otherwise.
+// Campaign timelines get rows from every engine a point builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/campaign.hpp"
 #include "core/fabric_lab.hpp"
 #include "hw/frequency_governor.hpp"
 #include "hw/machine.hpp"
@@ -19,6 +25,7 @@
 #include "net/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "runtime/apps.hpp"
 #include "runtime/rt_pingpong.hpp"
 #include "runtime/runtime.hpp"
 
@@ -261,6 +268,116 @@ TEST(ObsIntegration, RegistryEnabledAfterConstructionBindsEveryOwner) {
   std::size_t per_object = 0;
   for (const std::string& name : late.names) per_object += is_per_object(name) ? 1 : 0;
   EXPECT_GT(per_object, 0u);
+}
+
+// ---- campaign timelines -------------------------------------------------------
+// Every engine a campaign point builds samples into the point's timeline,
+// whatever drives it: the fabric lab, the runtime apps, or several labs in
+// one point.
+
+/// A timeline-enabled run of `c` at `jobs` workers.
+core::CampaignRun run_with_timeline(const core::Campaign& c, int jobs) {
+  core::CampaignOptions o;
+  o.jobs = jobs;
+  o.timeline_period = 1e-4;
+  return core::CampaignEngine(o).run(c);
+}
+
+/// The run's tidy timeline CSV, checked to hold rows below its header.
+std::string timeline_csv(const core::Campaign& c, int jobs) {
+  const core::CampaignRun run = run_with_timeline(c, jobs);
+  std::ostringstream os;
+  run.write_timeline_csv(os, c.name());
+  const std::string csv = os.str();
+  EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 1) << c.name() << " at jobs " << jobs;
+  return csv;
+}
+
+TEST(CampaignTimeline, FabricLabRunPointsHaveRowsIdenticalAtAnyJobs) {
+  core::SweepSpec spec(dragonfly_ring(/*iterations=*/1));
+  spec.seed_policy(core::SeedPolicy::kFixed)
+      .axis<int>(
+          "iterations", {1, 2, 3},
+          [](core::Scenario& s, const int& n) { s.jobs[0].iterations = n; },
+          [](const int& n) { return std::to_string(n); });
+  core::Campaign c("fabric_run", std::move(spec));
+  c.column("elapsed_ms", 3, core::Campaign::Metric{})
+      .evaluator("fabric_run.timeline_test.v1", [](const core::SweepPoint& p) {
+        core::FabricLab lab(p.scenario);
+        return std::vector<double>{lab.run().elapsed * 1e3};
+      });
+  EXPECT_EQ(timeline_csv(c, 1), timeline_csv(c, 8));
+}
+
+TEST(CampaignTimeline, RuntimeAppPointsHaveRowsIdenticalAtAnyJobs) {
+  core::SweepSpec spec{core::Scenario{}};
+  spec.seed_policy(core::SeedPolicy::kFixed)
+      .axis<int>(
+          "ranks", {2, 4}, [](core::Scenario&, const int&) {},
+          [](const int& r) { return std::to_string(r); },
+          [](const int& r) { return static_cast<double>(r); });
+  core::Campaign c("cg_app", std::move(spec));
+  c.column("makespan_ms", 3, core::Campaign::Metric{})
+      .evaluator("cg_app.timeline_test.v1", [](const core::SweepPoint& p) {
+        runtime::CgAppOptions cg;
+        cg.n = 4096;
+        cg.iterations = 1;
+        cg.workers = 4;
+        cg.ranks = static_cast<int>(p.numeric[0]);
+        const runtime::AppResult r = runtime::run_cg_app(
+            hw::MachineConfig::henri(), net::NetworkParams::ib_edr(),
+            runtime::RuntimeConfig::for_machine("henri"), cg);
+        return std::vector<double>{r.makespan * 1e3};
+      });
+  EXPECT_EQ(timeline_csv(c, 1), timeline_csv(c, 8));
+}
+
+/// (time, value) of every `sim.engine.events_dispatched` row, in order.
+std::vector<std::pair<double, double>> event_rows(const obs::TimelineStore& store) {
+  std::vector<std::pair<double, double>> rows;
+  for (std::size_t i = 0; i < store.size(); ++i)
+    if (store.series_names()[store.row(i).series] == "sim.engine.events_dispatched")
+      rows.emplace_back(store.row(i).time, store.row(i).value);
+  return rows;
+}
+
+TEST(CampaignTimeline, SecondEngineOfAPointCountsOnlyItsOwnEvents) {
+  // Point 0 runs tenant "a" alone, point 1 runs both tenants, and point 2
+  // runs both in turn on one lab, as job_interference's cells do: its
+  // timeline is point 0's segment followed by point 1's, each counted from
+  // its own engine's construction.
+  core::Scenario base = dragonfly_ring(/*iterations=*/2);
+  base.jobs[0].label = "a";
+  base.jobs[0].nodes.resize(8);
+  core::JobSpec b = base.jobs[0];
+  b.label = "b";
+  for (int& n : b.nodes) n += 8;
+  base.jobs.push_back(b);
+  core::SweepSpec spec(base);
+  spec.seed_policy(core::SeedPolicy::kFixed)
+      .axis<int>(
+          "runs", {0, 1, 2}, [](core::Scenario&, const int&) {},
+          [](const int& m) { return std::to_string(m); },
+          [](const int& m) { return static_cast<double>(m); });
+  core::Campaign c("two_engines", std::move(spec));
+  c.column("elapsed_ms", 3, core::Campaign::Metric{})
+      .evaluator("two_engines.timeline_test.v1", [](const core::SweepPoint& p) {
+        core::FabricLab lab(p.scenario);
+        const int mode = static_cast<int>(p.numeric[0]);
+        double elapsed = 0.0;
+        if (mode != 1) elapsed += lab.run("a").elapsed;
+        if (mode != 0) elapsed += lab.run().elapsed;
+        return std::vector<double>{elapsed * 1e3};
+      });
+  const core::CampaignRun run = run_with_timeline(c, 1);
+  ASSERT_EQ(run.timelines.size(), 3u);
+  const auto alone = event_rows(run.timelines[0]);
+  const auto both = event_rows(run.timelines[1]);
+  ASSERT_FALSE(alone.empty());
+  ASSERT_FALSE(both.empty());
+  auto want = alone;
+  want.insert(want.end(), both.begin(), both.end());
+  EXPECT_EQ(event_rows(run.timelines[2]), want);
 }
 
 }  // namespace

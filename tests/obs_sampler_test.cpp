@@ -2,6 +2,7 @@
 // deny lists, ring bound, and byte-stable CSV export.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -180,6 +181,31 @@ TEST(Sampler, MirrorsRowsAsTracerCounterSamples) {
   const auto& cs = f.reg.tracer().counter_samples()[0];
   EXPECT_DOUBLE_EQ(cs.t, 1.0);
   EXPECT_DOUBLE_EQ(cs.value, 7.0);
+}
+
+TEST(Sampler, ChannelsStartAtTheRegistryValuesWhenBuilt) {
+  // What the registry held before the sampler was built is not its delta:
+  // a second simulation sampled into one point reports only its own work.
+  SamplerFixture f;
+  Counter& c = f.reg.counter("sim.events");
+  Gauge& g = f.reg.gauge("net.queue");
+  Histogram& h = f.reg.histogram("lat");
+  c.add(5.0);
+  g.set(4.0);
+  h.record(1.0);
+  Sampler s = f.make(1.0);
+  c.add(2.0);
+  g.set(4.0);  // unchanged since the sampler was built
+  h.record(2.0);
+  f.reg.counter("sim.late").add(1.0);  // created after: starts at zero
+  s.advance_to(1.0);
+  std::map<std::string, double> rows;
+  for (std::size_t i = 0; i < f.store.size(); ++i)
+    rows[f.store.series_names()[f.store.row(i).series]] = f.store.row(i).value;
+  EXPECT_EQ(rows.count("net.queue"), 0u);
+  EXPECT_DOUBLE_EQ(rows["sim.events"], 2.0);
+  EXPECT_DOUBLE_EQ(rows["lat.count"], 1.0);
+  EXPECT_DOUBLE_EQ(rows["sim.late"], 1.0);
 }
 
 TEST(Sampler, IdenticalFeedsProduceByteIdenticalCsv) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -328,6 +330,31 @@ TEST(ChromeTrace, SpanNamesAreEscaped) {
       found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(ChromeTrace, CounterValuesRoundTripBitForBit) {
+  // Shortest round-trip text, not the stream's 6 significant digits (which
+  // print 10044612345.678901 as 1.00446e+10); non-finite values as null.
+  const std::vector<double> values = {10044612345.678901, 0.1 + 0.2, 1.2345678901234567e-300, -2.5};
+  Tracer tr;
+  tr.set_enabled(true);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    tr.counter_sample("sim.resource.load", 1.0e-6 * static_cast<double>(i + 1), values[i]);
+  tr.counter_sample("sim.resource.load", 1.0e-5, std::numeric_limits<double>::infinity());
+  tr.counter_sample("sim.resource.load", 2.0e-5, std::numeric_limits<double>::quiet_NaN());
+  auto doc = export_and_parse(tr);
+  ASSERT_NE(doc, nullptr);
+  std::vector<const JsonValue*> read;
+  for (const auto& ev : doc->get("traceEvents")->array)
+    if (ev->get("ph")->str == "C") read.push_back(ev->get("args")->get("value"));
+  ASSERT_EQ(read.size(), values.size() + 2);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(read[i]->type, JsonValue::Type::kNumber) << i;
+    EXPECT_EQ(std::memcmp(&read[i]->number, &values[i], sizeof(double)), 0)
+        << i << ": " << read[i]->number;
+  }
+  EXPECT_EQ(read[values.size()]->type, JsonValue::Type::kNull);
+  EXPECT_EQ(read[values.size() + 1]->type, JsonValue::Type::kNull);
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // Engine fundamentals: clock, timers, process lifecycle, determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/sampler.hpp"
+#include "obs/timeline.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -200,6 +205,48 @@ TEST(Engine, ManyProcessesDeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- sampling ---------------------------------------------------------------
+
+TEST(EngineSampling, NoAmbientSamplingMeansNoSampler) {
+  Engine engine;
+  EXPECT_EQ(engine.sampler(), nullptr);
+}
+
+/// (time, value) of every `sim.engine.events_dispatched` row, in order.
+std::vector<std::pair<double, double>> event_rows(const obs::TimelineStore& store) {
+  std::vector<std::pair<double, double>> rows;
+  for (std::size_t i = 0; i < store.size(); ++i)
+    if (store.series_names()[store.row(i).series] == "sim.engine.events_dispatched")
+      rows.emplace_back(store.row(i).time, store.row(i).value);
+  return rows;
+}
+
+TEST(EngineSampling, EachEngineAppendsASegmentOfItsOwnDeltas) {
+  obs::Registry reg;
+  reg.set_enabled(true);
+  obs::Registry::ScopedThreadLocal scope(reg);
+  obs::TimelineStore store;
+  obs::RunSampling rs;
+  rs.timeline_period = 1.0;
+  rs.timeline = &store;
+  obs::ScopedRunSampling sampling(rs);
+  {
+    Engine first;
+    ASSERT_NE(first.sampler(), nullptr);
+    for (double t : {0.5, 0.6, 0.7, 1.5}) first.call_at(t, [] {});
+    first.run();
+  }
+  {
+    // Built after the first engine's 4 events: its segment starts again at
+    // t = 0 and counts only its own.
+    Engine second;
+    for (double t : {0.5, 1.5, 2.5}) second.call_at(t, [] {});
+    second.run();
+  }
+  const std::vector<std::pair<double, double>> want = {{1.0, 3.0}, {1.0, 1.0}, {2.0, 1.0}};
+  EXPECT_EQ(event_rows(store), want);
 }
 
 }  // namespace

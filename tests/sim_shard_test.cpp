@@ -139,7 +139,7 @@ struct BoundaryScenario {
   }
 
   explicit BoundaryScenario(double work0, double work1) : group(make_options()) {
-    const int link = group.add_boundary_link("link.shared", 8.0);
+    const int link = group.add_boundary_link(8.0);
     const double work[2] = {work0, work1};
     for (int s = 0; s < 2; ++s) {
       group.with_shard(s, [&](Engine& eng) {
@@ -276,48 +276,25 @@ ShardRunResult run_sharded(int shards, Time lookahead, bool with_timeline) {
   obs::Registry reg;
   reg.set_enabled(true);
   obs::Registry::ScopedThreadLocal scope(reg);
-  GroupedScenario s(shards, lookahead);
-  // Optional per-shard simulated-time sampling: sampler and store live and
-  // die on the worker (the store's row blocks come from the worker's pool).
-  struct ShardSampling {
-    std::unique_ptr<obs::TimelineStore> store;
-    std::unique_ptr<obs::Sampler> sampler;
-  };
-  std::vector<ShardSampling> sampling(static_cast<std::size_t>(s.group.shards()));
+  // Optional simulated-time sampling: every shard engine samples into its
+  // own store, and merge_obs() folds them into this one.
+  obs::TimelineStore store;
+  obs::RunSampling rs;
   if (with_timeline) {
-    for (int sh = 0; sh < s.group.shards(); ++sh) {
-      ShardSampling& sl = sampling[static_cast<std::size_t>(sh)];
-      s.group.with_shard(sh, [&](Engine& eng) {
-        sl.store = std::make_unique<obs::TimelineStore>();
-        obs::SamplerConfig cfg;
-        cfg.period = 0.25;
-        // On the worker, global() is the shard's own registry (the
-        // caller's at one shard).
-        sl.sampler = std::make_unique<obs::Sampler>(obs::Registry::global(),
-                                                    *sl.store, cfg);
-        eng.set_sampler(sl.sampler.get());
-      });
-    }
+    rs.timeline_period = 0.25;
+    rs.timeline = &store;
   }
+  obs::ScopedRunSampling sampling(rs);
+  GroupedScenario s(shards, lookahead);
   out.end = s.group.run();
   out.events = s.total_events();
   out.windows = s.group.stats().windows;
   for (int g = 0; g < kGroups; ++g) out.completions[g] = s.groups[g].completions;
-  if (with_timeline) {
-    std::ostringstream csv;
-    for (int sh = 0; sh < s.group.shards(); ++sh) {
-      ShardSampling& sl = sampling[static_cast<std::size_t>(sh)];
-      sl.store->write_csv(csv, "shard", std::to_string(sh), sh == 0);
-      s.group.with_shard(sh, [&](Engine& eng) {
-        eng.set_sampler(nullptr);
-        sl.sampler.reset();
-        sl.store.reset();
-      });
-    }
-    out.timeline_csv = csv.str();
-  }
   s.group.merge_obs(reg);
   out.metrics = snapshot_text(reg.snapshot());
+  std::ostringstream csv;
+  store.write_csv(csv);
+  if (store.size() > 0) out.timeline_csv = csv.str();
   return out;
 }
 
@@ -331,6 +308,11 @@ TEST(ShardGroupDeterminism, FourShardsRunToRunBitwiseIdentical) {
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_FALSE(a.timeline_csv.empty());
   EXPECT_EQ(a.timeline_csv, b.timeline_csv);
+  // Every shard's series arrive under its "shard<N>." name.
+  for (int sh = 0; sh < 4; ++sh)
+    EXPECT_NE(a.timeline_csv.find(",shard" + std::to_string(sh) + ".sim.engine.events_dispatched,"),
+              std::string::npos)
+        << "shard " << sh;
 }
 
 TEST(ShardGroupDeterminism, ShardClosedRunsIdenticalAcrossShardCounts) {
