@@ -18,6 +18,37 @@
 #                                      writes rows below the CSV header
 #   ... -DEXPECT=no_campaign           the same exits 2 with a named error and
 #                                      leaves an existing path as it was
+#   ... -DEXPECT=warm_cache -DCACHE_DIR=dir
+#                                      `cci_bench a --cache dir --timeline path`
+#                                      into a fresh dir, then again against the
+#                                      warm dir: both exit 0 and write the same
+#                                      rows below the CSV header
+if(DEFINED TIMELINE AND EXPECT STREQUAL "warm_cache")
+  file(REMOVE_RECURSE "${CACHE_DIR}")
+  foreach(run cold warm)
+    file(REMOVE "${TIMELINE_FILE}.${run}")
+    execute_process(COMMAND ${CCI_BENCH} ${TIMELINE} --cache ${CACHE_DIR}
+                            --timeline ${TIMELINE_FILE}.${run}
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "cci_bench ${TIMELINE} --cache --timeline (${run}): exit code ${rc}, "
+                          "expected 0\n${err}")
+    endif()
+    file(STRINGS "${TIMELINE_FILE}.${run}" lines LIMIT_COUNT 2)
+    list(LENGTH lines count)
+    if(count LESS 2)
+      message(FATAL_ERROR "cci_bench ${TIMELINE} --cache --timeline (${run}): no rows below "
+                          "the header")
+    endif()
+  endforeach()
+  file(READ "${TIMELINE_FILE}.cold" cold)
+  file(READ "${TIMELINE_FILE}.warm" warm)
+  if(NOT cold STREQUAL warm)
+    message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: a warm cache wrote a different file")
+  endif()
+  return()
+endif()
+
 if(DEFINED TIMELINE)
   if(EXPECT STREQUAL "no_campaign")
     file(WRITE "${TIMELINE_FILE}" "keep\n")

@@ -649,7 +649,10 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   std::vector<std::uint64_t> keys(n, 0);
   std::vector<std::string> key_texts(n);
 
-  // Resolve cached points first; only the misses hit the pool.
+  // Resolve cached points first; only the misses hit the pool.  The cache
+  // stores values, not samples: a time-resolved run executes every point
+  // (and still stores its values).
+  const bool timeline_on = options_.timeline_period > 0.0;
   std::size_t tmp_swept = 0;
   std::size_t cache_rejected = 0;
   if (!options_.cache_dir.empty()) tmp_swept = sweep_stale_tmp(options_.cache_dir);
@@ -659,8 +662,10 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
     if (!options_.cache_dir.empty()) {
       key_texts[i] = cache_key_text(campaign, run.points[i]);
       keys[i] = fnv1a(key_texts[i]);
-      const CacheLookup found = load_cache_entry(options_.cache_dir, keys[i], key_texts[i],
-                                                 campaign.column_count(), run.values[i]);
+      const CacheLookup found =
+          timeline_on ? CacheLookup::kMiss
+                      : load_cache_entry(options_.cache_dir, keys[i], key_texts[i],
+                                         campaign.column_count(), run.values[i]);
       if (found == CacheLookup::kHit) {
         run.from_cache[i] = true;
         continue;
@@ -680,7 +685,6 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
   // (only if that registry is enabled: merge_from writes raw values, and a
   // disabled process registry must stay bitwise-identical to a pre-timeline
   // run).
-  const bool timeline_on = options_.timeline_period > 0.0;
   if (timeline_on) run.timelines.resize(n);
   auto evaluate_point = [&](std::size_t i, obs::Registry* merge_into) {
     if (!timeline_on) {

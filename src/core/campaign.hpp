@@ -120,7 +120,6 @@ class SweepSpec {
 
   [[nodiscard]] const Scenario& base() const { return base_; }
   [[nodiscard]] SeedPolicy seed_policy() const { return seed_policy_; }
-  [[nodiscard]] std::size_t axis_count() const { return axes_.size(); }
   [[nodiscard]] std::vector<std::string> axis_labels() const;
   [[nodiscard]] std::size_t point_count() const;
 
@@ -185,7 +184,6 @@ class Campaign {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
   [[nodiscard]] const std::string& evaluator_id() const { return evaluator_id_; }
-  [[nodiscard]] bool has_custom_evaluator() const { return static_cast<bool>(evaluator_); }
   [[nodiscard]] std::size_t column_count() const { return columns_.size(); }
   [[nodiscard]] std::vector<std::string> column_labels() const;
 
@@ -274,14 +272,15 @@ struct CampaignOptions {
   /// When set, replaces the base scenario's seed as the mix base.
   bool override_base_seed = false;
   std::uint64_t base_seed = 0;
-  /// > 0 enables time-resolved sampling: every *executed* point runs with a
-  /// fresh, enabled scratch registry and an ambient obs::RunSampling at
-  /// this period, so every engine the point builds samples into
+  /// > 0 enables time-resolved sampling: every point runs with a fresh,
+  /// enabled scratch registry and an ambient obs::RunSampling at this
+  /// period, so every engine the point builds samples into
   /// CampaignRun::timelines[i], one segment per engine.  Per-point
-  /// registries make the timeline bytes independent of jobs/sharding;
-  /// cached points keep an empty timeline.  0 (default) leaves every
-  /// pre-existing code path — including the process registry's contents —
-  /// bitwise untouched.
+  /// registries make the timeline bytes independent of jobs/sharding.
+  /// The cache holds values, not samples, so a sampled run reads no cache
+  /// entry: every point executes, and its values are still stored.  0
+  /// (default) leaves every pre-existing code path — including the process
+  /// registry's contents — bitwise untouched.
   double timeline_period = 0.0;
 };
 

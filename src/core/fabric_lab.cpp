@@ -1,6 +1,7 @@
 #include "core/fabric_lab.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -40,10 +41,27 @@ struct TenantAccum {
   std::vector<double> latencies;
 };
 
-struct LinkAccum {
-  double sum = 0.0;
-  double peak = 0.0;
-  std::uint64_t n = 0;
+/// Per-link utilization peaks from a flow model's load-change stream.  The
+/// links are the model's last resources, link li being resource link0 + li.
+/// A sample reads only the links whose load changed since the previous
+/// sample (the first reads every link): any other link would read what its
+/// peak already includes, since a reading depends on the load alone (run()
+/// never changes a link capacity; run_sharded() divides by the base one).
+struct LinkPeaks {
+  std::size_t link0 = 0;
+  std::vector<double> peak;  ///< per link index
+  std::uint64_t reads = 0;   ///< link loads read
+
+  /// `read(li)`: link li's utilization now.
+  template <typename Read>
+  void sample(sim::FlowModel& model, Read&& read) {
+    model.drain_load_changes([&](std::size_t r) {
+      if (r < link0 || r - link0 >= peak.size()) return;
+      double& p = peak[r - link0];
+      p = std::max(p, read(r - link0));
+      ++reads;
+    });
+  }
 };
 
 /// Shared per-run state the stream coroutines write into.  Owned by run()
@@ -52,7 +70,8 @@ struct LinkAccum {
 struct RunState {
   std::vector<TenantAccum> tenants;
   std::span<sim::Resource* const> links;
-  std::vector<LinkAccum> link_acc;
+  sim::FlowModel* model = nullptr;
+  LinkPeaks peaks;
   obs::Registry* reg = nullptr;  ///< Registry::global() at run start
   /// net.<link>.utilization per link.  Bound when the run starts with the
   /// registry on, otherwise by the first sample that finds it on: a
@@ -66,16 +85,13 @@ struct RunState {
       link_hist.push_back(&reg->histogram("net." + r->name() + ".utilization"));
   }
 
+  /// The histograms record every link at every sample; the peaks read
+  /// only the links whose load changed.
   void sample_links() {
     if (link_hist.empty() && reg->enabled()) bind_link_hist();
-    const bool record = !link_hist.empty();
-    for (std::size_t li = 0; li < links.size(); ++li) {
-      const double u = links[li]->utilization();
-      link_acc[li].sum += u;
-      link_acc[li].peak = std::max(link_acc[li].peak, u);
-      ++link_acc[li].n;
-      if (record) link_hist[li]->record(u);
-    }
+    for (std::size_t li = 0; li < link_hist.size(); ++li)
+      link_hist[li]->record(links[li]->utilization());
+    peaks.sample(*model, [this](std::size_t li) { return links[li]->utilization(); });
   }
 };
 
@@ -257,7 +273,11 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   RunState st;
   st.tenants.resize(jobs.size());
   st.links = cluster_->fabric().link_resources();
-  st.link_acc.resize(st.links.size());
+  st.model = &cluster_->model();
+  st.peaks.link0 = st.links.empty() ? 0 : st.links.front()->index();
+  st.peaks.peak.assign(st.links.size(), 0.0);
+  assert(st.links.empty() ||
+         st.links.back()->index() + 1 == st.model->solver().resource_count());
   st.reg = &obs::Registry::global();
   if (st.reg->enabled()) st.bind_link_hist();
 
@@ -283,15 +303,9 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   FabricReport report;
   add_tenant_rows(report, jobs, st.tenants);
   report.links.reserve(st.links.size());
-  for (std::size_t li = 0; li < st.links.size(); ++li) {
-    LinkReport lr;
-    lr.name = st.links[li]->name();
-    lr.mean = st.link_acc[li].n > 0
-                  ? st.link_acc[li].sum / static_cast<double>(st.link_acc[li].n)
-                  : 0.0;
-    lr.peak = st.link_acc[li].peak;
-    report.links.push_back(std::move(lr));
-  }
+  for (std::size_t li = 0; li < st.links.size(); ++li)
+    report.links.push_back({st.links[li]->name(), st.peaks.peak[li]});
+  report.link_reads = st.peaks.reads;
   // Routing counters from the always-on route trace, so they are exact
   // whether or not the obs registry is enabled.  Decisions evicted from
   // the trace ring still count as routes; only their reroute class is
@@ -314,24 +328,15 @@ struct FluidShard {
   std::unique_ptr<net::FabricGraph> fabric;
   std::unique_ptr<sim::FlowModel> model;
   std::vector<TenantAccum> tenants;
-  std::vector<double> link_peak;  ///< per links() index, load / base capacity
-  std::uint64_t link_reads = 0;   ///< link loads read by sample_links()
+  LinkPeaks links;  ///< resource index == fabric key
 
   /// Local fabric peak at a delivery event.  Loads are read against the
   /// *base* capacity: a boundary replica throttled by remote load would
-  /// otherwise read utilization ~1 at any load.  Only links whose load
-  /// changed since the previous sample are read: every other link still
-  /// has a load its peak already includes.  Link keys follow every port
-  /// and crossbar key, and resource index == key.
+  /// otherwise read utilization ~1 at any load.
   void sample_links() {
-    const std::size_t link0 = static_cast<std::size_t>(fabric->link_key(0));
-    model->drain_load_changes([this, link0](std::size_t key) {
-      if (key < link0) return;
-      const int k = static_cast<int>(key);
-      const double u = fabric->at(k)->load() / fabric->base_capacity(k);
-      double& peak = link_peak[key - link0];
-      peak = std::max(peak, u);
-      ++link_reads;
+    links.sample(*model, [this](std::size_t li) {
+      const int k = fabric->link_key(static_cast<int>(li));
+      return fabric->at(k)->load() / fabric->base_capacity(k);
     });
   }
 };
@@ -443,7 +448,8 @@ FabricReport FabricLab::run_sharded(int shards) {
     fs->model = std::make_unique<sim::FlowModel>(eng);
     fs->fabric->materialize(*fs->model);
     fs->tenants.resize(jobs.size());
-    fs->link_peak.assign(topo.links().size(), 0.0);
+    fs->links.link0 = static_cast<std::size_t>(fs->fabric->link_key(0));
+    fs->links.peak.assign(topo.links().size(), 0.0);
     std::vector<sim::LabelId> tenant_label(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j)
       tenant_label[j] = eng.intern("fabric." + jobs[j].label);
@@ -519,31 +525,13 @@ FabricReport FabricLab::run_sharded(int shards) {
     }
   add_tenant_rows(report, jobs, merged);
 
-  // Link means from delivered-byte integrals (exact and shard-invariant);
-  // peaks from delivery-event samples plus the barrier probe.
-  std::vector<double> link_bytes(topo.links().size(), 0.0);
-  if (!topo.links().empty()) {
-    const int link0 = shape.link_key(0);
-    for (const Stream& st : streams)
-      for (int key : st.keys)
-        if (key >= link0)
-          link_bytes[static_cast<std::size_t>(key - link0)] +=
-              static_cast<double>(st.spec.bytes) *
-              static_cast<double>(st.spec.iterations);
-  }
+  // Link peaks: delivery-event samples plus the barrier probe.
   report.links.reserve(topo.links().size());
   for (std::size_t li = 0; li < topo.links().size(); ++li) {
-    LinkReport lr;
-    const int key = shape.link_key(static_cast<int>(li));
-    lr.name = shape.name(key);
-    lr.mean = report.elapsed > 0.0
-                  ? link_bytes[li] / (shape.base_capacity(key) * report.elapsed)
-                  : 0.0;
     double peak = boundary_link_peak[li];
     for (int s = 0; s < shards; ++s)
-      peak = std::max(peak, ctx[static_cast<std::size_t>(s)]->link_peak[li]);
-    lr.peak = peak;
-    report.links.push_back(std::move(lr));
+      peak = std::max(peak, ctx[static_cast<std::size_t>(s)]->links.peak[li]);
+    report.links.push_back({shape.name(shape.link_key(static_cast<int>(li))), peak});
   }
   // Minimal routing: decisions are a pure function of the streams (run()'s
   // note_route fires once per cross-switch message).
@@ -554,7 +542,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   for (int s = 0; s < shards; ++s) {
     report.solver_flow_visits +=
         ctx[static_cast<std::size_t>(s)]->model->solver().stats().flow_visits;
-    report.link_reads += ctx[static_cast<std::size_t>(s)]->link_reads;
+    report.link_reads += ctx[static_cast<std::size_t>(s)]->links.reads;
     report.events += group.engine(s).events_dispatched();
   }
 

@@ -6,7 +6,7 @@
 // ring streams, open-loop at `offered_load` x wire rate) across the
 // scenario's fat-tree/dragonfly fabric.  Reports per-tenant delivered
 // bandwidth and delivery latency (vs the injection schedule, so queueing
-// past the congestion knee is visible), per-link utilization summaries,
+// past the congestion knee is visible), per-link utilization peaks,
 // and the fabric routing counters — the raw material of the
 // job_interference and congestion_onset figures.
 //
@@ -51,11 +51,11 @@ struct TenantReport {
   trace::Stats delivery_latency;
 };
 
-/// One fabric link's utilization summary, sampled at delivery events and
-/// at the midpoints of the injection grid.
+/// One fabric link's utilization peak over the samples: delivery events
+/// plus, in run(), the midpoints of the injection grid and, in
+/// run_sharded(), the window barriers (boundary links).
 struct LinkReport {
   std::string name;
-  double mean = 0.0;
   double peak = 0.0;
 };
 
@@ -67,6 +67,9 @@ struct FabricReport {
   double aggregate_bw = 0.0;  ///< total_bytes / elapsed
   std::uint64_t routes = 0;   ///< fabric routing decisions this run
   std::uint64_t reroutes = 0; ///< adaptive deviations from the minimal route
+  /// Link loads the peak sampling read (summed across shards): the first
+  /// sample reads every link, later ones only links whose load changed.
+  std::uint64_t link_reads = 0;
   // ---- run_sharded() only (all zero after a serial run()) ------------------
   int shards = 0;            ///< shard count the fabric was carved across
   int populated_shards = 0;  ///< shards that actually ran streams
@@ -75,9 +78,6 @@ struct FabricReport {
   std::uint64_t exchanges = 0;  ///< boundary capacity updates delivered
   std::uint64_t solver_flow_visits = 0;  ///< summed across shard solvers
   std::uint64_t events = 0;              ///< summed engine events
-  /// Link loads read by delivery-event sampling, summed across shards:
-  /// only links whose load changed since the shard's previous sample.
-  std::uint64_t link_reads = 0;
   [[nodiscard]] const TenantReport* tenant(std::string_view label) const;
 };
 

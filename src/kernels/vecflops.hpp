@@ -22,8 +22,6 @@ class VecFlops {
 
   /// Simulator traits: iteration = one 8-wide FMA; 16 flops, no memory.
   static hw::KernelTraits traits();
-  /// Iterations for a given flop budget.
-  static double iterations_for_flops(double flops) { return flops / 16.0; }
 
  private:
   static constexpr std::size_t kLanes = 8;  // one ZMM register of doubles

@@ -109,7 +109,10 @@ double World::pio_latency(int rank, std::size_t bytes) {
 
 RequestPtr World::isend(int src_rank, int dst_rank, int tag, MsgView msg) {
   RequestPtr req = request_pool_.make(engine());
-  engine().spawn(send_process(src_rank, dst_rank, tag, msg, req));
+  if (msg.bytes <= nic_of(src_rank).params().eager_threshold)
+    engine().spawn(send_eager(src_rank, dst_rank, tag, msg, req));
+  else
+    engine().spawn(send_rndv(src_rank, dst_rank, tag, msg, req));
   return req;
 }
 
@@ -158,6 +161,11 @@ void World::arrive(int dst_rank, const ArrivalPtr& arrival) {
   obs_unexpected_depth_->record(static_cast<double>(R.unexpected.size()));
 }
 
+sim::Coro World::deliver(int dst_rank, ArrivalPtr arrival, double delay) {
+  co_await engine().sleep(delay);
+  arrive(dst_rank, arrival);
+}
+
 sim::Coro World::finish_eager_recv(int dst_rank, ArrivalPtr arrival, bool from_unexpected) {
   const auto& np = nic_of(dst_rank).params();
   hw::Machine& m = machine_of(dst_rank);
@@ -185,89 +193,208 @@ sim::Coro World::finish_eager_recv(int dst_rank, ArrivalPtr arrival, bool from_u
   arrival->recv_req->done().set();
 }
 
-sim::Coro World::send_process(int src_rank, int dst_rank, int tag, MsgView msg,
-                              RequestPtr sreq) {
-  RankState& S = rank(src_rank);
+sim::ActivitySpec World::pio_copy_spec(int src_rank, const MsgView& msg) {
+  hw::Machine& M = machine_of(src_rank);
+  net::Nic& snic = nic_of(src_rank);
+  sim::ActivitySpec copy;
+  copy.label = label_pio_copy_;
+  copy.profile_class = sim::kClassComm;
+  copy.work = static_cast<double>(msg.bytes);
+  for (sim::Resource* r : M.mem_path(comm_numa(src_rank), msg.data_numa))
+    copy.demands.push_back({r, 1.0});
+  copy.demands.push_back({snic.dma_engine(), 1.0});
+  double f = M.governor().core_freq(comm_core(src_rank));
+  copy.rate_cap = f / snic.params().pio_cycles_per_byte;
+  return copy;
+}
+
+sim::ActivitySpec World::dma_spec(int src_rank, int dst_rank, const MsgView& msg,
+                                  const MsgView& recv_msg) {
+  hw::Machine& M = machine_of(src_rank);
+  hw::Machine& D = machine_of(dst_rank);
+  net::Nic& snic = nic_of(src_rank);
+  net::Nic& dnic = nic_of(dst_rank);
+  sim::ActivitySpec dma;
+  dma.label = label_dma_;
+  dma.profile_class = sim::kClassComm;
+  dma.work = static_cast<double>(msg.bytes);
+  dma.weight = M.config().nic_dma_weight;
+  for (sim::Resource* r : M.mem_path(snic.numa(), msg.data_numa)) dma.demands.push_back({r, 1.0});
+  dma.demands.push_back({snic.dma_engine(), 1.0});
+  for (sim::Resource* r : cluster_.fabric_path(cfg(src_rank).node, cfg(dst_rank).node))
+    dma.demands.push_back({r, 1.0});
+  dma.demands.push_back({dnic.dma_engine(), 1.0});
+  for (sim::Resource* r : D.mem_path(dnic.numa(), recv_msg.data_numa))
+    dma.demands.push_back({r, 1.0});
+  return dma;
+}
+
+double World::wire_delay(const net::NetworkParams& np, std::size_t bytes) {
+  return np.wire_latency * cluster_.rng().jitter(np.noise_rel) +
+         static_cast<double>(bytes) / np.wire_bw;
+}
+
+sim::Coro World::send_eager(int src_rank, int dst_rank, int tag, MsgView msg, RequestPtr sreq) {
   hw::Machine& M = machine_of(src_rank);
   net::Nic& snic = nic_of(src_rank);
   const auto& np = snic.params();
+  const auto& rel = faults_->reliability;
   const sim::Time t0 = engine().now();
 
   co_await engine().sleep(sw_delay(src_rank, np.send_overhead_cycles));
-
   ArrivalPtr arrival = arrival_pool_.make(engine());
   arrival->src = src_rank;
   arrival->tag = tag;
   arrival->bytes = msg.bytes;
+  arrival->eager = true;
+  // Armed, the sender first queues behind the events already due at this
+  // instant; fault-mode event streams depend on that slot.
+  const bool armed = reliable();
+  if (armed) co_await engine().yield();
 
-  if (reliable()) {
-    // Fault model armed: both protocols switch to the acknowledged
-    // transport with retransmit timers and bounded retry budgets.
-    if (msg.bytes <= np.eager_threshold)
-      engine().spawn(reliable_eager_send(src_rank, dst_rank, tag, msg, sreq, arrival, t0));
-    else
-      engine().spawn(reliable_rndv_send(src_rank, dst_rank, tag, msg, sreq, arrival, t0));
-    co_return;
-  }
+  // Gather the payload from its NUMA node into the store pipeline, once:
+  // retransmits resend from the NIC-side staging.
+  co_await engine().sleep(M.mem_access_latency(comm_numa(src_rank), msg.data_numa) *
+                          cluster_.rng().jitter(np.noise_rel));
 
-  if (msg.bytes <= np.eager_threshold) {
-    arrival->eager = true;
-    // Gather the payload from its NUMA node into the store pipeline.
-    co_await engine().sleep(M.mem_access_latency(comm_numa(src_rank), msg.data_numa) *
-                            cluster_.rng().jitter(np.noise_rel));
+  double rto = armed ? initial_rto(msg.bytes) : 0.0;
+  bool delivered = false;  // suppress duplicates when only the ack was lost
+  bool acked = false;
+  MpiStatus status = MpiStatus::kTimedOut;
+  for (int attempt = 0; !armed || attempt <= rel.max_retries; ++attempt) {
+    if (attempt > 0) obs_retransmits_->add(1);
     if (msg.bytes <= np.pio_latency_cutoff) {
       co_await engine().sleep(pio_latency(src_rank, msg.bytes));
     } else {
       // CPU-driven pipelined copy: consumes memory bandwidth on the data
       // path and PCIe on the way out, capped by the core's copy speed.
-      sim::ActivitySpec copy;
-      copy.label = label_pio_copy_;
-      copy.profile_class = sim::kClassComm;
-      copy.work = static_cast<double>(msg.bytes);
-      for (sim::Resource* r : M.mem_path(comm_numa(src_rank), msg.data_numa))
-        copy.demands.push_back({r, 1.0});
-      copy.demands.push_back({snic.dma_engine(), 1.0});
-      double f = M.governor().core_freq(comm_core(src_rank));
-      copy.rate_cap = f / np.pio_cycles_per_byte;
       snic.dma_begin();
-      co_await *M.model().start(copy);
+      co_await *M.model().start(pio_copy_spec(src_rank, msg));
       snic.dma_end();
       co_await engine().sleep(pio_latency(src_rank, np.pio_chunk));  // doorbell
     }
-    // Local completion: buffer reusable once handed to the NIC.
-    S.stats.bytes += static_cast<double>(msg.bytes);
-    S.stats.busy_time += engine().now() - t0;
-    obs_eager_->add(1);
-    obs_bytes_->add(static_cast<double>(msg.bytes));
-    if (obs_reg_->tracer().on())
-      obs_reg_->tracer().span(obs_rank_tracks_[static_cast<std::size_t>(src_rank)],
-                              "eager tag=" + std::to_string(tag) + " B=" +
-                                  std::to_string(msg.bytes),
-                              t0, engine().now());
-    if (message_trace_enabled_)
-      message_trace_.push_back(
-          {src_rank, dst_rank, tag, msg.bytes, true, t0, t0, engine().now()});
-    sreq->done().set();
+    if (!armed) break;
 
-    double wire_time = np.wire_latency * cluster_.rng().jitter(np.noise_rel) +
-                       static_cast<double>(msg.bytes) / np.wire_bw;
-    engine().spawn([](World* w, int dst, ArrivalPtr arr, double t) -> sim::Coro {
-      co_await w->engine().sleep(t);
-      w->arrive(dst, arr);
-    }(this, dst_rank, arrival, wire_time));
+    // Fate of this attempt: a blacked-out NIC passes nothing; otherwise the
+    // wire may drop or corrupt the payload (receiver CRC rejects the latter).
+    const bool lost = attempt_lost(src_rank, dst_rank);
+    const bool corrupt = !lost && faults_->draw_corrupt(cluster_.rng());
+    status = corrupt ? MpiStatus::kCorrupted : MpiStatus::kTimedOut;
+    if (!lost && !corrupt) {
+      const double wire_time = wire_delay(np, msg.bytes);
+      if (!delivered) {
+        delivered = true;
+        engine().spawn(deliver(dst_rank, arrival, wire_time));
+      }
+      // Control-sized ack rides back on the same (possibly lossy) wire.
+      if (!faults_->draw_loss(cluster_.rng())) {
+        co_await engine().sleep(wire_time + control_delay());
+        acked = true;
+        break;
+      }
+    }
+    // No ack: the retransmit timer expires, with exponential backoff.
+    co_await engine().sleep(backoff(rto));
+  }
+  if (armed && !acked) {
+    obs_timeouts_->add(1);
+    if (!delivered) {
+      // Poison arrival so a matching receive fails instead of hanging.
+      arrival->status = status;
+      arrive(dst_rank, arrival);
+    }
+    sreq->fail(status);
     co_return;
   }
 
-  // ---- rendezvous ---------------------------------------------------------
+  // Local completion: the buffer is reusable once handed to the NIC (and,
+  // armed, acknowledged).
+  RankState& S = rank(src_rank);
+  S.stats.bytes += static_cast<double>(msg.bytes);
+  S.stats.busy_time += engine().now() - t0;
+  obs_eager_->add(1);
+  obs_bytes_->add(static_cast<double>(msg.bytes));
+  if (obs_reg_->tracer().on())
+    obs_reg_->tracer().span(obs_rank_tracks_[static_cast<std::size_t>(src_rank)],
+                            "eager tag=" + std::to_string(tag) + " B=" +
+                                std::to_string(msg.bytes),
+                            t0, engine().now());
+  sreq->done().set();
+  // Fire and forget: the payload is on the wire after local completion.
+  if (!armed) engine().spawn(deliver(dst_rank, arrival, wire_delay(np, msg.bytes)));
+}
+
+sim::Coro World::send_rndv(int src_rank, int dst_rank, int tag, MsgView msg, RequestPtr sreq) {
+  hw::Machine& M = machine_of(src_rank);
+  net::Nic& snic = nic_of(src_rank);
+  net::Nic& dnic = nic_of(dst_rank);
+  const auto& np = snic.params();
+  const auto& rel = faults_->reliability;
+  const sim::Time t0 = engine().now();
+
+  co_await engine().sleep(sw_delay(src_rank, np.send_overhead_cycles));
+  ArrivalPtr arrival = arrival_pool_.make(engine());
+  arrival->src = src_rank;
+  arrival->tag = tag;
+  arrival->bytes = msg.bytes;
   arrival->eager = false;
+  // Armed, queue behind this instant's events first, as send_eager does.
+  const bool armed = reliable();
+  if (armed) co_await engine().yield();
   const sim::Time hs_start = engine().now();
-  co_await engine().sleep(control_delay());  // RTS travels to the receiver
-  arrive(dst_rank, arrival);
-  co_await arrival->matched.wait();          // receiver posted a matching recv
-  co_await engine().sleep(control_delay());  // CTS travels back
+
+  // ---- RTS: control-sized; armed, link-level acked -------------------------
+  double rto = initial_rto(0);
+  bool rts_delivered = false;
+  if (!armed) {
+    co_await engine().sleep(control_delay());  // RTS travels to the receiver
+    arrive(dst_rank, arrival);
+  } else {
+    bool rts_acked = false;
+    for (int attempt = 0; attempt <= rel.max_retries; ++attempt) {
+      if (attempt > 0) obs_retransmits_->add(1);
+      if (!attempt_lost(src_rank, dst_rank)) {
+        const double d = control_delay();
+        if (!rts_delivered) {
+          rts_delivered = true;
+          engine().spawn(deliver(dst_rank, arrival, d));
+        }
+        if (!faults_->draw_loss(cluster_.rng())) {  // the ack
+          co_await engine().sleep(2.0 * d);
+          rts_acked = true;
+          break;
+        }
+      }
+      co_await engine().sleep(backoff(rto));
+    }
+    if (!rts_acked) {
+      fail_rndv(dst_rank, arrival, sreq, MpiStatus::kTimedOut, rts_delivered);
+      co_return;
+    }
+  }
+
+  // The wait for a matching receive is application behaviour, not a fault:
+  // it stays unbounded in both modes.
+  co_await arrival->matched.wait();
+
+  // ---- CTS travels back; armed, a receiver-driven retransmit ---------------
+  rto = initial_rto(0);
+  bool cts_ok = false;
+  for (int attempt = 0; !armed || attempt <= rel.max_retries; ++attempt) {
+    if (attempt > 0) obs_retransmits_->add(1);
+    if (!armed || !attempt_lost(src_rank, dst_rank)) {
+      co_await engine().sleep(control_delay());
+      cts_ok = true;
+      break;
+    }
+    co_await engine().sleep(backoff(rto));
+  }
+  if (!cts_ok) {
+    fail_rndv(dst_rank, arrival, sreq, MpiStatus::kTimedOut, rts_delivered);
+    co_return;
+  }
   const sim::Time hs_end = engine().now();
 
-  net::Nic& dnic = nic_of(dst_rank);
   if (msg.buffer_id != 0 && !snic.registered(msg.buffer_id)) {
     co_await engine().sleep(snic.registration_cost(msg.bytes));
     snic.register_buffer(msg.buffer_id);
@@ -283,26 +410,60 @@ sim::Coro World::send_process(int src_rank, int dst_rank, int tag, MsgView msg,
   // network" — the wire/DMA phase, not the wait for the receiver to show
   // up (which is application-dependent and constant across worker counts).
   const sim::Time transfer_start = engine().now();
+  bool transferred = !armed;
+  if (!armed) {
+    snic.dma_begin();
+    dnic.dma_begin();
+    co_await *M.model().start(dma_spec(src_rank, dst_rank, msg, arrival->recv_msg));
+    snic.dma_end();
+    dnic.dma_end();
+  }
+  // Armed: whole-transfer retransmit.  A blackout mid-transfer cancels the
+  // flow (frozen progress, completion never fires); the abort event wakes
+  // us and the timer takes over.
+  rto = initial_rto(msg.bytes);
+  MpiStatus status = MpiStatus::kTimedOut;
+  for (int attempt = 0; !transferred && attempt <= rel.max_retries; ++attempt) {
+    if (attempt > 0) obs_retransmits_->add(1);
+    status = MpiStatus::kTimedOut;
+    if (blacked_out(src_rank, dst_rank)) {
+      co_await engine().sleep(backoff(rto));
+      continue;
+    }
+    sim::ActivityPtr act =
+        M.model().start(dma_spec(src_rank, dst_rank, msg, arrival->recv_msg));
+    sim::OneShotEvent abort(engine());
+    snic.dma_begin();
+    dnic.dma_begin();
+    register_dma(act, &abort, cfg(src_rank).node, cfg(dst_rank).node);
+    // Named awaitable: an initializer_list inside the co_await expression
+    // trips a GCC coroutine-frame bug ("array used as initializer").
+    sim::WhenAny done_or_abort = sim::when_any(engine(), {&act->done(), &abort});
+    co_await done_or_abort;
+    unregister_dma(&abort);
+    snic.dma_end();
+    dnic.dma_end();
+    // A cancelled flow restarts from scratch after the backoff; a finished
+    // one can still fail the receiver's CRC or lose its fin.
+    if (act->finished()) {
+      if (faults_->draw_corrupt(cluster_.rng())) {
+        status = MpiStatus::kCorrupted;
+      } else if (!attempt_lost(src_rank, dst_rank)) {
+        co_await engine().sleep(control_delay());  // completion notification
+        transferred = true;
+        break;
+      }
+    }
+    co_await engine().sleep(backoff(rto));
+  }
+  if (!transferred) {
+    fail_rndv(dst_rank, arrival, sreq, status, rts_delivered);
+    co_return;
+  }
 
-  hw::Machine& D = machine_of(dst_rank);
-  sim::ActivitySpec dma;
-  dma.label = label_dma_;
-  dma.profile_class = sim::kClassComm;
-  dma.work = static_cast<double>(msg.bytes);
-  dma.weight = M.config().nic_dma_weight;
-  for (sim::Resource* r : M.mem_path(snic.numa(), msg.data_numa)) dma.demands.push_back({r, 1.0});
-  dma.demands.push_back({snic.dma_engine(), 1.0});
-  for (sim::Resource* r : cluster_.fabric_path(cfg(src_rank).node, cfg(dst_rank).node))
-    dma.demands.push_back({r, 1.0});
-  dma.demands.push_back({dnic.dma_engine(), 1.0});
-  for (sim::Resource* r : D.mem_path(dnic.numa(), arrival->recv_msg.data_numa))
-    dma.demands.push_back({r, 1.0});
-  snic.dma_begin();
-  dnic.dma_begin();
-  co_await *M.model().start(dma);
-  snic.dma_end();
-  dnic.dma_end();
-
+  // Stats cover transfer_start..now, retransmissions included — exactly the
+  // bandwidth degradation the fault sweep measures.
+  RankState& S = rank(src_rank);
   S.stats.bytes += static_cast<double>(msg.bytes);
   S.stats.busy_time += engine().now() - transfer_start;
   obs_rndv_->add(1);
@@ -320,12 +481,12 @@ sim::Coro World::send_process(int src_rank, int dst_rank, int tag, MsgView msg,
     tracer.span(track, "handshake" + id, hs_start, hs_end);
     tracer.span(track, "dma" + id, transfer_start, engine().now());
   }
-  if (message_trace_enabled_)
-    message_trace_.push_back(
-        {src_rank, dst_rank, tag, msg.bytes, false, t0, transfer_start, engine().now()});
   sreq->done().set();
 
-  co_await engine().sleep(sw_delay(dst_rank, np.recv_overhead_cycles));
+  // Receiver completion; the acknowledged transport also verifies the CRC.
+  double recv_time = sw_delay(dst_rank, np.recv_overhead_cycles);
+  if (armed) recv_time += crc_delay(dst_rank, msg.bytes);
+  co_await engine().sleep(recv_time);
   arrival->recv_req->done().set();
 }
 
@@ -343,15 +504,37 @@ double World::initial_rto(std::size_t bytes) const {
           static_cast<double>(bytes) / np.wire_bw);
 }
 
+double World::backoff(double& rto) const {
+  const double expiry = rto;
+  rto = std::min(rto * 2.0, faults_->reliability.rto_max);
+  return expiry;
+}
+
 double World::crc_delay(int rank_id, std::size_t bytes) {
   const auto& np = nic_of(rank_id).params();
   double f = machine_of(rank_id).governor().core_freq(comm_core(rank_id));
   return static_cast<double>(bytes) * np.crc_cycles_per_byte / f;
 }
 
+bool World::blacked_out(int src_rank, int dst_rank) const {
+  return faults_->blacked_out(cfg(src_rank).node) || faults_->blacked_out(cfg(dst_rank).node);
+}
+
+bool World::attempt_lost(int src_rank, int dst_rank) {
+  return blacked_out(src_rank, dst_rank) || faults_->draw_loss(cluster_.rng());
+}
+
 void World::register_dma(sim::ActivityPtr act, sim::OneShotEvent* abort, int src_node,
                          int dst_node) {
   inflight_dma_.push_back({std::move(act), abort, src_node, dst_node});
+}
+
+void World::unregister_dma(const sim::OneShotEvent* abort) {
+  for (auto it = inflight_dma_.begin(); it != inflight_dma_.end(); ++it)
+    if (it->abort == abort) {
+      inflight_dma_.erase(it);
+      return;
+    }
 }
 
 void World::fail_rndv(int dst_rank, const ArrivalPtr& arrival, const RequestPtr& sreq,
@@ -367,291 +550,6 @@ void World::fail_rndv(int dst_rank, const ArrivalPtr& arrival, const RequestPtr&
     arrive(dst_rank, arrival);  // poison
   }
   sreq->fail(status);
-}
-
-void World::unregister_dma(const sim::OneShotEvent* abort) {
-  for (auto it = inflight_dma_.begin(); it != inflight_dma_.end(); ++it)
-    if (it->abort == abort) {
-      inflight_dma_.erase(it);
-      return;
-    }
-}
-
-sim::Coro World::reliable_eager_send(int src_rank, int dst_rank, int tag, MsgView msg,
-                                     RequestPtr sreq, ArrivalPtr arrival, sim::Time t0) {
-  RankState& S = rank(src_rank);
-  hw::Machine& M = machine_of(src_rank);
-  net::Nic& snic = nic_of(src_rank);
-  const auto& np = snic.params();
-  const int src_node = cfg(src_rank).node;
-  const int dst_node = cfg(dst_rank).node;
-  const auto& rel = faults_->reliability;
-
-  arrival->eager = true;
-  // Gather the payload once; retransmits resend from the NIC-side staging.
-  co_await engine().sleep(M.mem_access_latency(comm_numa(src_rank), msg.data_numa) *
-                          cluster_.rng().jitter(np.noise_rel));
-
-  double rto = initial_rto(msg.bytes);
-  bool delivered = false;  // suppress duplicates when only the ack was lost
-  bool acked = false;
-  MpiStatus fail_status = MpiStatus::kTimedOut;
-
-  for (int attempt = 0; attempt <= rel.max_retries; ++attempt) {
-    if (attempt > 0) obs_retransmits_->add(1);
-    // Per-attempt injection cost on the comm core (same as the legacy path).
-    if (msg.bytes <= np.pio_latency_cutoff) {
-      co_await engine().sleep(pio_latency(src_rank, msg.bytes));
-    } else {
-      sim::ActivitySpec copy;
-      copy.label = label_pio_copy_;
-      copy.profile_class = sim::kClassComm;
-      copy.work = static_cast<double>(msg.bytes);
-      for (sim::Resource* r : M.mem_path(comm_numa(src_rank), msg.data_numa))
-        copy.demands.push_back({r, 1.0});
-      copy.demands.push_back({snic.dma_engine(), 1.0});
-      double f = M.governor().core_freq(comm_core(src_rank));
-      copy.rate_cap = f / np.pio_cycles_per_byte;
-      snic.dma_begin();
-      co_await *M.model().start(copy);
-      snic.dma_end();
-      co_await engine().sleep(pio_latency(src_rank, np.pio_chunk));  // doorbell
-    }
-
-    // Fate of this attempt: a blacked-out NIC passes nothing; otherwise the
-    // wire may drop or corrupt the payload (receiver CRC rejects the latter).
-    const bool blackout = faults_->blacked_out(src_node) || faults_->blacked_out(dst_node);
-    const bool lost = blackout || faults_->draw_loss(cluster_.rng());
-    const bool corrupt = !lost && faults_->draw_corrupt(cluster_.rng());
-    if (!lost && !corrupt) {
-      const double wire_time = np.wire_latency * cluster_.rng().jitter(np.noise_rel) +
-                               static_cast<double>(msg.bytes) / np.wire_bw;
-      if (!delivered) {
-        delivered = true;
-        engine().spawn([](World* w, int dst, ArrivalPtr arr, double t) -> sim::Coro {
-          co_await w->engine().sleep(t);
-          w->arrive(dst, arr);
-        }(this, dst_rank, arrival, wire_time));
-      }
-      // Control-sized ack rides back on the same (possibly lossy) wire.
-      const bool ack_lost = blackout || faults_->draw_loss(cluster_.rng());
-      if (!ack_lost) {
-        co_await engine().sleep(wire_time + control_delay());
-        acked = true;
-        break;
-      }
-      fail_status = MpiStatus::kTimedOut;
-    } else {
-      fail_status = corrupt ? MpiStatus::kCorrupted : MpiStatus::kTimedOut;
-    }
-    // No ack: the retransmit timer expires, with exponential backoff.
-    co_await engine().sleep(rto);
-    rto = std::min(rto * 2.0, rel.rto_max);
-  }
-
-  if (!acked) {
-    obs_timeouts_->add(1);
-    if (!delivered) {
-      // Poison arrival so a matching receive fails instead of hanging.
-      arrival->status = fail_status;
-      arrive(dst_rank, arrival);
-    }
-    sreq->fail(fail_status);
-    co_return;
-  }
-
-  S.stats.bytes += static_cast<double>(msg.bytes);
-  S.stats.busy_time += engine().now() - t0;
-  obs_eager_->add(1);
-  obs_bytes_->add(static_cast<double>(msg.bytes));
-  if (obs_reg_->tracer().on())
-    obs_reg_->tracer().span(obs_rank_tracks_[static_cast<std::size_t>(src_rank)],
-                            "eager tag=" + std::to_string(tag) + " B=" +
-                                std::to_string(msg.bytes),
-                            t0, engine().now());
-  if (message_trace_enabled_)
-    message_trace_.push_back({src_rank, dst_rank, tag, msg.bytes, true, t0, t0, engine().now()});
-  sreq->done().set();
-}
-
-sim::Coro World::reliable_rndv_send(int src_rank, int dst_rank, int tag, MsgView msg,
-                                    RequestPtr sreq, ArrivalPtr arrival, sim::Time t0) {
-  RankState& S = rank(src_rank);
-  hw::Machine& M = machine_of(src_rank);
-  net::Nic& snic = nic_of(src_rank);
-  const auto& np = snic.params();
-  const int src_node = cfg(src_rank).node;
-  const int dst_node = cfg(dst_rank).node;
-  const auto& rel = faults_->reliability;
-
-  arrival->eager = false;
-  const sim::Time hs_start = engine().now();
-
-  // ---- RTS: control-sized, link-level acked --------------------------------
-  double rto = initial_rto(0);
-  bool rts_delivered = false;
-  bool rts_acked = false;
-  for (int attempt = 0; attempt <= rel.max_retries; ++attempt) {
-    if (attempt > 0) obs_retransmits_->add(1);
-    const bool blackout = faults_->blacked_out(src_node) || faults_->blacked_out(dst_node);
-    const bool lost = blackout || faults_->draw_loss(cluster_.rng());
-    if (!lost) {
-      const double d = control_delay();
-      if (!rts_delivered) {
-        rts_delivered = true;
-        engine().spawn([](World* w, int dst, ArrivalPtr arr, double t) -> sim::Coro {
-          co_await w->engine().sleep(t);
-          w->arrive(dst, arr);
-        }(this, dst_rank, arrival, d));
-      }
-      const bool ack_lost = blackout || faults_->draw_loss(cluster_.rng());
-      if (!ack_lost) {
-        co_await engine().sleep(2.0 * d);
-        rts_acked = true;
-        break;
-      }
-    }
-    co_await engine().sleep(rto);
-    rto = std::min(rto * 2.0, rel.rto_max);
-  }
-  if (!rts_acked) {
-    fail_rndv(dst_rank, arrival, sreq, MpiStatus::kTimedOut, rts_delivered);
-    co_return;
-  }
-
-  // The wait for a matching receive is application behaviour, not a fault:
-  // it stays unbounded, exactly as in the legacy protocol.
-  co_await arrival->matched.wait();
-
-  // ---- CTS: receiver-driven retransmit, same control-scale timer -----------
-  rto = initial_rto(0);
-  bool cts_ok = false;
-  for (int attempt = 0; attempt <= rel.max_retries; ++attempt) {
-    if (attempt > 0) obs_retransmits_->add(1);
-    const bool blackout = faults_->blacked_out(src_node) || faults_->blacked_out(dst_node);
-    const bool lost = blackout || faults_->draw_loss(cluster_.rng());
-    if (!lost) {
-      co_await engine().sleep(control_delay());
-      cts_ok = true;
-      break;
-    }
-    co_await engine().sleep(rto);
-    rto = std::min(rto * 2.0, rel.rto_max);
-  }
-  if (!cts_ok) {
-    fail_rndv(dst_rank, arrival, sreq, MpiStatus::kTimedOut, rts_delivered);
-    co_return;
-  }
-  const sim::Time hs_end = engine().now();
-
-  net::Nic& dnic = nic_of(dst_rank);
-  if (msg.buffer_id != 0 && !snic.registered(msg.buffer_id)) {
-    co_await engine().sleep(snic.registration_cost(msg.bytes));
-    snic.register_buffer(msg.buffer_id);
-  }
-  if (arrival->recv_msg.buffer_id != 0 && !dnic.registered(arrival->recv_msg.buffer_id)) {
-    co_await engine().sleep(dnic.registration_cost(arrival->recv_msg.bytes));
-    dnic.register_buffer(arrival->recv_msg.buffer_id);
-  }
-  snic.refresh_dma_capacity();
-  dnic.refresh_dma_capacity();
-
-  const sim::Time transfer_start = engine().now();
-  hw::Machine& D = machine_of(dst_rank);
-
-  // ---- DMA with whole-transfer retransmit ----------------------------------
-  // A blackout mid-transfer cancels the flow (frozen progress, completion
-  // never fires); the abort event wakes us and the timer takes over.
-  rto = initial_rto(msg.bytes);
-  MpiStatus fail_status = MpiStatus::kTimedOut;
-  bool transferred = false;
-  for (int attempt = 0; attempt <= rel.max_retries; ++attempt) {
-    if (attempt > 0) obs_retransmits_->add(1);
-    if (faults_->blacked_out(src_node) || faults_->blacked_out(dst_node)) {
-      fail_status = MpiStatus::kTimedOut;
-      co_await engine().sleep(rto);
-      rto = std::min(rto * 2.0, rel.rto_max);
-      continue;
-    }
-    sim::ActivitySpec dma;
-    dma.label = label_dma_;
-    dma.profile_class = sim::kClassComm;
-    dma.work = static_cast<double>(msg.bytes);
-    dma.weight = M.config().nic_dma_weight;
-    for (sim::Resource* r : M.mem_path(snic.numa(), msg.data_numa))
-      dma.demands.push_back({r, 1.0});
-    dma.demands.push_back({snic.dma_engine(), 1.0});
-    for (sim::Resource* r : cluster_.fabric_path(src_node, dst_node))
-      dma.demands.push_back({r, 1.0});
-    dma.demands.push_back({dnic.dma_engine(), 1.0});
-    for (sim::Resource* r : D.mem_path(dnic.numa(), arrival->recv_msg.data_numa))
-      dma.demands.push_back({r, 1.0});
-    sim::ActivityPtr act = M.model().start(dma);
-    sim::OneShotEvent abort(engine());
-    snic.dma_begin();
-    dnic.dma_begin();
-    register_dma(act, &abort, src_node, dst_node);
-    // Named awaitable: an initializer_list inside the co_await expression
-    // trips a GCC coroutine-frame bug ("array used as initializer").
-    sim::WhenAny done_or_abort = sim::when_any(engine(), {&act->done(), &abort});
-    co_await done_or_abort;
-    unregister_dma(&abort);
-    snic.dma_end();
-    dnic.dma_end();
-    if (!act->finished()) {
-      // Cancelled by a blackout: back off, then restart from scratch.
-      fail_status = MpiStatus::kTimedOut;
-      co_await engine().sleep(rto);
-      rto = std::min(rto * 2.0, rel.rto_max);
-      continue;
-    }
-    if (faults_->draw_corrupt(cluster_.rng())) {
-      fail_status = MpiStatus::kCorrupted;  // receiver CRC rejects the data
-      co_await engine().sleep(rto);
-      rto = std::min(rto * 2.0, rel.rto_max);
-      continue;
-    }
-    const bool fin_lost = faults_->blacked_out(src_node) || faults_->blacked_out(dst_node) ||
-                          faults_->draw_loss(cluster_.rng());
-    if (fin_lost) {
-      fail_status = MpiStatus::kTimedOut;
-      co_await engine().sleep(rto);
-      rto = std::min(rto * 2.0, rel.rto_max);
-      continue;
-    }
-    co_await engine().sleep(control_delay());  // completion notification
-    transferred = true;
-    break;
-  }
-  if (!transferred) {
-    fail_rndv(dst_rank, arrival, sreq, fail_status, rts_delivered);
-    co_return;
-  }
-
-  // Stats cover transfer_start..now, retransmissions included — exactly the
-  // bandwidth degradation the fault sweep measures.
-  S.stats.bytes += static_cast<double>(msg.bytes);
-  S.stats.busy_time += engine().now() - transfer_start;
-  obs_rndv_->add(1);
-  obs_bytes_->add(static_cast<double>(msg.bytes));
-  if (engine().now() > transfer_start)
-    obs_dma_rate_->record(static_cast<double>(msg.bytes) / (engine().now() - transfer_start));
-  if (obs_reg_->tracer().on()) {
-    obs::Tracer& tracer = obs_reg_->tracer();
-    obs::TrackId track = obs_rank_tracks_[static_cast<std::size_t>(src_rank)];
-    std::string id = " tag=" + std::to_string(tag) + " B=" + std::to_string(msg.bytes);
-    tracer.span(track, "rndv" + id, t0, engine().now());
-    tracer.span(track, "handshake" + id, hs_start, hs_end);
-    tracer.span(track, "dma" + id, transfer_start, engine().now());
-  }
-  if (message_trace_enabled_)
-    message_trace_.push_back(
-        {src_rank, dst_rank, tag, msg.bytes, false, t0, transfer_start, engine().now()});
-  sreq->done().set();
-
-  co_await engine().sleep(sw_delay(dst_rank, np.recv_overhead_cycles) +
-                          crc_delay(dst_rank, msg.bytes));
-  arrival->recv_req->done().set();
 }
 
 }  // namespace cci::mpi

@@ -24,8 +24,10 @@
 // retransmit timers with LogGP-derived initial RTO and exponential backoff,
 // a bounded retry budget surfacing MpiStatus::kTimedOut/kCorrupted instead
 // of hanging, and cancellation of in-flight DMA flows when a NIC blacks
-// out.  With the fault model unarmed, the legacy fire-and-forget path runs
-// verbatim (bitwise-identical event stream, no extra RNG draws).
+// out.  Each protocol has one sender (send_eager, send_rndv) for both
+// modes: unarmed, it runs fire-and-forget, with no fate draws, acks or
+// timers, so the event stream and RNG draws are those of a cluster without
+// the fault subsystem.
 //
 // Memory: requests and arrivals come from World-owned slab pools, so a
 // steady eager ping-pong makes no heap allocation per message.  The pools
@@ -88,26 +90,6 @@ class World {
   [[nodiscard]] const SendStats& send_stats(int rank) const {
     return ranks_.at(static_cast<std::size_t>(rank)).stats;
   }
-  void reset_send_stats() {
-    for (auto& r : ranks_) r.stats = {};
-  }
-
-  /// Per-message network trace (off by default): protocol decisions and
-  /// transfer windows, for debugging benches and for trace export.
-  struct MessageRecord {
-    int src = 0;
-    int dst = 0;
-    int tag = 0;
-    std::size_t bytes = 0;
-    bool eager = true;
-    double post_time = 0.0;       ///< isend call
-    double transfer_start = 0.0;  ///< payload starts moving (DMA for rndv)
-    double complete_time = 0.0;   ///< sender-side completion
-  };
-  void enable_message_trace(bool on) { message_trace_enabled_ = on; }
-  [[nodiscard]] const std::vector<MessageRecord>& message_trace() const {
-    return message_trace_;
-  }
 
  private:
   /// A message that reached the matching point at the receiver: an eager
@@ -157,30 +139,45 @@ class World {
 
   /// Match an arrival against posted receives (or park it).
   void arrive(int dst_rank, const ArrivalPtr& arrival);
+  /// Carry `arrival` over the wire: it reaches dst_rank's matching point
+  /// after `delay`.
+  sim::Coro deliver(int dst_rank, ArrivalPtr arrival, double delay);
   /// Complete the receiver side of a matched eager message.
   sim::Coro finish_eager_recv(int dst_rank, ArrivalPtr arrival, bool from_unexpected);
 
-  sim::Coro send_process(int src_rank, int dst_rank, int tag, MsgView msg, RequestPtr sreq);
+  /// The two protocol senders isend() spawns.  Each runs the
+  /// fire-and-forget form while the fault model is unarmed and adds fate
+  /// draws, acks and retransmit timers where the armed form differs.
+  sim::Coro send_eager(int src_rank, int dst_rank, int tag, MsgView msg, RequestPtr sreq);
+  sim::Coro send_rndv(int src_rank, int dst_rank, int tag, MsgView msg, RequestPtr sreq);
+  /// CPU-driven PIO copy of an eager payload: memory path and NIC engine,
+  /// capped by the comm core's copy speed.
+  sim::ActivitySpec pio_copy_spec(int src_rank, const MsgView& msg);
+  /// Zero-copy rendezvous DMA: source memory path and engine, the fabric
+  /// route, destination engine and memory path.
+  sim::ActivitySpec dma_spec(int src_rank, int dst_rank, const MsgView& msg,
+                             const MsgView& recv_msg);
+  /// One-way wire delay of a `bytes` payload (jittered latency + serialization)
+  /// under the sending NIC's parameters.
+  double wire_delay(const net::NetworkParams& np, std::size_t bytes);
 
   // ---- reliable transport (active only when the fault model is armed) ------
   [[nodiscard]] bool reliable() const;
   /// LogGP-derived initial retransmission timeout for a payload of `bytes`:
   /// safety x (data serialization + round-trip wire and control latency).
   [[nodiscard]] double initial_rto(std::size_t bytes) const;
+  /// The timer's current timeout; doubles `rto`, up to rto_max, for the
+  /// next expiry.
+  [[nodiscard]] double backoff(double& rto) const;
   /// Receiver-side CRC verification delay, charged per delivered payload.
   [[nodiscard]] double crc_delay(int rank, std::size_t bytes);
-  /// Reliable-path replacements for the two protocol branches.
-  sim::Coro reliable_eager_send(int src_rank, int dst_rank, int tag, MsgView msg,
-                                RequestPtr sreq, ArrivalPtr arrival, sim::Time t0);
-  sim::Coro reliable_rndv_send(int src_rank, int dst_rank, int tag, MsgView msg,
-                               RequestPtr sreq, ArrivalPtr arrival, sim::Time t0);
+  /// Either end's NIC is blacked out: an attempt passes nothing.
+  [[nodiscard]] bool blacked_out(int src_rank, int dst_rank) const;
+  /// Fate of one attempt on the wire: lost to a blackout or a loss draw.
+  bool attempt_lost(int src_rank, int dst_rank);
   /// Give up on a rendezvous: fail the sender and poison/fail the receiver.
   void fail_rndv(int dst_rank, const ArrivalPtr& arrival, const RequestPtr& sreq,
                  MpiStatus status, bool rts_delivered);
-  /// Deliver a small control message (RTS/CTS-class) with per-attempt loss
-  /// draws and link-level acks; spawns `on_delivery` once on the first
-  /// successful transmission.  Returns true when acknowledged in budget.
-  /// (Implemented inline in the callers; declaration kept for symmetry.)
 
   /// In-flight rendezvous DMA registry: NIC blackouts cancel the flows of
   /// every transfer touching the dead node and wake their senders.
@@ -202,8 +199,6 @@ class World {
   sim::SlabPool<Arrival> arrival_pool_{"mpi_arrival"};
   std::vector<RankState> ranks_;
   std::vector<InflightDma> inflight_dma_;
-  bool message_trace_enabled_ = false;
-  std::vector<MessageRecord> message_trace_;
 
   // Observability: per-message lifecycle spans land on one tracer track per
   // rank; counters/histograms live in the global registry.

@@ -8,7 +8,7 @@
 //  * FaultState — the live wire-unreliability state the transport consults
 //    per message (loss/corruption probabilities from stacked windows,
 //    per-node NIC blackouts).  Owned by the Cluster; inert until armed, so
-//    healthy runs take the exact legacy message path.
+//    healthy runs take the transport's fire-and-forget form.
 //  * FaultPlan — an ordered record of every injected fault event, with a
 //    line-oriented text serialization.  A plan generated from a seed, a
 //    plan parsed from text, and the plan an injector records while applying

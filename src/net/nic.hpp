@@ -33,7 +33,6 @@ class Nic {
   /// into per-resource timelines by the obs::Sampler.
   void dma_begin() { publish_queue_depth(++dma_inflight_); }
   void dma_end() { publish_queue_depth(--dma_inflight_); }
-  [[nodiscard]] int dma_inflight() const { return dma_inflight_; }
 
   /// Re-derive DMA capacity from the current uncore frequency of the NIC's
   /// socket.  Called lazily at transfer start: uncore settings change only
@@ -58,7 +57,6 @@ class Nic {
     return params_.registration_base +
            params_.registration_per_byte * static_cast<double>(bytes);
   }
-  void clear_registration_cache() { reg_cache_.clear(); }
 
  private:
   /// Resolve the queue-depth gauge in obs_reg_.  It is named after the DMA

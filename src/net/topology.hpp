@@ -184,7 +184,6 @@ class Topology {
   [[nodiscard]] int param_k() const { return k_; }
   [[nodiscard]] int param_groups() const { return groups_; }
   [[nodiscard]] int param_routers() const { return routers_; }
-  [[nodiscard]] int param_hosts() const { return hosts_; }
 
  private:
   Topology() = default;

@@ -122,8 +122,6 @@ class Histogram {
   /// identical buckets always report identical quantiles.  Shared by the
   /// snapshot summary, trace::metrics_table and the obs::Sampler.
   [[nodiscard]] double value_at_quantile(double q) const;
-  /// Alias for value_at_quantile() (historical name).
-  [[nodiscard]] double quantile(double q) const { return value_at_quantile(q); }
 
   /// Deterministic bucket index for a value (kUnderflow for v <= 0).
   static int bucket_index(double v);

@@ -79,7 +79,6 @@ class DistributedRuntime {
   [[nodiscard]] bool failed() const { return failure_->is_set(); }
   [[nodiscard]] int dead_rank() const { return dead_rank_; }
   [[nodiscard]] const std::string& diagnostic() const { return diagnostic_; }
-  sim::OneShotEvent& failure_event() { return *failure_; }
 
  private:
   sim::Coro hb_sender(int r);

@@ -126,7 +126,6 @@ class Runtime {
   /// abortable wait so fail_worker() can reclaim them.  Off by default —
   /// the unarmed hot path is bitwise-identical to the pre-failover runtime.
   void arm_failover() { failover_armed_ = true; }
-  [[nodiscard]] bool failover_armed() const { return failover_armed_; }
   /// Kill one worker: cancel its running task (re-enqueued for another
   /// worker), wake it if idle, and keep it out of scheduling forever.
   void fail_worker(std::size_t slot);

@@ -101,9 +101,6 @@ class Engine {
     return queue_.peek(t) ? t : kNever;
   }
 
-  /// Events actually pending (excludes lazily-cancelled heap slots).
-  [[nodiscard]] std::size_t queue_live_size() const { return queue_.live_size(); }
-
   /// Schedule a plain callback at absolute time `t` (>= now()).
   EventQueue::Handle call_at(Time t, EventQueue::Callback fn) {
     assert(t >= now_ - kTimeEpsilon);

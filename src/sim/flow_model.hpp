@@ -51,8 +51,6 @@ class FlowModel {
   /// Abort a running activity; its completion event is NOT set.  O(1).
   void cancel(const ActivityPtr& activity);
 
-  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
-
   /// Toggle connected-component partial re-solves and replays (on by
   /// default).  Off forces the from-scratch reference path — every
   /// component filled in full at every solve; useful for A/B determinism
@@ -82,14 +80,6 @@ class FlowModel {
   /// strictly zero extra work when detached.
   void set_profiler(InterferenceProfiler* profiler);
   [[nodiscard]] InterferenceProfiler* profiler() const { return profiler_; }
-
-  /// Maximum utilization over a set of resources — the congestion signal
-  /// used by the latency-inflation model for small messages.
-  static double max_utilization(const std::vector<Resource*>& path) {
-    double u = 0.0;
-    for (const Resource* r : path) u = std::max(u, r->utilization());
-    return u;
-  }
 
  private:
   friend class Resource;

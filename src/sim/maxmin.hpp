@@ -144,7 +144,6 @@ class MaxMinSolver {
   /// capacity — see Resource::pressure().
   [[nodiscard]] double pressure(std::size_t resource) const { return pressure_[resource]; }
   [[nodiscard]] std::size_t resource_count() const { return capacity_.size(); }
-  [[nodiscard]] std::size_t live_flow_count() const { return live_flows_; }
 
   /// Cumulative work/quality counters, for perf guards and benches.
   struct Stats {

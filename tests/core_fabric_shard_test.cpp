@@ -62,8 +62,7 @@ std::string report_text(const FabricReport& r) {
     os << buf;
   }
   for (const LinkReport& l : r.links) {
-    std::snprintf(buf, sizeof buf, "link %s %.17g %.17g\n", l.name.c_str(), l.mean,
-                  l.peak);
+    std::snprintf(buf, sizeof buf, "link %s %.17g\n", l.name.c_str(), l.peak);
     os << buf;
   }
   std::snprintf(buf, sizeof buf,

@@ -2,6 +2,9 @@
 // and the per-message network trace.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "mpi/world.hpp"
 #include "trace/stats.hpp"
 
@@ -82,23 +85,34 @@ TEST(Fabric, OversubscribedCrossbarThrottlesDisjointPairs) {
 }
 
 TEST(Fabric, MessageTraceRecordsProtocolAndWindows) {
+  // The per-message trace is the tracer's spans on the sender's rank track.
+  obs::Registry reg;
+  obs::Registry::ScopedThreadLocal scope(reg);
+  reg.tracer().set_enabled(true);
   Cluster cluster({.nodes = 2});
   mpi::World world(cluster, {{0, -1}, {1, -1}});
-  world.enable_message_trace(true);
   world.irecv(1, 0, 7, mpi::MsgView{64, 0, 0});
   world.isend(0, 1, 7, mpi::MsgView{64, 0, 0});
   world.irecv(1, 0, 8, mpi::MsgView{4u << 20, 0, 0});
   world.isend(0, 1, 8, mpi::MsgView{4u << 20, 0, 0});
   cluster.engine().run();
-  const auto& trace = world.message_trace();
-  ASSERT_EQ(trace.size(), 2u);
-  const auto& small = trace[0].bytes == 64 ? trace[0] : trace[1];
-  const auto& big = trace[0].bytes == 64 ? trace[1] : trace[0];
-  EXPECT_TRUE(small.eager);
-  EXPECT_FALSE(big.eager);
-  EXPECT_GT(big.transfer_start, big.post_time);  // rendezvous handshake first
-  EXPECT_GT(big.complete_time, big.transfer_start);
-  EXPECT_DOUBLE_EQ(small.post_time, small.transfer_start);
+  std::map<std::string, obs::Tracer::Span> spans;
+  for (const obs::Tracer::Span& s : reg.tracer().spans()) spans[s.name] = s;
+  ASSERT_EQ(spans.count("eager tag=7 B=64"), 1u);
+  ASSERT_EQ(spans.count("rndv tag=8 B=4194304"), 1u);
+  const obs::Tracer::Span& small = spans["eager tag=7 B=64"];
+  const obs::Tracer::Span& big = spans["rndv tag=8 B=4194304"];
+  const obs::Tracer::Span& handshake = spans["handshake tag=8 B=4194304"];
+  const obs::Tracer::Span& dma = spans["dma tag=8 B=4194304"];
+  EXPECT_EQ(spans.count("rndv tag=7 B=64"), 0u);  // eager: no handshake
+  EXPECT_EQ(spans.count("eager tag=8 B=4194304"), 0u);
+  EXPECT_DOUBLE_EQ(small.t0, 0.0);  // both posted at t = 0
+  EXPECT_GT(small.t1, small.t0);
+  EXPECT_DOUBLE_EQ(big.t0, 0.0);
+  EXPECT_GT(handshake.t1, handshake.t0);
+  EXPECT_GE(dma.t0, handshake.t1);  // rendezvous handshake first
+  EXPECT_GT(dma.t1, dma.t0);
+  EXPECT_EQ(dma.t1, big.t1);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -221,6 +223,20 @@ TEST(ObsIntegration, FabricLinkHistogramsRecordEverySampleWhenTheRegistryIsOn) {
     EXPECT_EQ(h.count(), samples) << link.name;
     EXPECT_EQ(h.max(), link.peak) << link.name;
   }
+  // With the registry off the peaks read only the links whose load changed
+  // since the previous sample, and still reach every histogram's maximum.
+  obs::Registry off;
+  obs::Registry::ScopedThreadLocal off_scope(off);
+  const core::FabricReport quiet = lab.run();
+  ASSERT_EQ(quiet.links.size(), r.links.size());
+  for (std::size_t li = 0; li < quiet.links.size(); ++li) {
+    const obs::Histogram& h = reg.histogram("net." + r.links[li].name + ".utilization");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(quiet.links[li].peak),
+              std::bit_cast<std::uint64_t>(h.max()))
+        << quiet.links[li].name;
+  }
+  EXPECT_GT(quiet.link_reads, 0u);
+  EXPECT_LT(quiet.link_reads, samples * quiet.links.size());
 }
 
 /// Build a two-node cluster with `reg` off or on, turn it on, then run

