@@ -403,6 +403,10 @@ BENCHMARK(BM_SimShardSpeedup4)->Unit(benchmark::kMillisecond)->Iterations(8);
 //   link_reads_per_delivery — link loads the delivery sampling read, per
 //       delivery; deterministic, guarded at tolerance 0.  Re-reading every
 //       link at every delivery would read all 1,136 links each time.
+//   replica_resources — resources the shard replicas materialized, summed
+//       over shards; deterministic, guarded at tolerance 0.  Each replica
+//       holds only the keys its own streams route over, so the sum stays
+//       near one fabric's worth at any shard count.
 
 core::Scenario dragonfly_scenario() {
   core::Scenario s;
@@ -425,10 +429,12 @@ void BM_DragonflyShardScaling(benchmark::State& state) {
   core::FabricLab lab(dragonfly_scenario());
   std::uint64_t windows = 0;
   std::uint64_t events = 0;
+  std::uint64_t replica_resources = 0;
   double link_reads_per_delivery = 0.0;
   for (auto _ : state) {
     const core::FabricReport r = lab.run_sharded(shards);
     windows = r.windows;
+    replica_resources = r.replica_resources;
     events += r.events;
     std::size_t deliveries = 0;
     for (const core::TenantReport& t : r.tenants) deliveries += t.delivery_latency.n;
@@ -439,6 +445,7 @@ void BM_DragonflyShardScaling(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["shard_windows"] = static_cast<double>(windows);
   state.counters["link_reads_per_delivery"] = link_reads_per_delivery;
+  state.counters["replica_resources"] = static_cast<double>(replica_resources);
 }
 // UseRealTime for the same reason as BM_SimShardScaling: the work happens on
 // shard workers while the coordinator blocks at window barriers.

@@ -675,50 +675,58 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
     misses.push_back(i);
   }
 
-  // Time-resolved mode: every executed point gets a fresh, enabled scratch
+  // Time-resolved mode: every executed point gets a fresh, enabled
   // registry plus an ambient RunSampling naming its private TimelineStore,
-  // which every engine the point builds samples into.
-  // Fresh-per-point registries are what make the timeline deterministic:
-  // no gauge state or sampler channel survives from a neighbouring point,
-  // so the bytes depend only on the point itself — not on jobs, sharding,
-  // or execution order.  The scratch is folded into `merge_into` afterwards
-  // (only if that registry is enabled: merge_from writes raw values, and a
-  // disabled process registry must stay bitwise-identical to a pre-timeline
-  // run).
+  // which every engine the point builds samples into.  Fresh-per-point
+  // registries are what make the timeline deterministic: no gauge state or
+  // sampler channel survives from a neighbouring point, so the bytes depend
+  // only on the point itself — not on jobs, sharding, or execution order.
   if (timeline_on) run.timelines.resize(n);
-  auto evaluate_point = [&](std::size_t i, obs::Registry* merge_into) {
+  auto evaluate_point = [&](std::size_t i) {
     if (!timeline_on) {
       run.values[i] = campaign.evaluate(run.points[i], &sim_secs[i]);
       return;
     }
-    obs::Registry point_reg;
-    point_reg.set_enabled(true);
     obs::RunSampling rs;
     rs.timeline_period = options_.timeline_period;
     rs.timeline = &run.timelines[i];
     rs.attribution = campaign.attribution();
-    {
-      obs::Registry::ScopedThreadLocal tls(point_reg);
-      obs::ScopedRunSampling ambient(rs);
-      run.values[i] = campaign.evaluate(run.points[i], &sim_secs[i]);
-    }
-    if (merge_into != nullptr && merge_into->enabled()) merge_into->merge_from(point_reg);
+    obs::ScopedRunSampling ambient(rs);
+    run.values[i] = campaign.evaluate(run.points[i], &sim_secs[i]);
+  };
+  // Run point i with `reg` as the thread's Registry::global().
+  auto evaluate_in = [&](std::size_t i, obs::Registry& reg) {
+    obs::Registry::ScopedThreadLocal tls(reg);
+    evaluate_point(i);
   };
 
+  // A point's registry is folded into the process registry only when that
+  // one is enabled: merge_from writes raw values even into a disabled
+  // registry, and a disabled process registry must record nothing.
+  obs::Registry& process = obs::Registry::process();
+  const bool metrics_on = process.enabled();
   const std::size_t workers =
       std::min<std::size_t>(static_cast<std::size_t>(options_.jobs), misses.size());
   if (workers <= 1) {
     // Inline execution feeds the process-wide obs registry directly —
     // byte-identical side effects to the historical hand-written loops.
-    for (std::size_t i : misses) evaluate_point(i, &obs::Registry::process());
-  } else {
-    StealingQueues queues(workers, misses);
-    std::vector<std::unique_ptr<obs::Registry>> scratch(workers);
-    const bool metrics_on = obs::Registry::process().enabled();
-    for (auto& r : scratch) {
-      r = std::make_unique<obs::Registry>();
-      r->set_enabled(metrics_on);
+    for (std::size_t i : misses) {
+      if (!timeline_on) {
+        evaluate_point(i);
+        continue;
+      }
+      obs::Registry point_reg;
+      point_reg.set_enabled(true);
+      evaluate_in(i, point_reg);
+      if (metrics_on) process.merge_from(point_reg);
     }
+  } else {
+    // Every executed point records into a registry of its own, folded into
+    // the process registry in point order after the join.  Sums of doubles
+    // depend on their grouping, so the process totals would otherwise
+    // depend on which points work stealing handed each worker.
+    StealingQueues queues(workers, misses);
+    std::vector<std::unique_ptr<obs::Registry>> point_regs(n);
     std::exception_ptr first_error;
     std::mutex error_mutex;
     std::vector<std::thread> threads;
@@ -735,11 +743,13 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
 #ifdef CCI_SCHED
         sched::ThreadScope sched_scope(worker_names[w].c_str());
 #endif
-        obs::Registry::ScopedThreadLocal tls(*scratch[w]);
         std::size_t idx = 0;
         while (queues.next(w, idx)) {
           try {
-            evaluate_point(idx, scratch[w].get());
+            auto reg = std::make_unique<obs::Registry>();
+            reg->set_enabled(metrics_on || timeline_on);
+            evaluate_in(idx, *reg);
+            if (metrics_on) point_regs[idx] = std::move(reg);
           } catch (...) {
             std::lock_guard<std::mutex> lock(error_mutex);
             if (!first_error) first_error = std::current_exception();
@@ -757,10 +767,8 @@ CampaignRun CampaignEngine::run(const Campaign& campaign) {
       for (std::thread& t : threads) t.join();
     }
     if (first_error) std::rethrow_exception(first_error);
-    // Deterministic fold-back: the merge operations are commutative and
-    // integer-exact, so the process totals never depend on which worker
-    // ran which point.
-    for (const auto& r : scratch) obs::Registry::process().merge_from(*r);
+    for (std::size_t i : misses)
+      if (point_regs[i] != nullptr) process.merge_from(*point_regs[i]);
   }
 
   run.executed = misses.size();

@@ -260,8 +260,8 @@ inline constexpr int kCampaignSchemaVersion = 5;
 struct CampaignOptions {
   /// Worker threads for point execution.  1 = run inline on the calling
   /// thread (feeding the process-wide obs registry exactly like the old
-  /// hand-written loops); N > 1 = work-stealing pool with per-worker
-  /// scratch registries merged back deterministically.
+  /// hand-written loops); N > 1 = work-stealing pool where every point
+  /// records into its own registry, folded back in point order.
   int jobs = 1;
   /// Directory of the on-disk result cache; empty disables caching.
   std::string cache_dir;
@@ -273,7 +273,7 @@ struct CampaignOptions {
   bool override_base_seed = false;
   std::uint64_t base_seed = 0;
   /// > 0 enables time-resolved sampling: every point runs with a fresh,
-  /// enabled scratch registry and an ambient obs::RunSampling at this
+  /// enabled registry of its own and an ambient obs::RunSampling at this
   /// period, so every engine the point builds samples into
   /// CampaignRun::timelines[i], one segment per engine.  Per-point
   /// registries make the timeline bytes independent of jobs/sharding.

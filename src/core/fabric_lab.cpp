@@ -42,23 +42,34 @@ struct TenantAccum {
 };
 
 /// Per-link utilization peaks from a flow model's load-change stream.  The
-/// links are the model's last resources, link li being resource link0 + li.
-/// A sample reads only the links whose load changed since the previous
-/// sample (the first reads every link): any other link would read what its
-/// peak already includes, since a reading depends on the load alone (run()
-/// never changes a link capacity; run_sharded() divides by the base one).
+/// link resources are the model's last, resource link0 + i being topology
+/// link `link[i]`: every link for run(), the materialized ones for a
+/// run_sharded() replica.  A sample reads only the links whose load changed
+/// since the previous sample (the first reads every link resource): any
+/// other link would read what its peak already includes, since a reading
+/// depends on the load alone (run() never changes a link capacity;
+/// run_sharded() divides by the base one).
 struct LinkPeaks {
   std::size_t link0 = 0;
-  std::vector<double> peak;  ///< per link index
+  std::vector<int> link;     ///< per link resource: its topology link
+  std::vector<double> peak;  ///< per topology link
   std::uint64_t reads = 0;   ///< link loads read
 
-  /// `read(li)`: link li's utilization now.
+  /// Map the next link resource, `res`, to topology link li.
+  void add(std::size_t res, int li) {
+    if (link.empty()) link0 = res;
+    assert(res == link0 + link.size());
+    link.push_back(li);
+  }
+
+  /// `read(li)`: topology link li's utilization now.
   template <typename Read>
   void sample(sim::FlowModel& model, Read&& read) {
     model.drain_load_changes([&](std::size_t r) {
-      if (r < link0 || r - link0 >= peak.size()) return;
-      double& p = peak[r - link0];
-      p = std::max(p, read(r - link0));
+      if (r < link0 || r - link0 >= link.size()) return;
+      const int li = link[r - link0];
+      double& p = peak[static_cast<std::size_t>(li)];
+      p = std::max(p, read(static_cast<std::size_t>(li)));
       ++reads;
     });
   }
@@ -274,8 +285,9 @@ FabricReport FabricLab::run(const std::vector<std::string>& labels) {
   st.tenants.resize(jobs.size());
   st.links = cluster_->fabric().link_resources();
   st.model = &cluster_->model();
-  st.peaks.link0 = st.links.empty() ? 0 : st.links.front()->index();
   st.peaks.peak.assign(st.links.size(), 0.0);
+  for (std::size_t li = 0; li < st.links.size(); ++li)
+    st.peaks.add(st.links[li]->index(), static_cast<int>(li));
   assert(st.links.empty() ||
          st.links.back()->index() + 1 == st.model->solver().resource_count());
   st.reg = &obs::Registry::global();
@@ -328,7 +340,7 @@ struct FluidShard {
   std::unique_ptr<net::FabricGraph> fabric;
   std::unique_ptr<sim::FlowModel> model;
   std::vector<TenantAccum> tenants;
-  LinkPeaks links;  ///< resource index == fabric key
+  LinkPeaks links;
 
   /// Local fabric peak at a delivery event.  Loads are read against the
   /// *base* capacity: a boundary replica throttled by remote load would
@@ -440,16 +452,28 @@ FabricReport FabricLab::run_sharded(int shards) {
 
   // Per-shard build, on every worker at once: fabric replica, flow model,
   // stream coroutines.  Each job writes only its own shard's state and
-  // reads the shared topology, jobs and streams.
+  // reads the shared topology, jobs and streams.  A replica is lean: it
+  // materializes, in key order, only the keys its own streams route over
+  // (boundary keys included).  A key it leaves out would be a flowless
+  // singleton component that never gets dirty, so the solves, and every
+  // result, keep their bits.
   std::vector<std::unique_ptr<FluidShard>> ctx(static_cast<std::size_t>(shards));
   group.with_each_shard([&](int s, sim::Engine& eng) {
     auto fs = std::make_unique<FluidShard>();
     fs->fabric = std::make_unique<net::FabricGraph>(topo, scenario_.network, nodes);
     fs->model = std::make_unique<sim::FlowModel>(eng);
-    fs->fabric->materialize(*fs->model);
-    fs->tenants.resize(jobs.size());
-    fs->links.link0 = static_cast<std::size_t>(fs->fabric->link_key(0));
+    std::vector<char> routed(static_cast<std::size_t>(shape.key_count()), 0);
+    for (const Stream& st : streams)
+      if (st.shard == s)
+        for (int key : st.keys) routed[static_cast<std::size_t>(key)] = 1;
     fs->links.peak.assign(topo.links().size(), 0.0);
+    for (int key = 0; key < shape.key_count(); ++key) {
+      if (routed[static_cast<std::size_t>(key)] == 0) continue;
+      fs->fabric->materialize(*fs->model, key);
+      if (key >= shape.link_key(0))
+        fs->links.add(fs->fabric->at(key)->index(), key - shape.link_key(0));
+    }
+    fs->tenants.resize(jobs.size());
     std::vector<sim::LabelId> tenant_label(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j)
       tenant_label[j] = eng.intern("fabric." + jobs[j].label);
@@ -540,6 +564,7 @@ FabricReport FabricLab::run_sharded(int shards) {
         topo.host_switch(st.spec.src_node) != topo.host_switch(st.spec.dst_node))
       report.routes += static_cast<std::uint64_t>(st.spec.iterations);
   for (int s = 0; s < shards; ++s) {
+    report.replica_resources += ctx[static_cast<std::size_t>(s)]->model->solver().resource_count();
     report.solver_flow_visits +=
         ctx[static_cast<std::size_t>(s)]->model->solver().stats().flow_visits;
     report.link_reads += ctx[static_cast<std::size_t>(s)]->links.reads;

@@ -76,6 +76,9 @@ struct FabricReport {
   int boundary_links = 0;    ///< cut resources exchanged at barriers
   std::uint64_t windows = 0;    ///< conservative windows executed
   std::uint64_t exchanges = 0;  ///< boundary capacity updates delivered
+  /// Resources the shard replicas materialized, summed: each replica holds
+  /// only the fabric keys its own streams route over.
+  std::uint64_t replica_resources = 0;
   std::uint64_t solver_flow_visits = 0;  ///< summed across shard solvers
   std::uint64_t events = 0;              ///< summed engine events
   [[nodiscard]] const TenantReport* tenant(std::string_view label) const;
@@ -110,12 +113,13 @@ class FabricLab {
   /// Cross-shard fabric simulation: carve the topology at group boundaries
   /// (sim::partition_groups over Topology::group_graph), run every stream
   /// as a fluid transfer on its source node's shard over that shard's
-  /// net::FabricGraph replica, and exchange the capacity of *boundary
-  /// proxies* — resources the static routes of several shards share — at
-  /// every window barrier (sim::ShardGroup::add_boundary_link).  The
-  /// window is Topology::min_cut_delay over the links the carve actually
-  /// cuts, so a dragonfly split at global links runs 3x longer windows
-  /// than the generic floor and stays conservative.
+  /// lean net::FabricGraph replica (only the keys its own streams route
+  /// over), and exchange the capacity of *boundary proxies* — resources
+  /// the static routes of several shards share — at every window barrier
+  /// (sim::ShardGroup::add_boundary_link).  The window is
+  /// Topology::min_cut_delay over the links the carve actually cuts, so a
+  /// dragonfly split at global links runs 3x longer windows than the
+  /// generic floor and stays conservative.
   ///
   /// `shards` must be >= 1 (std::invalid_argument otherwise).  At
   /// shards == 1 this is the plain serial engine — no workers, proxies or

@@ -1,12 +1,10 @@
 #include "net/fabric_graph.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 #include "sim/flow_model.hpp"
-#include "sim/maxmin.hpp"
 #include "sim/resource.hpp"
 
 namespace cci::net {
@@ -66,12 +64,6 @@ std::string FabricGraph::name(int key) const {
 
 void FabricGraph::materialize(sim::FlowModel& model, int key) {
   res_[static_cast<std::size_t>(key)] = model.add_resource(name(key), base_capacity(key));
-}
-
-void FabricGraph::materialize(sim::FlowModel& model) {
-  assert(model.solver().resource_count() == 0 &&
-         "FabricGraph::materialize: model must be empty so index == key");
-  for (int k = 0; k < key_count(); ++k) materialize(model, k);
 }
 
 sim::Resource* FabricGraph::find(std::string_view name) const {

@@ -14,10 +14,12 @@
 //  * net::Cluster registers one key at a time, between its nodes' machine
 //    and NIC resources, and routes every transfer through route().  It
 //    decides only the route's deviation `via` (adaptive routing).
-//  * core::FabricLab::run_sharded builds one replica per shard with every
-//    key in key order, so resource index == key, and routes minimally.
-//    Resources the static routes of several shards share become boundary
-//    proxies (sim::ShardGroup::add_boundary_link).
+//  * core::FabricLab::run_sharded builds one lean replica per shard: in
+//    key order, only the keys its own streams' minimal routes use.  Keys
+//    the static routes of several shards share become boundary proxies
+//    (sim::ShardGroup::add_boundary_link).  Replicas materialize on their
+//    shard's worker (ShardGroup::with_each_shard), so pooled state binds
+//    to that thread.
 #pragma once
 
 #include <span>
@@ -42,14 +44,8 @@ class FabricGraph {
   /// than the topology attaches.
   FabricGraph(const Topology& topo, const NetworkParams& net, int nodes);
 
-  /// Materialize every key as a resource of `model`, in key order.  The
-  /// model must be empty so that resource index == key (asserted).
-  /// run_sharded() materializes every shard's replica on its own worker,
-  /// all shards at once (ShardGroup::with_each_shard), so pooled state
-  /// binds to that thread.
-  void materialize(sim::FlowModel& model);
   /// Materialize one key as the next resource of `model`, so a caller can
-  /// interleave the fabric with resources of its own.
+  /// interleave the fabric with resources of its own or leave keys out.
   void materialize(sim::FlowModel& model, int key);
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -78,14 +74,14 @@ class FabricGraph {
   [[nodiscard]] sim::Resource* at(int key) const {
     return res_[static_cast<std::size_t>(key)];
   }
-  /// Materialized crossbars then links, key order.  Single switch: exactly
-  /// the one crossbar.
+  /// Crossbars then links, key order, once every key is materialized (as
+  /// Cluster does).  Single switch: exactly the one crossbar.
   [[nodiscard]] std::span<sim::Resource* const> switch_resources() const {
     return std::span<sim::Resource* const>(res_).subspan(
         static_cast<std::size_t>(xbar_key(0)));
   }
-  /// Materialized links only, Topology::links() order (empty on a single
-  /// switch).
+  /// Links only, Topology::links() order, once every key is materialized
+  /// (empty on a single switch).
   [[nodiscard]] std::span<sim::Resource* const> link_resources() const {
     return std::span<sim::Resource* const>(res_).subspan(
         static_cast<std::size_t>(link_key(0)));

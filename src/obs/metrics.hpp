@@ -209,10 +209,10 @@ class Registry {
   static Registry& process();
 
   /// Install `r` as this thread's Registry::global() for the scope's
-  /// lifetime.  The campaign engine gives each worker thread a private
-  /// scratch registry this way, so concurrent simulation points never
+  /// lifetime.  The campaign engine gives each point it runs on a worker
+  /// a private registry this way, so concurrent simulation points never
   /// touch the (lock-free by design) process registry; the coordinator
-  /// merges the scratches back deterministically with merge_from().
+  /// merges them back in point order with merge_from().
   class ScopedThreadLocal {
    public:
     explicit ScopedThreadLocal(Registry& r);

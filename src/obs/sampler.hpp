@@ -14,7 +14,8 @@
 // the feed deterministic: two identical simulations produce byte-identical
 // timelines regardless of thread count, sharding or CCI_SIM_POOLS — the
 // deny lists below exist precisely to drop the metrics that are *not*
-// simulation-deterministic (pool occupancy, wall-clock histograms).
+// simulation-deterministic (pool occupancy, wall-clock histograms, the
+// host.* health rows such as ShardGroup's per-worker busy and wait times).
 //
 // Who samples: every sim::Engine built while its thread's RunSampling is
 // on creates and owns a Sampler into that RunSampling's store, so each
@@ -46,7 +47,7 @@ struct SamplerConfig {
   /// Simulated seconds between ticks.  Must be > 0.
   double period = 1e-3;
   /// Metrics whose name starts with an entry are never sampled.
-  std::vector<std::string> deny_prefixes{"sim.pool."};
+  std::vector<std::string> deny_prefixes{"sim.pool.", "host."};
   /// Metrics whose name contains an entry are never sampled.
   std::vector<std::string> deny_substrings{"wall_us"};
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,13 +13,35 @@
 #include "sim/resource.hpp"
 #include "sim/stall.hpp"
 
-#ifdef CCI_SCHED
 namespace {
+
+#ifdef CCI_SCHED
 std::string shard_thread_name(int index) {
   return "sim.shard." + std::to_string(index);
 }
-}  // namespace
+#else
+/// Epoch checks a barrier waiter makes before it parks, paced by a pause
+/// instruction: about 33 us on a 4-vCPU Xeon VM.  There, parking at once
+/// made fabric_sharded slower, and 16x the spin cost CPU for no wall time
+/// (docs/PERFORMANCE.md, "Lean replicas and the epoch barrier").
+constexpr int kBarrierSpins = 2048;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
 #endif
+}
+#endif
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+}  // namespace
 
 namespace cci::sim {
 
@@ -38,9 +61,10 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
     shards_.push_back(std::move(sh));
     return;
   }
-  const bool obs_on = obs::Registry::global().enabled();
-  obs_windows_ = &obs::Registry::global().counter("sim.shard.windows");
-  obs_exchanges_ = &obs::Registry::global().counter("sim.shard.exchanges");
+  reg_ = &obs::Registry::global();
+  const bool obs_on = reg_->enabled();
+  obs_windows_ = &reg_->counter("sim.shard.windows");
+  obs_exchanges_ = &reg_->counter("sim.shard.exchanges");
   const obs::RunSampling& sampling = obs::run_sampling();
   if (sampling.sampling_on()) timeline_ = sampling.timeline;
   for (int s = 0; s < n_; ++s) {
@@ -138,7 +162,6 @@ void ShardGroup::worker_main(Shard* shard) {
     } catch (...) {
       error = std::current_exception();
     }
-    CCI_SCHED_POINT(kBarrierArrive, idle_id);
     {
       std::lock_guard<std::mutex> lk(shard->mutex);
       // Moved, not copied: the worker keeps no reference to the exception
@@ -204,54 +227,125 @@ void ShardGroup::with_each_shard(const std::function<void(int, Engine&)>& fn) {
 
 Time ShardGroup::run(Time until) {
   if (n_ == 1) return shard_at(0).engine->run(until);
-  const auto run_window = [this](Time horizon) {
-    const std::uint64_t window = stats_.windows;
-    for (auto& sh : shards_) {
-      Shard* p = sh.get();
-      submit(*p, [p, horizon, window] {
-        try {
-          p->engine->run(horizon);
-        } catch (const SimStalled& stalled) {
-          // Re-throw with the shard/window context prepended: the engine's
-          // own inspectors name blocked activities but cannot know which
-          // shard or conservative window they were wedged in.
-          std::vector<std::string> blocked;
-          blocked.reserve(stalled.blocked().size() + 1);
-          blocked.push_back("shard " + std::to_string(p->index) +
-                            " wedged in window " + std::to_string(window) +
-                            " (horizon t=" + std::to_string(horizon) + "s)");
-          blocked.insert(blocked.end(), stalled.blocked().begin(),
-                         stalled.blocked().end());
-          throw SimStalled(stalled.reason(), stalled.at(), stalled.events(),
-                           stalled.live_processes(), std::move(blocked));
-        }
-      });
-    }
-    for (auto& sh : shards_) wait(*sh);
-    rethrow_any();
-  };
-  for (;;) {
-    Time tmin = kNever;
-    for (auto& sh : shards_) tmin = std::min(tmin, sh->engine->next_event_time());
-    if (tmin == kNever || tmin > until) {
-      // Nothing left below the caller's horizon: advance every clock (and
-      // sampler) to `until` and stop.
-      run_window(until);
-      break;
-    }
-    const Time horizon =
-        opts_.lookahead == kNever ? until : std::min(until, tmin + opts_.lookahead);
-    run_window(horizon);
-    ++stats_.windows;
-    // Workers are parked at the barrier: exchange boundary capacities and
-    // let the lab observe the global fabric state before the next window.
-    if (!boundaries_.empty()) exchange_boundaries(horizon);
-    if (barrier_probe_) barrier_probe_(horizon);
+  until_ = until;
+  done_ = false;
+  failed_.store(false, std::memory_order_relaxed);
+  timed_ = reg_->enabled();
+  for (auto& sh : shards_) sh->health = Health{};
+  plan_window();
+  for (auto& sh : shards_) {
+    Shard* p = sh.get();
+    submit(*p, [this, p] { run_windows(*p); });
   }
+  for (auto& sh : shards_) wait(*sh);
+  rethrow_any();
   publish_stats();
   Time t = 0.0;
   for (auto& sh : shards_) t = std::max(t, sh->engine->now());
   return t;
+}
+
+void ShardGroup::run_windows(Shard& sh) {
+  // Every worker reads the same epoch here: it cannot move before all of
+  // them have arrived at the first barrier.
+  std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  std::exception_ptr error;
+  while (!error) {
+    const Time horizon = horizon_;
+    try {
+      if (timed_) {
+        const Clock::time_point t0 = Clock::now();
+        sh.engine->run(horizon);
+        sh.health.busy_s += seconds_since(t0);
+      } else {
+        sh.engine->run(horizon);
+      }
+    } catch (const SimStalled& stalled) {
+      // Re-throw with the shard/window context prepended: the engine's
+      // own inspectors name blocked activities but cannot know which
+      // shard or conservative window they were wedged in.
+      std::vector<std::string> blocked;
+      blocked.reserve(stalled.blocked().size() + 1);
+      blocked.push_back("shard " + std::to_string(sh.index) + " wedged in window " +
+                        std::to_string(stats_.windows) + " (horizon t=" +
+                        std::to_string(horizon) + "s)");
+      blocked.insert(blocked.end(), stalled.blocked().begin(), stalled.blocked().end());
+      error = std::make_exception_ptr(SimStalled(stalled.reason(), stalled.at(),
+                                                 stalled.events(), stalled.live_processes(),
+                                                 std::move(blocked)));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    if (error) failed_.store(true, std::memory_order_relaxed);
+    arrive(sh, epoch++, error);
+    if (done_) break;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ShardGroup::arrive(Shard& sh, std::uint64_t epoch, std::exception_ptr& error) {
+  CCI_SCHED_POINT(kBarrierArrive, static_cast<std::uint64_t>(sh.index));
+  // acq_rel: the last arrival sees every worker's window, failed_ included.
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    try {
+      close_window();
+    } catch (...) {
+      // No shard failed in this window (close_window() checks first), so
+      // this is the run's only error.
+      error = std::current_exception();
+      done_ = true;
+    }
+    {
+      // Under the mutex, so a waiter between its check and its park
+      // cannot miss the release.
+      std::lock_guard<std::mutex> lk(barrier_mutex_);
+      epoch_.store(epoch + 1, std::memory_order_release);
+    }
+    barrier_cv_.notify_all();
+    return;
+  }
+  const auto released = [this, epoch] {
+    return epoch_.load(std::memory_order_acquire) != epoch;
+  };
+  Clock::time_point t0;
+  if (timed_) t0 = Clock::now();
+#ifndef CCI_SCHED
+  for (int i = 0; i < kBarrierSpins && !released(); ++i) cpu_relax();
+#endif
+  if (!released()) {
+    std::unique_lock<std::mutex> lk(barrier_mutex_);
+    CCI_SCHED_CV_WAIT(barrier_cv_, lk, static_cast<std::uint64_t>(sh.index), released);
+  }
+  if (timed_) {
+    const double waited = seconds_since(t0);
+    sh.health.wait_s += waited;
+    sh.health.longest_wait_s = std::max(sh.health.longest_wait_s, waited);
+  }
+}
+
+void ShardGroup::close_window() {
+  if (failed_.load(std::memory_order_relaxed) || final_window_) {
+    done_ = true;
+    return;
+  }
+  ++stats_.windows;
+  // Every other worker waits at the barrier: exchange boundary capacities
+  // and let the lab observe the global fabric state before the next window.
+  if (!boundaries_.empty()) exchange_boundaries(horizon_);
+  if (barrier_probe_) barrier_probe_(horizon_);
+  plan_window();
+}
+
+void ShardGroup::plan_window() {
+  Time tmin = kNever;
+  for (auto& sh : shards_) tmin = std::min(tmin, sh->engine->next_event_time());
+  // Nothing left below the caller's horizon: the closing window advances
+  // every clock (and sampler) to `until` and the run stops after it.
+  final_window_ = tmin == kNever || tmin > until_;
+  horizon_ = final_window_ || opts_.lookahead == kNever
+                 ? until_
+                 : std::min(until_, tmin + opts_.lookahead);
 }
 
 void ShardGroup::merge_obs(obs::Registry& dst) {
@@ -344,6 +438,13 @@ void ShardGroup::publish_stats() {
   };
   flush(obs_windows_, stats_.windows, published_.windows);
   flush(obs_exchanges_, stats_.exchanges, published_.exchanges);
+  if (!timed_) return;
+  for (auto& sh : shards_) {
+    const std::string prefix = "host.shard." + std::to_string(sh->index);
+    reg_->counter(prefix + ".busy_s").add(sh->health.busy_s);
+    reg_->counter(prefix + ".wait_s").add(sh->health.wait_s);
+    reg_->gauge(prefix + ".longest_wait_s").set(sh->health.longest_wait_s);
+  }
 }
 
 }  // namespace cci::sim

@@ -14,9 +14,18 @@
 // where `lookahead` is the minimum cross-shard coupling delay — for node
 // groups separated by a fabric, the delay of the cheapest link class the
 // carve cuts (Topology::min_cut_delay).  Every shard may process all
-// events with t <= W; at the barrier the coordinator exchanges boundary
-// capacities and runs the barrier probe in a fixed order, which makes
-// multi-shard runs bitwise reproducible at a fixed shard count.
+// events with t <= W.
+//
+// run() hands each worker one job that loops over the windows.  Workers
+// meet at an epoch barrier: the last to arrive does the barrier work —
+// count the window, exchange boundary capacities, run the barrier probe,
+// compute the next horizon, always in that order — then bumps the epoch
+// and releases the others.  Waiters spin on the epoch for a bounded count
+// (kBarrierSpins), then park on the group's condition variable; builds
+// with schedule hooks skip the spin, so the explorer decides every wait.
+// Whichever worker arrives last, the barrier work reads and writes the
+// same state in the same order, which makes multi-shard runs bitwise
+// reproducible at a fixed shard count.
 //
 // Thread/memory discipline (this is what keeps the pooled hot path of
 // sim/pool.hpp safe): each shard's Engine is constructed, run, and
@@ -33,12 +42,20 @@
 // naming the shard's own TimelineStore before it builds its engine, and
 // merge_obs() folds those stores into the builder's store.
 //
+// Shard health: when the registry the group was constructed under is on,
+// each worker times its Engine::run calls and its barrier waits (total and
+// longest), and run() publishes them there as
+// host.shard.<s>.{busy_s,wait_s,longest_wait_s}.  They
+// are host-clock values, so the sampler denies the host. prefix.  With the
+// registry off no clock is read.
+//
 // shards == 1 is special-cased to *no* parallel machinery at all: the one
 // Engine is constructed inline on the caller's thread, with the caller's
 // registry and ambient sampling, no worker, no barrier, no extra counters
 // — byte-for-byte the serial engine.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -97,10 +114,10 @@ class ShardGroup {
   /// Conservative-window loop: repeatedly compute the horizon, run every
   /// shard up to it in parallel, and exchange boundary capacities at the
   /// barrier, until all queues drain or `until` is reached.  A SimStalled
-  /// (or any exception) thrown inside a shard aborts the run after the
-  /// window barrier and is rethrown in shard-index order — deterministic
-  /// even when several shards trip in the same window.  Returns the
-  /// maximum shard time.
+  /// (or any exception) thrown inside a shard still reaches the window
+  /// barrier; the run ends after that window and the lowest-index shard's
+  /// exception is rethrown — deterministic even when several shards trip
+  /// in the same window.  Returns the maximum shard time.
   Time run(Time until = kNever);
 
   /// Fold every shard registry into `dst` (commutative merge_from) and
@@ -117,8 +134,8 @@ class ShardGroup {
   /// on several shards share, by its uncontended capacity.  Each sharing
   /// shard models it with a local *proxy replica* in its own FlowModel,
   /// attached via bind_boundary(); replicas must start at `base_capacity`.
-  /// At every window barrier the coordinator reads each replica's
-  /// allocated load (workers are parked), computes a damped
+  /// At every window barrier the last worker to arrive reads each
+  /// replica's allocated load (the others wait), computes a damped
   /// residual-capacity target
   ///     cap' = cap + 1/2 * ((base - other shards' load) - cap)
   /// clamped to a small positive floor, and delivers the update as an
@@ -135,9 +152,11 @@ class ShardGroup {
     return static_cast<int>(boundaries_.size());
   }
 
-  /// Coordinator hook invoked after every window barrier (workers parked),
-  /// with the barrier time: labs sample cross-shard peaks here.  Never
-  /// called when shards() == 1 — the serial path has no barriers.
+  /// Hook invoked at every window barrier, after the boundary exchange,
+  /// with the barrier time: labs sample cross-shard peaks here.  It runs
+  /// on the last worker to arrive while every other worker waits, so it
+  /// may read any shard's state.  Never called when shards() == 1 — the
+  /// serial path has no barriers.
   void set_barrier_probe(std::function<void(Time)> probe) {
     barrier_probe_ = std::move(probe);
   }
@@ -149,6 +168,15 @@ class ShardGroup {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// Host time of one worker over a run (generic_thread style: a busy
+  /// total, a wait total and the longest wait).  Clocks are read only when
+  /// reg_ is on.
+  struct Health {
+    double busy_s = 0.0;          ///< inside Engine::run
+    double wait_s = 0.0;          ///< parked or spinning at window barriers
+    double longest_wait_s = 0.0;  ///< longest single barrier wait
+  };
+
   struct Shard {
     int index = 0;  ///< position in shards_; names the worker in diagnostics
     std::unique_ptr<obs::Registry> registry;
@@ -159,13 +187,15 @@ class ShardGroup {
     std::uint64_t timeline_folded = 0;  ///< rows merge_obs() already appended
     std::unique_ptr<Engine> engine;  ///< built/destroyed on the worker
     std::thread thread;
-    // Job slot: coordinator submits, worker executes, coordinator waits.
+    // Job slot: with_shard(), with_each_shard() and run() submit one job,
+    // the worker executes it, the submitter waits.
     std::mutex mutex;
     std::condition_variable cv;
     std::function<void()> job;
     std::exception_ptr error;
     bool busy = true;  ///< set until the worker finishes engine construction
     bool stop = false;
+    Health health;  ///< this run's, written by the worker only
   };
 
   Shard& shard_at(int s);
@@ -176,9 +206,21 @@ class ShardGroup {
   /// Clear every stored worker exception and rethrow the lowest shard
   /// index's, if any.
   void rethrow_any();
-  /// Damped residual-capacity exchange over every boundary link; runs on
-  /// the coordinator at the window barrier, posting set_capacity events at
-  /// `barrier` into the replicas' engines.
+  /// run()'s job on one worker: run the engine to each window's horizon
+  /// and meet the other workers at the barrier, until the run ends.
+  /// Rethrows the shard's exception, if any, after its last window.
+  void run_windows(Shard& sh);
+  /// Arrive at the barrier closing window `epoch`: the last worker does
+  /// close_window() and releases the others, the rest wait.
+  void arrive(Shard& sh, std::uint64_t epoch, std::exception_ptr& error);
+  /// Barrier work on the last worker to arrive, with every other worker
+  /// waiting: count the window, exchange, probe, plan the next one.
+  void close_window();
+  /// Set horizon_ and final_window_ from the engines' pending events.
+  void plan_window();
+  /// Damped residual-capacity exchange over every boundary link; runs at
+  /// the window barrier, posting set_capacity events at `barrier` into the
+  /// replicas' engines.
   void exchange_boundaries(Time barrier);
   void publish_stats();
   /// merge_obs()'s timeline half: k-way merge of the unfolded shard rows.
@@ -204,9 +246,26 @@ class ShardGroup {
   obs::TimelineStore* timeline_ = nullptr;
   Stats stats_;
   Stats published_;  ///< counters already flushed to obs
-  // sim.shard.* counters in the coordinator's registry; multi-shard only.
+  /// Registry::global() at construction: sim.shard.* counters and
+  /// host.shard.* health; multi-shard only.
+  obs::Registry* reg_ = nullptr;
   obs::Counter* obs_windows_ = nullptr;
   obs::Counter* obs_exchanges_ = nullptr;
+
+  // ---- window barrier (run()) ----------------------------------------------
+  // Plain fields are written by the coordinator before the run's jobs are
+  // submitted, or by the last worker to arrive before it bumps epoch_; every
+  // worker reads them only after it has seen the new epoch.
+  std::atomic<int> arrived_{0};          ///< workers at the current barrier
+  std::atomic<std::uint64_t> epoch_{0};  ///< windows closed, ever
+  std::atomic<bool> failed_{false};      ///< a shard threw in this window
+  std::mutex barrier_mutex_;             ///< parks waiters on barrier_cv_
+  std::condition_variable barrier_cv_;
+  Time until_ = kNever;        ///< run()'s horizon
+  Time horizon_ = 0.0;         ///< the current window's
+  bool final_window_ = false;  ///< the current window advances to until_
+  bool done_ = false;          ///< no window follows the current one
+  bool timed_ = false;         ///< record Health (the registry is on)
 };
 
 }  // namespace cci::sim

@@ -135,6 +135,42 @@ TEST(Campaign, ParallelRunMergesWorkerMetricsDeterministically) {
   reg.reset();
 }
 
+/// Point 0 adds 2^53 and every other point 1.0: in doubles that sum
+/// depends on its grouping (2^53 + 1 rounds back to 2^53, 2^53 + 2 does
+/// not), so folding per-worker partial sums would make the process totals
+/// depend on which points each worker ran.
+TEST(Campaign, ParallelMetricSumsDoNotDependOnTheWorkerSplit) {
+  Campaign c("grouping", SweepSpec(quick_base()).cores("cores", {0, 1, 2, 3, 4, 5, 6, 7, 8,
+                                                                   9, 10, 11, 12, 13, 14, 15}));
+  c.column("cores", Campaign::Metric{});
+  c.evaluator("grouping.v1", [](const SweepPoint& p) {
+    const double v = p.index == 0 ? 9007199254740992.0 : 1.0;
+    obs::Registry::global().counter("test.grouping.sum").add(v);
+    obs::Registry::global().histogram("test.grouping.hist").record(v);
+    return std::vector<double>{p.numeric[0]};
+  });
+  obs::Registry& reg = obs::Registry::process();
+  reg.set_enabled(true);
+  const auto snapshot_after = [&](int jobs) {
+    reg.reset();
+    CampaignEngine(opts(jobs)).run(c);
+    std::ostringstream os;
+    for (const obs::Snapshot::Entry& e : reg.snapshot().entries) {
+      char buf[160];
+      std::snprintf(buf, sizeof buf, " %a %a %llu %a\n", e.value, e.max,
+                    static_cast<unsigned long long>(e.count), e.sum);
+      os << e.name << buf;
+    }
+    return os.str();
+  };
+  const std::string first = snapshot_after(2);
+  EXPECT_NE(first.find("test.grouping.sum"), std::string::npos);
+  for (int round = 0; round < 3; ++round)
+    for (int jobs : {2, 4, 8}) EXPECT_EQ(snapshot_after(jobs), first) << "jobs " << jobs;
+  reg.set_enabled(false);
+  reg.reset();
+}
+
 TEST(Campaign, WarmCacheExecutesZeroPointsWithIdenticalTable) {
   const std::string dir = scratch_dir("warm");
   Campaign c = quick_campaign();

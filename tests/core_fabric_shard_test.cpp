@@ -1,11 +1,13 @@
 // FabricLab::run_sharded — the cross-shard fabric simulation: thousand-node
 // dragonfly carves, boundary-proxy exchange, bitwise run-to-run determinism
-// (tables and timelines), serial-engine equivalence at shards == 1 and the
+// (tables and timelines), serial-engine equivalence at shards == 1, lean
+// replicas against a fully materialized fabric on generated shapes, and the
 // degenerate shapes (single switch, adaptive routing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "obs/timeline.hpp"
 #include "sim/engine.hpp"
 #include "sim/flow_model.hpp"
+#include "sim/rng.hpp"
 
 namespace cci::core {
 namespace {
@@ -46,6 +49,12 @@ Scenario interleaved_rings(int groups, int routers, int hosts, int iterations) {
   s.jobs = {ring_job("even", std::move(even), iterations),
             ring_job("odd", std::move(odd), iterations)};
   return s;
+}
+
+/// Every key of `fabric` as a resource of `model`, in key order: the full
+/// fabric a lean replica must behave like.
+void materialize_all(net::FabricGraph& fabric, sim::FlowModel& model) {
+  for (int key = 0; key < fabric.key_count(); ++key) fabric.materialize(model, key);
 }
 
 /// Everything determinism cares about, rendered to exact text: tenant
@@ -155,7 +164,7 @@ TEST(FabricShard, SingleShardMatchesAStandaloneSerialEngine) {
   sim::Engine eng;
   sim::FlowModel model(eng);
   net::FabricGraph fabric(s.topology, s.network, 16);
-  fabric.materialize(model);
+  materialize_all(fabric, model);
   std::vector<int> keys;
   fabric.minimal_path(0, 9, keys);
   std::vector<double> finishes;
@@ -182,17 +191,39 @@ TEST(FabricShard, SingleShardMatchesAStandaloneSerialEngine) {
             finishes.back() - 2.0 * gap);
 }
 
-/// Link peaks of `s` from a standalone engine running run_sharded(1)'s
-/// streams, spawned in the same order, that reads every link after every
-/// delivery.  Adds the deliveries to `*deliveries`.
-std::vector<double> full_scan_peaks(const Scenario& s, int nodes, std::uint64_t* deliveries) {
+/// Cluster size FabricLab builds for `s`: one past the highest tenant node,
+/// at least two.
+int lab_nodes(const Scenario& s) {
+  int nodes = 2;
+  for (const JobSpec& job : s.jobs)
+    for (int n : job.nodes) nodes = std::max(nodes, n + 1);
+  return nodes;
+}
+
+/// run_sharded(1)'s streams on a standalone engine over a fully
+/// materialized FabricGraph, spawned in the same order, reading every link
+/// after every delivery: the reference a lean replica must match.
+struct FullFabricRun {
+  std::vector<double> peak;           ///< per topology link
+  std::vector<double> bytes;          ///< per tenant
+  std::vector<double> finish;         ///< per tenant
+  std::vector<trace::Stats> latency;  ///< per tenant
+  std::uint64_t deliveries = 0;
+};
+
+FullFabricRun full_fabric_run(const Scenario& s) {
   sim::Engine eng;
   sim::FlowModel model(eng);
-  net::FabricGraph fabric(s.topology, s.network, nodes);
-  fabric.materialize(model);
+  net::FabricGraph fabric(s.topology, s.network, lab_nodes(s));
+  materialize_all(fabric, model);
   const std::size_t links = s.topology.links().size();
-  std::vector<double> peak(links, 0.0);
-  auto stream = [&](int src, int dst, const JobSpec& job) -> sim::Coro {
+  FullFabricRun out;
+  out.peak.assign(links, 0.0);
+  out.bytes.assign(s.jobs.size(), 0.0);
+  out.finish.assign(s.jobs.size(), 0.0);
+  std::vector<std::vector<double>> latencies(s.jobs.size());
+  auto stream = [&](int src, int dst, std::size_t j) -> sim::Coro {
+    const JobSpec& job = s.jobs[j];
     std::vector<int> keys;
     fabric.minimal_path(src, dst, keys);
     const double bytes = static_cast<double>(job.message_bytes);
@@ -204,22 +235,55 @@ std::vector<double> full_scan_peaks(const Scenario& s, int nodes, std::uint64_t*
       spec.work = bytes;
       for (int key : keys) spec.demands.push_back({fabric.at(key), 1.0});
       co_await *model.start(spec);
-      ++*deliveries;
+      const double now = eng.now();
+      out.bytes[j] += bytes;
+      out.finish[j] = std::max(out.finish[j], now);
+      latencies[j].push_back(now - due);
+      ++out.deliveries;
       for (std::size_t li = 0; li < links; ++li) {
         const int key = fabric.link_key(static_cast<int>(li));
-        peak[li] = std::max(peak[li], fabric.at(key)->load() / fabric.base_capacity(key));
+        out.peak[li] =
+            std::max(out.peak[li], fabric.at(key)->load() / fabric.base_capacity(key));
       }
     }
   };
-  for (const JobSpec& job : s.jobs) {
+  for (std::size_t j = 0; j < s.jobs.size(); ++j) {
+    const JobSpec& job = s.jobs[j];
     const int n = static_cast<int>(job.nodes.size());
     const bool ring = job.pattern == TrafficPattern::kRing;
+    if (ring && n < 2) continue;
     for (int r = 0; ring ? r < n : r + 1 < n; r += ring ? 1 : 2)
       eng.spawn(stream(job.nodes[static_cast<std::size_t>(r)],
-                       job.nodes[static_cast<std::size_t>((r + 1) % n)], job));
+                       job.nodes[static_cast<std::size_t>((r + 1) % n)], j));
   }
   eng.run();
-  return peak;
+  for (std::vector<double>& l : latencies) out.latency.push_back(trace::Stats::of(std::move(l)));
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every tenant row and link peak of `r` equals the full-fabric reference
+/// bit for bit.
+void expect_matches_full_fabric(const FabricReport& r, const FullFabricRun& ref) {
+  ASSERT_EQ(r.tenants.size(), ref.bytes.size());
+  for (std::size_t j = 0; j < r.tenants.size(); ++j) {
+    const TenantReport& t = r.tenants[j];
+    const trace::Stats& got = t.delivery_latency;
+    const trace::Stats& want = ref.latency[j];
+    EXPECT_EQ(bits(t.bytes), bits(ref.bytes[j])) << t.label;
+    EXPECT_EQ(bits(t.finish), bits(ref.finish[j])) << t.label;
+    EXPECT_EQ(got.n, want.n) << t.label;
+    EXPECT_EQ(bits(got.median), bits(want.median)) << t.label;
+    EXPECT_EQ(bits(got.decile1), bits(want.decile1)) << t.label;
+    EXPECT_EQ(bits(got.decile9), bits(want.decile9)) << t.label;
+    EXPECT_EQ(bits(got.mean), bits(want.mean)) << t.label;
+    EXPECT_EQ(bits(got.max), bits(want.max)) << t.label;
+  }
+  ASSERT_EQ(r.links.size(), ref.peak.size());
+  for (std::size_t li = 0; li < ref.peak.size(); ++li)
+    EXPECT_EQ(bits(r.links[li].peak), bits(ref.peak[li]))
+        << r.links[li].name << ": " << r.links[li].peak << " vs " << ref.peak[li];
 }
 
 /// Delivery sampling re-reads only the links whose load changed since the
@@ -243,21 +307,95 @@ TEST(FabricShard, ChangedLinkSamplingMatchesAFullScanBitwise) {
   for (const Scenario& s : {interleaved_rings(4, 2, 2, /*iterations=*/3), mixed}) {
     FabricLab lab(s);
     const FabricReport sharded = lab.run_sharded(1);
-    std::uint64_t deliveries = 0;
-    const std::vector<double> peak = full_scan_peaks(s, 16, &deliveries);
+    const FullFabricRun ref = full_fabric_run(s);
     const std::size_t links = s.topology.links().size();
     ASSERT_EQ(sharded.links.size(), links);
-    double max_peak = 0.0;
-    for (std::size_t li = 0; li < links; ++li) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sharded.links[li].peak),
-                std::bit_cast<std::uint64_t>(peak[li]))
-          << sharded.links[li].name << ": " << sharded.links[li].peak << " vs " << peak[li];
-      max_peak = std::max(max_peak, peak[li]);
-    }
-    EXPECT_GT(max_peak, 0.0);
+    expect_matches_full_fabric(sharded, ref);
+    EXPECT_GT(*std::max_element(ref.peak.begin(), ref.peak.end()), 0.0);
     EXPECT_GT(sharded.link_reads, 0u);
-    EXPECT_LT(sharded.link_reads, deliveries * links);
+    EXPECT_LT(sharded.link_reads, ref.deliveries * links);
   }
+}
+
+/// A seeded fat-tree (k = 4-8) or dragonfly (2-5 groups x 1-4 routers x
+/// 1-3 hosts) with 1-3 ring or pair tenants on random node subsets.
+/// `shape` names the topology for failure messages.
+Scenario generated_scenario(std::uint64_t seed, std::string& shape) {
+  sim::Rng rng(seed);
+  const auto pick = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng.next_u64() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  Scenario s;
+  int hosts = 0;
+  if (seed % 2 == 0) {
+    const int k = 2 * pick(2, 4);
+    s.topology = net::Topology::fat_tree(k);
+    hosts = k * (k / 2);
+    shape = "fat_tree(" + std::to_string(k) + ")";
+  } else {
+    const int groups = pick(2, 5);
+    const int routers = pick(1, 4);
+    const int per_router = pick(1, 3);
+    s.topology = net::Topology::dragonfly(groups, routers, per_router);
+    hosts = groups * routers * per_router;
+    shape = "dragonfly(" + std::to_string(groups) + ", " + std::to_string(routers) + ", " +
+            std::to_string(per_router) + ")";
+  }
+  const int tenants = pick(1, 3);
+  for (int t = 0; t < tenants; ++t) {
+    JobSpec j;
+    j.label = "t" + std::to_string(t);
+    j.pattern = pick(0, 1) == 0 ? TrafficPattern::kRing : TrafficPattern::kPairs;
+    j.iterations = pick(1, 3);
+    j.message_bytes = std::size_t{1} << pick(12, 20);
+    j.offered_load = rng.uniform(0.25, 2.0);
+    std::vector<int> order(static_cast<std::size_t>(hosts));
+    for (int n = 0; n < hosts; ++n) order[static_cast<std::size_t>(n)] = n;
+    for (int n = hosts - 1; n > 0; --n)
+      std::swap(order[static_cast<std::size_t>(n)], order[static_cast<std::size_t>(pick(0, n))]);
+    order.resize(static_cast<std::size_t>(pick(2, std::min(hosts, 12))));
+    j.nodes = std::move(order);
+    s.jobs.push_back(std::move(j));
+  }
+  return s;
+}
+
+/// Bytes tenant `job` offers: every stream's messages.
+double offered_bytes(const JobSpec& job) {
+  const auto n = static_cast<double>(job.nodes.size());
+  const double streams = job.pattern == TrafficPattern::kRing ? n : std::floor(n / 2.0);
+  return streams * job.iterations * static_cast<double>(job.message_bytes);
+}
+
+/// Each shard materializes only the keys its own streams route over.  At
+/// one shard that lean replica must reproduce a fully materialized fabric
+/// bit for bit; at 2 and 4 shards runs must repeat bit for bit and deliver
+/// everything every tenant offered.
+TEST(FabricShard, LeanReplicasMatchTheFullFabricOnGeneratedShapes) {
+  int lean = 0;  // shapes whose replica leaves keys out
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    std::string shape;
+    const Scenario s = generated_scenario(seed, shape);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + shape);
+    FabricLab lab(s);
+    const FabricReport one = lab.run_sharded(1);
+    expect_matches_full_fabric(one, full_fabric_run(s));
+    const auto keys = static_cast<std::uint64_t>(
+        net::FabricGraph(s.topology, s.network, lab_nodes(s)).key_count());
+    EXPECT_GT(one.replica_resources, 0u);
+    EXPECT_LE(one.replica_resources, keys);
+    if (one.replica_resources < keys) ++lean;
+    for (int shards : {2, 4}) {
+      const FabricReport a = lab.run_sharded(shards);
+      const FabricReport b = lab.run_sharded(shards);
+      EXPECT_EQ(report_text(a), report_text(b)) << shards << " shards";
+      EXPECT_EQ(a.replica_resources, b.replica_resources) << shards << " shards";
+      for (std::size_t j = 0; j < s.jobs.size(); ++j)
+        EXPECT_EQ(a.tenants[j].bytes, offered_bytes(s.jobs[j]))
+            << shards << " shards, tenant " << s.jobs[j].label;
+    }
+  }
+  EXPECT_GT(lean, 0);
 }
 
 TEST(FabricShard, ShardedRunDeliversTheSameBytesAsSerial) {

@@ -162,9 +162,11 @@ TEST(Sampler, HistogramRowsCarryCountDeltaAndQuantiles) {
 
 TEST(Sampler, DenyListsFilterByPrefixAndSubstring) {
   SamplerFixture f;
-  Sampler s = f.make(1.0);  // default deny: sim.pool.* and *wall_us*
+  Sampler s = f.make(1.0);  // default deny: sim.pool.*, host.* and *wall_us*
   f.reg.counter("sim.pool.activity.reused").add(5.0);
   f.reg.histogram("campaign.point_wall_us").record(10.0);
+  f.reg.counter("host.shard.0.busy_s").add(0.25);
+  f.reg.gauge("host.shard.0.longest_wait_s").set(0.5);
   f.reg.counter("sim.events").add(1.0);
   s.advance_to(1.0);
   ASSERT_EQ(f.store.size(), 1u);

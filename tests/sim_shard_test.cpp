@@ -27,12 +27,13 @@ namespace {
 // ---- helpers ----------------------------------------------------------------
 
 /// Render a snapshot for byte-comparison, dropping the host-dependent
-/// series (pool occupancy, wall-clock histograms) exactly like the
-/// sampler's deny lists do.
+/// series (pool occupancy, wall-clock histograms, host.* worker health)
+/// exactly like the sampler's deny lists do.
 std::string snapshot_text(const obs::Snapshot& snap) {
   std::ostringstream os;
   for (const auto& e : snap.entries) {
     if (e.name.rfind("sim.pool.", 0) == 0) continue;
+    if (e.name.rfind("host.", 0) == 0) continue;
     if (e.name.find("wall_us") != std::string::npos) continue;
     char buf[256];
     std::snprintf(buf, sizeof buf, " %d %.17g %.17g %llu %.17g %.17g\n",
@@ -448,6 +449,59 @@ TEST(ShardGroupErrors, StallNamesTheWedgedShardAndWindow) {
     EXPECT_NE(head.find("horizon"), std::string::npos) << head;
     EXPECT_NE(std::string(stalled.what()).find("wedged in window"), std::string::npos);
   }
+}
+
+/// Every shard ticks once per window; shards 1 and 3 throw at their tick
+/// in window kFailWindow.  Each still reaches the barrier, so the run ends
+/// after that window, no shard starts the next one, and shard 1's error
+/// is rethrown once: a later run() proceeds cleanly.
+TEST(ShardGroupErrors, AShardThatThrowsEndsTheRunAfterItsWindow) {
+  constexpr int kTicks = 8;
+  constexpr int kFailWindow = 3;
+  ShardGroup::Options o;
+  o.shards = 4;
+  o.lookahead = 0.75;  // window k holds exactly tick k, at t = k + 0.5
+  ShardGroup group(o);
+  std::vector<int> ticks(4, 0);
+  group.with_each_shard([&ticks](int s, Engine& eng) {
+    for (int k = 0; k < kTicks; ++k)
+      eng.call_at(static_cast<double>(k) + 0.5, [&ticks, s, k] {
+        if (k == kFailWindow && s % 2 == 1)
+          throw std::runtime_error("shard " + std::to_string(s));
+        ++ticks[static_cast<std::size_t>(s)];
+      });
+  });
+  try {
+    group.run();
+    FAIL() << "expected the shard 1 error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 1");
+  }
+  EXPECT_EQ(group.stats().windows, static_cast<std::uint64_t>(kFailWindow));
+  EXPECT_EQ(ticks, (std::vector<int>{kFailWindow + 1, kFailWindow, kFailWindow + 1, kFailWindow}));
+  for (int s = 0; s < 4; ++s)
+    EXPECT_LE(group.engine(s).now(), static_cast<double>(kFailWindow) + 1.25) << "shard " << s;
+  // Shard 3's error went with shard 1's: the next run finishes every tick.
+  EXPECT_NO_THROW(group.run());
+  EXPECT_EQ(ticks, (std::vector<int>{kTicks, kTicks - 1, kTicks, kTicks - 1}));
+}
+
+/// The barrier probe runs on the last worker to arrive; if it throws, the
+/// other workers must still be released and the error must reach run().
+TEST(ShardGroupErrors, AThrowingBarrierProbeEndsTheRun) {
+  BoundaryScenario s(4.0, 4.0);
+  int probes = 0;
+  s.group.set_barrier_probe([&probes](Time) {
+    ++probes;
+    throw std::runtime_error("probe");
+  });
+  EXPECT_THROW(s.group.run(), std::runtime_error);
+  EXPECT_EQ(probes, 1);
+  EXPECT_EQ(s.group.stats().windows, 1u);
+  s.group.set_barrier_probe(nullptr);
+  EXPECT_NO_THROW(s.group.run());
+  EXPECT_EQ(s.side[0].done.size(), 1u);
+  EXPECT_EQ(s.side[1].done.size(), 1u);
 }
 
 TEST(ShardGroupErrors, InvalidLookaheadRejectedAtConstruction) {
