@@ -7,6 +7,10 @@
 #                                      the usage with single `%` signs
 #   -DCCI_BENCH=<exe> -DMETRICS=a      `CCI_METRICS=1 cci_bench a` exits 0 and
 #                                      prints the end-of-run metrics table
+#   ... -DMETRICS=a -DJOBS=m,n         `CCI_METRICS=1 cci_bench a --jobs m` and
+#                                      `--jobs n` print the same stdout once
+#                                      lines naming wall_us, host. rows and
+#                                      [campaign] lines are dropped
 #   -DCCI_BENCH=<exe> -DRESULTS=a -DRECORDS=path
 #                                      `CCI_RESULTS=path cci_bench a` exits 0 and
 #                                      writes JSON records for bench a to path
@@ -76,6 +80,31 @@ if(DEFINED TIMELINE)
   list(LENGTH lines count)
   if(count LESS 2)
     message(FATAL_ERROR "cci_bench ${TIMELINE} --timeline: no rows below the header")
+  endif()
+  return()
+endif()
+
+if(DEFINED METRICS AND DEFINED JOBS)
+  string(REPLACE "," ";" jobs "${JOBS}")
+  set(i 0)
+  foreach(j IN LISTS jobs)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env CCI_METRICS=1
+                            ${CCI_BENCH} ${METRICS} --jobs ${j}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "CCI_METRICS=1 cci_bench ${METRICS} --jobs ${j}: exit code ${rc}")
+    endif()
+    # Host-side rows: solver wall times, host.* (thread caches, shard
+    # clocks) and the campaign summary, which names the worker count.
+    string(REGEX REPLACE "[^\n]*wall_us[^\n]*\n" "" out "${out}")
+    string(REGEX REPLACE "\nhost\\.[^\n]*" "" out "${out}")
+    string(REGEX REPLACE "\n\\[campaign\\][^\n]*" "" out "${out}")
+    set(out${i} "${out}")
+    math(EXPR i "${i} + 1")
+  endforeach()
+  if(NOT out0 STREQUAL out1)
+    message(FATAL_ERROR "CCI_METRICS=1 cci_bench ${METRICS}: --jobs ${JOBS} print different "
+                        "metrics\n${out0}\n---\n${out1}")
   endif()
   return()
 endif()

@@ -23,6 +23,12 @@
 // counts the events per message that went through the event queue rather
 // than running in place.
 //
+// BM_ClusterBuild guards what every FabricLab::run pays before its first
+// event: building and dropping a 1,024-node cluster and a World on it.
+// solves_per_build (zero baseline) counts the max-min solves the build
+// runs and allocs_per_build the operator-new calls it makes, both on the
+// thread's second build.
+//
 // This binary replaces global operator new/delete with counting versions,
 // so it must stay a standalone benchmark (never linked into another tool).
 #include <benchmark/benchmark.h>
@@ -33,6 +39,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -250,6 +257,56 @@ void BM_EagerPingPong(benchmark::State& state) {
   state.counters["queued_events_per_msg"] = c.queued_events_per_msg;
 }
 BENCHMARK(BM_EagerPingPong);
+
+// ---- cluster construction ---------------------------------------------------
+//
+// Builds and drops a 1,024-node henri dragonfly (16 x 8 x 8) Cluster and a
+// 1,024-rank World on it.  Counters, from the thread's second build (the
+// first warms the thread's storage, as any earlier model on a campaign or
+// perfbench thread does):
+//
+//   solves_per_build — max-min solves run by the build.  Nothing runs
+//       before traffic, so the clocks the machines and the World set only
+//       record capacities: exactly 0 (zero baseline, tolerance 0).
+//   allocs_per_build — operator-new calls of building and dropping both
+//       (tolerance 0).  items_per_second is builds per second.
+
+struct BuildCounters {
+  double solves = 0.0;
+  double allocs = 0.0;
+};
+
+BuildCounters build_cluster() {
+  net::ClusterSpec spec;
+  spec.topology = net::Topology::dragonfly(16, 8, 8);
+  spec.nodes = 1024;
+  std::vector<mpi::RankConfig> ranks;
+  ranks.reserve(static_cast<std::size_t>(spec.nodes));
+  for (int n = 0; n < spec.nodes; ++n) ranks.push_back({n, -1});
+  const std::uint64_t allocs0 = g_allocs;
+  std::optional<net::Cluster> cluster(std::in_place, std::move(spec));
+  std::optional<mpi::World> world(std::in_place, *cluster, std::move(ranks));
+  BuildCounters c;
+  c.solves = static_cast<double>(cluster->model().solver().stats().solves);
+  world.reset();
+  cluster.reset();
+  c.allocs = static_cast<double>(g_allocs - allocs0);
+  return c;
+}
+
+void BM_ClusterBuild(benchmark::State& state) {
+  build_cluster();  // warm the thread's storage
+  BuildCounters c;
+  for (auto _ : state) {
+    c = build_cluster();
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  c = build_cluster();
+  state.counters["solves_per_build"] = c.solves;
+  state.counters["allocs_per_build"] = c.allocs;
+}
+BENCHMARK(BM_ClusterBuild)->Unit(benchmark::kMillisecond);
 
 // ---- conservative-window shard scaling --------------------------------------
 //

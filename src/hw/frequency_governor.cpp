@@ -24,12 +24,12 @@ void FrequencyGovernor::bind_obs() {
   char buf[128];
   obs_core_hz_.reserve(freq_.size());
   for (int c = 0; c < machine_.config().total_cores(); ++c) {
-    std::snprintf(buf, sizeof buf, "hw.freq.%score%d_hz", machine_.prefix_.c_str(), c);
+    std::snprintf(buf, sizeof buf, "hw.freq.%score%d_hz", machine_.prefix().c_str(), c);
     obs_core_hz_.push_back(&obs_reg_->gauge(buf));
   }
   obs_uncore_hz_.reserve(uncore_freq_.size());
   for (int s = 0; s < machine_.config().sockets; ++s) {
-    std::snprintf(buf, sizeof buf, "hw.freq.%suncore%d_hz", machine_.prefix_.c_str(), s);
+    std::snprintf(buf, sizeof buf, "hw.freq.%suncore%d_hz", machine_.prefix().c_str(), s);
     obs_uncore_hz_.push_back(&obs_reg_->gauge(buf));
   }
 }
@@ -72,12 +72,19 @@ void FrequencyGovernor::core_comm(int core) {
 }
 
 int FrequencyGovernor::active_cores(int socket) const {
-  const auto& cfg = machine_.config();
+  const auto [first, last] = socket_cores(socket);
   int count = 0;
-  for (int c = 0; c < cfg.total_cores(); ++c)
-    if (cfg.socket_of_core(c) == socket && state_[static_cast<std::size_t>(c)] != CoreState::kIdle)
-      ++count;
+  for (int c = first; c < last; ++c)
+    if (state_[static_cast<std::size_t>(c)] != CoreState::kIdle) ++count;
   return count;
+}
+
+std::pair<int, int> FrequencyGovernor::socket_cores(int socket) const {
+  // Cores are numbered NUMA-major and NUMA nodes socket-major, so a
+  // socket's cores are one contiguous range.
+  const auto& cfg = machine_.config();
+  const int per_socket = cfg.numa_per_socket * cfg.cores_per_numa;
+  return {socket * per_socket, (socket + 1) * per_socket};
 }
 
 void FrequencyGovernor::recompute_all() {
@@ -87,9 +94,9 @@ void FrequencyGovernor::recompute_all() {
 void FrequencyGovernor::recompute_socket(int socket) {
   const auto& cfg = machine_.config();
   const int active = active_cores(socket);
+  const auto [first, last] = socket_cores(socket);
 
-  for (int c = 0; c < cfg.total_cores(); ++c) {
-    if (cfg.socket_of_core(c) != socket) continue;
+  for (int c = first; c < last; ++c) {
     const auto idx = static_cast<std::size_t>(c);
     double hz;
     if (policy_ == CpuPolicy::kUserspace) {

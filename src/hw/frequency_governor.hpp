@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "hw/machine_config.hpp"
@@ -70,6 +71,8 @@ class FrequencyGovernor {
 
  private:
   enum class CoreState { kIdle, kBusy, kComm };
+  /// The socket's cores, [first, last).
+  [[nodiscard]] std::pair<int, int> socket_cores(int socket) const;
   void recompute_socket(int socket);
   void recompute_all();
   void apply_core_freq(int core, double hz);

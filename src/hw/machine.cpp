@@ -45,6 +45,12 @@ void validate(const MachineConfig& c) {
         fail("turbo table frequencies must be finite and >= 0");
 }
 
+/// A resource's key: its part in the high byte, the part's index below.
+enum Part : std::uint32_t { kCore, kMemCtrl, kMesh, kXsocket };
+constexpr std::uint32_t part_key(Part part, int index) {
+  return part << 24 | static_cast<std::uint32_t>(index);
+}
+
 }  // namespace
 
 Machine::Machine(sim::FlowModel& model, MachineConfig config, std::string prefix)
@@ -55,24 +61,33 @@ Machine::Machine(sim::FlowModel& model, MachineConfig config, std::string prefix
   for (int i = 0; i < n_cores; ++i) {
     // Initial capacity: minimum frequency (idle, ondemand); the governor
     // re-applies policy immediately after construction.
-    cores_.push_back(
-        model_.add_resource(prefix_ + "core" + std::to_string(i), config_.core_freq_min_hz));
+    cores_.push_back(model_.add_resource(*this, part_key(kCore, i), config_.core_freq_min_hz));
   }
+  mem_ctrls_.reserve(static_cast<std::size_t>(config_.numa_count()));
   for (int n = 0; n < config_.numa_count(); ++n) {
     mem_ctrls_.push_back(
-        model_.add_resource(prefix_ + "memctrl" + std::to_string(n), config_.mem_bw_per_numa));
+        model_.add_resource(*this, part_key(kMemCtrl, n), config_.mem_bw_per_numa));
   }
   if (config_.numa_per_socket > 1) {
+    intra_links_.reserve(static_cast<std::size_t>(config_.sockets));
     for (int s = 0; s < config_.sockets; ++s) {
       intra_links_.push_back(
-          model_.add_resource(prefix_ + "mesh" + std::to_string(s), config_.intra_socket_bw));
+          model_.add_resource(*this, part_key(kMesh, s), config_.intra_socket_bw));
     }
   }
-  cross_link_ = model_.add_resource(prefix_ + "xsocket", config_.cross_socket_bw);
+  cross_link_ = model_.add_resource(*this, part_key(kXsocket, 0), config_.cross_socket_bw);
   governor_ = std::make_unique<FrequencyGovernor>(*this);
 }
 
 Machine::~Machine() = default;
+
+std::string Machine::resource_name(std::uint32_t key) const {
+  static constexpr const char* kParts[] = {"core", "memctrl", "mesh", "xsocket"};
+  const std::uint32_t part = key >> 24;
+  std::string name = prefix_ + kParts[part];
+  if (part != kXsocket) name += std::to_string(key & 0xffffffu);
+  return name;
+}
 
 std::vector<sim::Resource*> Machine::mem_path(int from_numa, int data_numa) {
   std::vector<sim::Resource*> path;

@@ -2,9 +2,12 @@
 //
 // Machine instantiates the config as FlowModel resources and provides path
 // resolution (which resources a memory stream crosses) plus the
-// queueing-delay model for individual memory transactions.
+// queueing-delay model for individual memory transactions.  It names its
+// resources on demand (sim::ResourceNamer): `<prefix>core<i>`,
+// `<prefix>memctrl<n>`, `<prefix>mesh<s>`, `<prefix>xsocket`.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,9 +19,10 @@ namespace cci::hw {
 
 class FrequencyGovernor;
 
-class Machine {
+class Machine : private sim::ResourceNamer {
  public:
-  /// Builds all resources inside `model`; `prefix` namespaces resource
+  /// Builds all resources inside `model`, in the order cores, memory
+  /// controllers, meshes, cross-socket link; `prefix` namespaces resource
   /// names so several nodes can share one model (e.g. "node0.").  Throws
   /// std::invalid_argument before building anything when `config` is not a
   /// dual-socket node with >= 1 NUMA node per socket and >= 1 core per NUMA
@@ -30,6 +34,8 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   [[nodiscard]] const MachineConfig& config() const { return config_; }
+  /// Namespace of this machine's resource names (e.g. "node0.").
+  [[nodiscard]] const std::string& prefix() const { return prefix_; }
   sim::FlowModel& model() { return model_; }
   sim::Engine& engine() { return model_.engine(); }
   FrequencyGovernor& governor() { return *governor_; }
@@ -65,7 +71,8 @@ class Machine {
   [[nodiscard]] double cross_socket_hop_latency() const;
 
  private:
-  friend class FrequencyGovernor;
+  [[nodiscard]] std::string resource_name(std::uint32_t key) const override;
+
   sim::FlowModel& model_;
   MachineConfig config_;
   std::string prefix_;

@@ -38,9 +38,9 @@ Cluster::Cluster(ClusterSpec spec)
   // Solver resource order: per node its machine, NIC, tx and rx port; then
   // every crossbar and link in key order.
   for (int i = 0; i < spec.nodes; ++i) {
-    std::string prefix = "node" + std::to_string(i) + ".";
-    machines_.push_back(std::make_unique<hw::Machine>(model_, spec.machine, prefix));
-    nics_.push_back(std::make_unique<Nic>(*machines_.back(), net_, prefix));
+    machines_.push_back(
+        std::make_unique<hw::Machine>(model_, spec.machine, "node" + std::to_string(i) + "."));
+    nics_.push_back(std::make_unique<Nic>(*machines_.back(), net_));
     fabric_.materialize(model_, fabric_.tx_key(i));
     fabric_.materialize(model_, fabric_.rx_key(i));
   }

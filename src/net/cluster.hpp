@@ -7,6 +7,13 @@
 // only decides where a route deviates (`via`), under the topology's
 // RoutingPolicy: kAdaptive consults current link utilizations and breaks
 // ties through the cluster RNG, deterministic for a given seed.
+//
+// Building a cluster solves nothing and formats no name.  Resources are
+// registered in the same order as ever (per node its machine, NIC, tx and
+// rx port; then every crossbar and link), each named on demand by its
+// machine, NIC or the fabric graph.  The clocks the machines set before
+// traffic only record capacities (sim/flow_model.hpp), and the flow
+// model's storage is reused from the last model built on the thread.
 #pragma once
 
 #include <cstdint>

@@ -63,7 +63,8 @@ std::string FabricGraph::name(int key) const {
 }
 
 void FabricGraph::materialize(sim::FlowModel& model, int key) {
-  res_[static_cast<std::size_t>(key)] = model.add_resource(name(key), base_capacity(key));
+  res_[static_cast<std::size_t>(key)] =
+      model.add_resource(*this, static_cast<std::uint32_t>(key), base_capacity(key));
 }
 
 sim::Resource* FabricGraph::find(std::string_view name) const {

@@ -29,15 +29,15 @@
 
 #include "net/network_params.hpp"
 #include "net/topology.hpp"
+#include "sim/resource.hpp"
 
 namespace cci::sim {
 class FlowModel;
-class Resource;
 }  // namespace cci::sim
 
 namespace cci::net {
 
-class FabricGraph {
+class FabricGraph : private sim::ResourceNamer {
  public:
   /// Shape-only construction: key space, routes and base capacities, no
   /// resources.  Throws std::invalid_argument for nodes < 1 or more nodes
@@ -110,6 +110,10 @@ class FabricGraph {
   void minimal_path(int src, int dst, std::vector<int>& keys) const;
 
  private:
+  [[nodiscard]] std::string resource_name(std::uint32_t key) const override {
+    return name(static_cast<int>(key));
+  }
+
   Topology topo_;
   int nodes_ = 0;
   int switch_count_ = 0;

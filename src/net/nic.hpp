@@ -1,7 +1,10 @@
 // NIC model: DMA engine resource, registration cache, NUMA attachment.
+// The DMA engine resource is named `<machine prefix>nic-dma`, formatted on
+// demand (sim::ResourceNamer).
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 
 #include "hw/machine.hpp"
@@ -9,12 +12,12 @@
 
 namespace cci::net {
 
-class Nic {
+class Nic : private sim::ResourceNamer {
  public:
-  Nic(hw::Machine& machine, const NetworkParams& params, const std::string& prefix)
+  Nic(hw::Machine& machine, const NetworkParams& params)
       : machine_(machine),
         params_(params),
-        dma_engine_(machine.model().add_resource(prefix + "nic-dma", params.dma_bw_max_uncore)),
+        dma_engine_(machine.model().add_resource(*this, 0, params.dma_bw_max_uncore)),
         obs_reg_(&obs::Registry::global()) {
     if (obs_reg_->enabled()) bind_obs();
   }
@@ -68,6 +71,10 @@ class Nic {
     if (!obs_reg_->enabled()) return;
     if (obs_queue_depth_ == nullptr) bind_obs();
     obs_queue_depth_->set(static_cast<double>(depth));
+  }
+
+  [[nodiscard]] std::string resource_name(std::uint32_t) const override {
+    return machine_.prefix() + "nic-dma";
   }
 
   hw::Machine& machine_;

@@ -32,7 +32,8 @@
 //
 // Memory: the engine also owns the combinator wait-node pool and the symbol
 // table that interns activity/resource labels to 4-byte ids.  Pool stats
-// are published through obs as `sim.pool.*` when a run() drains.
+// are published through obs when a run() drains: `sim.pool.*` for the
+// engine's own pools, `host.pool.frames.*` for the thread's frame arena.
 //
 // Sampling: an engine built while its thread's obs::RunSampling is on owns
 // an obs::Sampler into that store, on Registry::global() of the building
@@ -71,7 +72,9 @@ class Engine {
     obs_heap_depth_ = &reg.histogram("sim.engine.heap_depth");
     obs_watchdog_trips_ = &reg.counter("sim.watchdog_trips");
     register_pool(&wait_pool_);
-    register_pool(&FrameArena::local());
+    // Host-scoped: the arena outlives the engine and stays warm across the
+    // thread's engines, so its counts depend on what the thread ran before.
+    register_pool(&FrameArena::local(), "host");
     if (const obs::RunSampling& rs = obs::run_sampling(); rs.sampling_on()) {
       obs::SamplerConfig sc;
       sc.period = rs.timeline_period;
@@ -238,22 +241,22 @@ class Engine {
   /// Pooled wait node for the when_any/when_all combinators.
   RcPtr<WaitNode> make_wait_node() { return wait_pool_.make(); }
 
-  /// Track a pool's stats: published as `sim.pool.<name>.*` when run()
+  /// Track a pool's stats: published as `<scope>.pool.<name>.*` when run()
   /// drains.  Registrants (e.g. a FlowModel's activity pool) must
   /// unregister before they die.
-  void register_pool(PoolBase* pool) {
+  void register_pool(PoolBase* pool, const char* scope = "sim") {
     PoolChannel ch;
     ch.pool = pool;
     char name[96];
     auto bind = [&](const char* field) -> obs::Counter* {
-      std::snprintf(name, sizeof name, "sim.pool.%s.%s", pool->name(), field);
+      std::snprintf(name, sizeof name, "%s.pool.%s.%s", scope, pool->name(), field);
       return &obs::Registry::global().counter(name);
     };
     ch.allocated = bind("allocated");
     ch.reused = bind("reused");
     ch.slabs = bind("slabs");
     ch.slab_bytes = bind("slab_bytes");
-    std::snprintf(name, sizeof name, "sim.pool.%s.live", pool->name());
+    std::snprintf(name, sizeof name, "%s.pool.%s.live", scope, pool->name());
     ch.live = &obs::Registry::global().gauge(name);
     pool_channels_.push_back(ch);
   }

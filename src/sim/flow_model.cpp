@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
 
 namespace cci::sim {
 
@@ -16,7 +17,8 @@ namespace {
 double completion_eps(double work) { return std::max(1.0, work) * 1e-9; }
 }  // namespace
 
-FlowModel::FlowModel(Engine& engine) : engine_(engine), activity_pool_("activity") {
+FlowModel::FlowModel(Engine& engine)
+    : engine_(engine), activity_pool_("activity"), chunks_(WarmStore<Chunks>::take()) {
   engine_.register_pool(&activity_pool_);
   obs_reg_ = &obs::Registry::global();
   obs_resolves_ = &obs_reg_->counter("sim.flow.resolves");
@@ -51,6 +53,9 @@ FlowModel::~FlowModel() {
   // ours before the pool dies.  (Activities still referenced elsewhere are
   // handled by the pool's orphan-slab path.)
   engine_.unregister_pool(&activity_pool_);
+  static_assert(std::is_trivially_destructible_v<Resource>,
+                "chunks are reused without running destructors");
+  WarmStore<Chunks>::give(std::move(chunks_));
 }
 
 void Resource::set_capacity(double capacity) {
@@ -66,33 +71,46 @@ void Resource::set_capacity(double capacity) {
 }
 
 Resource* FlowModel::add_resource(std::string name, double capacity) {
-  resources_.push_back(std::unique_ptr<Resource>(
-      new Resource(this, &solver_, resources_.size(), std::move(name), capacity)));
-  Resource* r = resources_.back().get();
+  names_.names.push_back(std::move(name));
+  return add_resource(names_, static_cast<std::uint32_t>(names_.names.size() - 1), capacity);
+}
+
+Resource* FlowModel::add_resource(const ResourceNamer& owner, std::uint32_t key,
+                                  double capacity) {
+  const std::size_t index = chunks_.size;
+  if (index / Chunks::kPerChunk == chunks_.chunks.size())
+    chunks_.chunks.push_back(std::make_unique_for_overwrite<Chunks::Cell[]>(Chunks::kPerChunk));
+  auto* r = new (&chunks_.chunks[index / Chunks::kPerChunk][index % Chunks::kPerChunk])
+      Resource(this, &solver_, static_cast<std::uint32_t>(index), &owner, key, capacity);
+  ++chunks_.size;
   const std::size_t solver_index = solver_.add_resource(capacity);
-  assert(solver_index == r->index_);
+  assert(solver_index == index);
   (void)solver_index;
   if (obs_bound_) bind_resource_obs(*r);
   return r;
 }
 
-void FlowModel::bind_resource_obs(Resource& r) {
+void FlowModel::bind_resource_obs(const Resource& r) {
+  assert(res_obs_.size() == r.index());
+  ResourceObs& ro = res_obs_.emplace_back();
+  const std::string name = r.name();  // formatted once, by the owner
   // Metric names assembled in a stack buffer; the registry's heterogeneous
   // string_view lookup means no temporary std::string on re-registration.
   char buf[192];
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.work_units", r.name().c_str());
-  r.obs_work_ = &obs_reg_->counter(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.utilization", r.name().c_str());
-  r.obs_util_ = &obs_reg_->gauge(buf);
-  std::snprintf(buf, sizeof buf, "sim.resource.%s.pressure", r.name().c_str());
-  r.obs_pressure_ = &obs_reg_->gauge(buf);
-  r.obs_load_series_ = "sim.resource." + r.name() + ".load";
-  r.obs_track_series_ = "sim.res." + r.name();
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.work_units", name.c_str());
+  ro.work = &obs_reg_->counter(buf);
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.utilization", name.c_str());
+  ro.util = &obs_reg_->gauge(buf);
+  std::snprintf(buf, sizeof buf, "sim.resource.%s.pressure", name.c_str());
+  ro.pressure = &obs_reg_->gauge(buf);
+  ro.load_series = "sim.resource." + name + ".load";
+  ro.track_series = "sim.res." + name;
 }
 
 void FlowModel::bind_obs() {
   obs_bound_ = true;
-  for (auto& r : resources_) bind_resource_obs(*r);
+  res_obs_.reserve(chunks_.size);
+  for (std::size_t i = 0; i < chunks_.size; ++i) bind_resource_obs(resource(i));
 }
 
 ActivityPtr FlowModel::start(ActivitySpec spec) {
@@ -152,7 +170,7 @@ void FlowModel::trace_activity(const Activity& act, const char* suffix) {
   static const std::string kUnbound = "sim.res.unbound";
   const std::string& series = spec.demands.empty()
                                   ? kUnbound
-                                  : spec.demands.front().resource->obs_track_series_;
+                                  : res_obs_[spec.demands.front().resource->index_].track_series;
   obs::TrackId track = tracer.track(series);
   const std::string& name = engine_.label_str(spec.label);
   std::string label = name.empty() ? "activity" : name;
@@ -167,6 +185,12 @@ void FlowModel::on_capacity_changed(Resource* resource) {
   // O(running) sweep is off the hot path.
   if (profiler_ != nullptr)
     for (const ActivityPtr& act : running_) refresh_solo_rate(*act);
+  // Nothing running means no flow and no completion: a re-solve would only
+  // rewrite zero loads and pressures.  With the registry and the tracer
+  // off nothing publishes them either, so the change stays recorded (its
+  // component dirty) for the next change point to solve.  Machines and
+  // worlds set their clocks this way before any traffic starts.
+  if (running_.empty() && !obs_reg_->enabled() && !obs_reg_->tracer().on()) return;
   reallocate();
 }
 
@@ -177,9 +201,9 @@ void FlowModel::advance() {
     if (!obs_bound_) bind_obs();
     // Work-unit integral per resource: loads were constant since the last
     // change point, so load * dt is exact (bytes moved per controller).
-    for (auto& r : resources_) {
-      const double load = r->load();
-      if (load > 0.0) r->obs_work_->add(load * dt);
+    for (std::size_t i = 0; i < chunks_.size; ++i) {
+      const double load = solver_.load(i);
+      if (load > 0.0) res_obs_[i].work->add(load * dt);
     }
   }
   if (dt > 0.0 && profiler_ != nullptr) profile_advance(dt);
@@ -205,7 +229,7 @@ void FlowModel::profile_advance(Time dt) {
   const Time now = engine_.now();
   AttributionReport& rep = profiler_->report_;
   std::vector<double>& cl = profiler_->class_load_;
-  cl.assign(resources_.size() * kProfileClasses, 0.0);
+  cl.assign(chunks_.size * kProfileClasses, 0.0);
   // Pass 1: decompose each resource's load by activity class.  rate x
   // demand is exactly the usage the solver granted on that resource, so the
   // class shares sum to the resource's load.
@@ -371,15 +395,16 @@ void FlowModel::reallocate() {
   if (publish) {
     if (!obs_bound_) bind_obs();
     for (std::size_t ridx : solver_.touched_resources()) {
-      Resource* r = resources_[ridx].get();
+      const Resource& r = resource(ridx);
+      ResourceObs& ro = res_obs_[ridx];
       if (obs_on) {
-        r->obs_util_->set(r->utilization());
-        r->obs_pressure_->set(r->pressure());
+        ro.util->set(r.utilization());
+        ro.pressure->set(r.pressure());
       }
-      const double load = r->load();
-      if (tracing && load != r->obs_last_sampled_load_) {
-        tracer.counter_sample(r->obs_load_series_, now, load);
-        r->obs_last_sampled_load_ = load;
+      const double load = r.load();
+      if (tracing && load != ro.last_sampled_load) {
+        tracer.counter_sample(ro.load_series, now, load);
+        ro.last_sampled_load = load;
       }
     }
   }

@@ -12,10 +12,22 @@
 // each round's lambda in place (see sim/maxmin.hpp), so a change point
 // costs work in proportion to the change rather than to the component;
 // every rate and load is bitwise what a full filling gives.
+//
+// Building a model costs only what its runs use.  Resources live in place,
+// in fixed-size chunks with stable addresses, and keep their registration
+// order; the chunks and the solver's per-resource arrays come from the
+// thread's WarmStore and go back to it at teardown.  A resource's name is
+// formatted on demand by its owner (sim/resource.hpp); obs handles and
+// series names exist only once the model binds obs.  A capacity change
+// while nothing runs and neither the registry nor the tracer is on cannot
+// harvest, solve, publish or retime anything: it only records the
+// capacity, and the next change point solves the component.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,9 +52,13 @@ class FlowModel {
 
   Engine& engine() { return engine_; }
 
-  /// Create a resource owned by this model.  Pointers remain valid for the
-  /// model's lifetime.
+  /// Create a resource owned by this model, named `name` (kept in the
+  /// model's own name table).  Pointers remain valid for the model's
+  /// lifetime.
   Resource* add_resource(std::string name, double capacity);
+  /// Create a resource whose name `owner` formats on demand from `key`;
+  /// `owner` must outlive every name() call on it.
+  Resource* add_resource(const ResourceNamer& owner, std::uint32_t key, double capacity);
 
   /// Start an activity; it completes after spec.work units of progress.
   /// The returned pointer stays valid at least until completion.
@@ -126,15 +142,57 @@ class FlowModel {
   /// Resolve `r`'s `sim.resource.<name>.*` handles and series names in
   /// obs_reg_.  Runs at add_resource() once the model is bound; an unbound
   /// model defers every resource to bind_obs().
-  void bind_resource_obs(Resource& r);
+  void bind_resource_obs(const Resource& r);
   /// Late binding: the first advance()/reallocate()/trace_activity() that
   /// finds the registry or the tracer on binds every resource at once.
   void bind_obs();
 
+  [[nodiscard]] Resource& resource(std::size_t index) {
+    return *std::launder(reinterpret_cast<Resource*>(
+        &chunks_.chunks[index / Chunks::kPerChunk][index % Chunks::kPerChunk]));
+  }
+
+  /// Resource storage: chunks of kPerChunk in-place resources, so
+  /// addresses stay stable as the table grows.  Taken from the thread's
+  /// WarmStore at construction and handed back at teardown (resources are
+  /// trivially destructible, so a chunk's old bytes are simply reused).
+  struct Chunks {
+    static constexpr std::size_t kPerChunk = 1024;
+    struct alignas(Resource) Cell {
+      std::byte bytes[sizeof(Resource)];
+    };
+    std::vector<std::unique_ptr<Cell[]>> chunks;
+    std::size_t size = 0;  ///< resources placed
+    void clear() { size = 0; }
+    [[nodiscard]] std::size_t capacity() const { return chunks.size(); }
+  };
+  /// Names of the resources added by name: the owner of every such
+  /// resource, keyed by its place in `names`.
+  struct NameTable final : ResourceNamer {
+    std::vector<std::string> names;
+    [[nodiscard]] std::string resource_name(std::uint32_t key) const override {
+      return names[key];
+    }
+  };
+  /// A resource's obs handles and cached series names (the load counter
+  /// track and the span track), so tracing never concatenates on the hot
+  /// path.
+  struct ResourceObs {
+    obs::Counter* work = nullptr;       ///< sim.resource.<name>.work_units
+    obs::Gauge* util = nullptr;         ///< sim.resource.<name>.utilization
+    obs::Gauge* pressure = nullptr;     ///< sim.resource.<name>.pressure
+    std::string load_series;
+    std::string track_series;
+    double last_sampled_load = -1.0;
+  };
+
   Engine& engine_;
   MaxMinSolver solver_;
   SlabPool<Activity> activity_pool_;  ///< stats: sim.pool.activity.*
-  std::vector<std::unique_ptr<Resource>> resources_;
+  Chunks chunks_;
+  NameTable names_;
+  /// Per resource, in index order, once the model is bound; empty before.
+  std::vector<ResourceObs> res_obs_;
   std::vector<ActivityPtr> running_;       ///< unordered; slot in Activity
   std::vector<Activity*> flow_act_;        ///< solver FlowId -> activity
   std::vector<Activity*> completion_heap_;

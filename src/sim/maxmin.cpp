@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/pool.hpp"
+
 namespace cci::sim {
 
 namespace {
@@ -16,6 +18,26 @@ constexpr double kSlack = 1e-12;
 // ReachedRes::from of a resource a replay republishes only for its pressure.
 constexpr std::uint32_t kPressureOnly = ~std::uint32_t{0};
 }  // namespace
+
+// ---- storage ----------------------------------------------------------------
+
+void maxmin_detail::SolverArrays::clear() {
+  const auto clear_all = [](auto&... arrays) { (arrays.clear(), ...); };
+  clear_all(capacity_, load_, pressure_, adj_head_, adj_tail_, bneck_, reach_, parent_,
+            comp_size_, flow_head_, flow_tail_, comp_flows_, comp_unsorted_, res_next_,
+            res_tail_, dirty_, trace_of_, load_noted_, rebuild_res_dirty_, res_local_,
+            sc_cap_left_, sc_load_, sc_pressure_, sc_weighted_demand_, sc_res_round_,
+            sc_res_bottleneck_, sc_res_eq_, sc_active_res_, sc_ratio_, rp_res_mark_,
+            rp_res_slot_);
+  static_assert(sizeof(SolverArrays) == 31 * sizeof(std::vector<char>),
+                "clear() must empty every array");
+}
+
+MaxMinSolver::MaxMinSolver() : SolverArrays(WarmStore<SolverArrays>::take()) {}
+
+MaxMinSolver::~MaxMinSolver() {
+  WarmStore<SolverArrays>::give(std::move(static_cast<SolverArrays&>(*this)));
+}
 
 // ---- resources and partition ----------------------------------------------
 
@@ -166,6 +188,7 @@ void MaxMinSolver::append_flow(std::size_t root, FlowId id) {
 MaxMinSolver::FlowId MaxMinSolver::add_flow(double weight, double rate_cap,
                                             const std::vector<MaxMinFlow::Entry>& entries) {
   assert(weight > 0.0);
+  flows_changed_ = true;
   FlowId id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();
@@ -216,6 +239,7 @@ MaxMinSolver::FlowId MaxMinSolver::add_flow(double weight, double rate_cap,
 void MaxMinSolver::remove_flow(FlowId id) {
   FlowRec& rec = flows_[id];
   assert(rec.live);
+  flows_changed_ = true;
   rec.live = false;
   rec.rate = 0.0;
   if (!rec.entries.empty()) {
@@ -303,7 +327,8 @@ void MaxMinSolver::mark_all_dirty() {
 }
 
 void MaxMinSolver::solve(bool list_touched) {
-  ++stats_.solves;
+  if (live_flows_ > 0 || flows_changed_) ++stats_.solves;
+  flows_changed_ = false;
   changed_flows_.clear();
   touched_resources_.clear();
   for (FlowId id : entryless_changed_) changed_flows_.push_back(id);

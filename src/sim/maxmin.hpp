@@ -78,10 +78,93 @@ struct MaxMinSolution {
 /// vectors get their rate cap (or +inf with no cap).
 MaxMinSolution solve_max_min(const MaxMinProblem& problem);
 
+namespace maxmin_detail {
+
+/// A solver's arrays indexed by resource, or by a resource's slot in the
+/// component being solved.  They live apart from the rest of the solver so
+/// that it can take a thread's warm set at construction and hand its own
+/// back at teardown (WarmStore): a model built on a thread that built one
+/// before reuses those pages.  clear() empties every array (size 0), so
+/// nothing of an earlier solver — its round and replay stamps above all —
+/// survives into the next.
+struct SolverArrays {
+  // Resources.
+  std::vector<double> capacity_;
+  std::vector<double> load_;
+  std::vector<double> pressure_;
+  // Adjacency: the demand entries naming each resource, in registration
+  // order, linked through FlowRec::links ((flow slot << 32) | entry).
+  std::vector<std::uint64_t> adj_head_;
+  std::vector<std::uint64_t> adj_tail_;
+  // Per-resource trace state (meaningful while its component has a trace;
+  // 0 for a resource no flow reaches): bottleneck round << 1 | whether its
+  // ratio equalled lambda there, and the last round a flow reached it.
+  std::vector<std::uint32_t> bneck_;
+  std::vector<std::uint32_t> reach_;
+
+  // Union-find over resources (merged on flow registration; removals leave
+  // the partition over-merged, which is conservative-but-correct, and a
+  // rebuild is scheduled once removals pile up).
+  std::vector<std::size_t> parent_;
+  std::vector<std::size_t> comp_size_;              ///< valid at roots
+  // Each component lists its flows through FlowRec::comp_prev/comp_next,
+  // kept sorted by FlowRec::seq (registration order) as an invariant:
+  // appends are monotone in seq and removals unlink in place, so the common
+  // case needs no per-solve sort.  Merges and partition rebuilds may break
+  // the order; they set comp_unsorted_ and fill_component() restores it
+  // lazily.
+  std::vector<std::size_t> flow_head_;              ///< valid at roots
+  std::vector<std::size_t> flow_tail_;              ///< valid at roots
+  std::vector<std::size_t> comp_flows_;             ///< flow count, valid at roots
+  std::vector<char> comp_unsorted_;                 ///< valid at roots
+  // Member resources, linked root first: res_next_ per resource, the last
+  // member at each root.
+  std::vector<std::size_t> res_next_;
+  std::vector<std::size_t> res_tail_;               ///< valid at roots
+  std::vector<char> dirty_;                         ///< valid at roots
+  std::vector<std::uint32_t> trace_of_;             ///< index into traces_, valid at roots
+
+  std::vector<char> load_noted_;                ///< per resource: in load_changes_
+  std::vector<char> rebuild_res_dirty_;         ///< rebuild_partition scratch
+  std::vector<std::uint32_t> res_local_;        ///< global res -> local slot
+  // Per local slot of the component being filled: capacity left, load and
+  // pressure summed so far.
+  std::vector<double> sc_cap_left_;
+  std::vector<double> sc_load_;
+  std::vector<double> sc_pressure_;
+  // Filling-round state.  Per local resource slot: the weighted demand of
+  // unfixed flows, and the round that last summed it or marked it a
+  // bottleneck (with whether its ratio equalled lambda there).  Rounds are
+  // numbered by a solver-lifetime epoch, so a stamp left by an earlier
+  // round or solve never matches and nothing is cleared.
+  std::vector<double> sc_weighted_demand_;
+  std::vector<std::uint64_t> sc_res_round_;
+  std::vector<std::uint64_t> sc_res_bottleneck_;
+  std::vector<char> sc_res_eq_;
+  std::vector<std::uint32_t> sc_active_res_;    ///< resources unfixed flows reach
+  std::vector<double> sc_ratio_;  ///< max(0, cap_left) / weighted demand, per loaded resource
+  // Replay: the replay epoch that reached a resource, and its slot in the
+  // replay's reached list.
+  std::vector<std::uint64_t> rp_res_mark_;
+  std::vector<std::uint32_t> rp_res_slot_;
+
+  void clear();
+  [[nodiscard]] std::size_t capacity() const { return capacity_.capacity(); }
+};
+
+}  // namespace maxmin_detail
+
 /// Incremental solver: persistent flow records + connected-component
 /// partial re-solves.  Not thread-safe (the engine is single-threaded).
-class MaxMinSolver {
+/// Its per-resource arrays come from, and go back to, the thread's
+/// WarmStore.
+class MaxMinSolver : private maxmin_detail::SolverArrays {
  public:
+  MaxMinSolver();
+  ~MaxMinSolver();
+  MaxMinSolver(const MaxMinSolver&) = delete;
+  MaxMinSolver& operator=(const MaxMinSolver&) = delete;
+
   using FlowId = std::size_t;
   static constexpr FlowId kNoFlow = static_cast<FlowId>(-1);
 
@@ -147,9 +230,17 @@ class MaxMinSolver {
 
   /// Cumulative work/quality counters, for perf guards and benches.
   struct Stats {
-    std::uint64_t solves = 0;            ///< solve() calls
-    std::uint64_t full_solves = 0;       ///< solves that visited every live flow
-    std::uint64_t partial_solves = 0;    ///< solves that skipped >= 1 clean component
+    /// solve() calls with a flow to solve or a flow change to publish.  A
+    /// call while no flow is live and none came or went since the previous
+    /// call only re-solves flowless components, whose loads stay 0, and is
+    /// not counted: whether a capacity change before traffic is solved at
+    /// once (registry or tracer on) or left for the next change point, the
+    /// count is the same.
+    std::uint64_t solves = 0;
+    /// Every solve() call: those that visited every live flow, and those
+    /// that skipped at least one clean component.
+    std::uint64_t full_solves = 0;
+    std::uint64_t partial_solves = 0;
     std::uint64_t components_solved = 0; ///< dirty components re-solved
     /// Flow scans inside filling rounds: the sum of the solved components'
     /// freeze rounds, whether the component was filled or replayed.
@@ -297,42 +388,7 @@ class MaxMinSolver {
     }
   }
 
-  // Resources.
-  std::vector<double> capacity_;
-  std::vector<double> load_;
-  std::vector<double> pressure_;
-  // Adjacency: the demand entries naming each resource, in registration
-  // order, linked through FlowRec::links.
-  std::vector<Link> adj_head_;
-  std::vector<Link> adj_tail_;
-  // Per-resource trace state (meaningful while its component has a trace;
-  // 0 for a resource no flow reaches): bottleneck round << 1 | whether its
-  // ratio equalled lambda there, and the last round a flow reached it.
-  std::vector<std::uint32_t> bneck_;
-  std::vector<std::uint32_t> reach_;
-
-  // Union-find over resources (merged on flow registration; removals leave
-  // the partition over-merged, which is conservative-but-correct, and a
-  // rebuild is scheduled once removals pile up).
-  std::vector<std::size_t> parent_;
-  std::vector<std::size_t> comp_size_;              ///< valid at roots
-  // Each component lists its flows through FlowRec::comp_prev/comp_next,
-  // kept sorted by FlowRec::seq (registration order) as an invariant:
-  // appends are monotone in seq and removals unlink in place, so the common
-  // case needs no per-solve sort.  Merges and partition rebuilds may break
-  // the order; they set comp_unsorted_ and fill_component() restores it
-  // lazily.
-  std::vector<FlowId> flow_head_;                   ///< valid at roots
-  std::vector<FlowId> flow_tail_;                   ///< valid at roots
-  std::vector<std::size_t> comp_flows_;             ///< flow count, valid at roots
-  std::vector<char> comp_unsorted_;                 ///< valid at roots
-  // Member resources, linked root first: res_next_ per resource, the last
-  // member at each root.
-  std::vector<std::size_t> res_next_;
-  std::vector<std::size_t> res_tail_;               ///< valid at roots
-  std::vector<char> dirty_;                         ///< valid at roots
   std::vector<std::size_t> dirty_roots_;
-  std::vector<std::uint32_t> trace_of_;             ///< index into traces_, valid at roots
   std::vector<Trace> traces_;
   std::vector<std::uint32_t> free_traces_;
   // Change journal of every trace, linked per trace through Change::next.
@@ -346,6 +402,7 @@ class MaxMinSolver {
   std::vector<FlowId> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_flows_ = 0;           ///< live flows with >= 1 demand entry
+  bool flows_changed_ = false;           ///< a flow came or went since the last solve()
   std::size_t removals_since_rebuild_ = 0;
   std::vector<FlowId> entryless_changed_;  ///< demandless flows solved at add
 
@@ -356,10 +413,7 @@ class MaxMinSolver {
   // Load-change report (drain_load_changes); empty and off until the first
   // drain turns tracking on.
   bool track_loads_ = false;
-  std::vector<char> load_noted_;           ///< per resource: in load_changes_
   std::vector<std::size_t> load_changes_;  ///< noted since the last drain
-  std::vector<char> rebuild_res_dirty_;        ///< rebuild_partition scratch
-  std::vector<std::uint32_t> res_local_;       ///< global res -> local slot
   std::vector<std::size_t> scratch_res_;       ///< component resources
   std::vector<FlowId> scratch_flows_;          ///< component flows, seq order
   // Dense per-solve gather of the component's flows: per-flow weights plus
@@ -373,32 +427,17 @@ class MaxMinSolver {
   std::vector<double> sc_ent_demand_;
   std::vector<double> sc_ent_wdem_;
   std::vector<double> sc_ent_press_;
-  std::vector<double> sc_cap_left_;
-  std::vector<double> sc_load_;
-  std::vector<double> sc_pressure_;
   std::vector<double> sc_cap_lambda_;
   std::vector<double> sc_rate_;
   std::vector<std::uint32_t> sc_round_;  ///< per flow: its freeze round
-  // Filling-round state.  Per local resource slot: the weighted demand of
-  // unfixed flows, and the round that last summed it or marked it a
-  // bottleneck (with whether its ratio equalled lambda there).  Rounds are
-  // numbered by a solver-lifetime epoch, so a stamp left by an earlier
-  // round or solve never matches and nothing is cleared.
-  std::vector<double> sc_weighted_demand_;
-  std::vector<std::uint64_t> sc_res_round_;
-  std::vector<std::uint64_t> sc_res_bottleneck_;
-  std::vector<char> sc_res_eq_;
   std::vector<std::uint32_t> sc_active_flows_;  ///< unfixed flows, flow order
-  std::vector<std::uint32_t> sc_active_res_;    ///< resources those reach
-  std::vector<double> sc_ratio_;  ///< max(0, cap_left) / weighted demand, per loaded resource
+  /// Filling-round epoch (see SolverArrays::sc_res_round_).
   std::uint64_t round_epoch_ = 0;
 
   // Replay scratch.  A resource is in rp_res_ when rp_res_mark_ holds the
   // current replay epoch; a flow is in the changed set rp_flows_ when its
   // replay_mark does.
   std::uint64_t replay_epoch_ = 0;
-  std::vector<std::uint64_t> rp_res_mark_;
-  std::vector<std::uint32_t> rp_res_slot_;
   std::vector<ReachedRes> rp_res_;
   std::vector<FlowId> rp_flows_;
   std::vector<std::size_t> rp_member_changed_;

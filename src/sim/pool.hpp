@@ -16,6 +16,10 @@
 //    engine instances.
 //  * SmallVec<T,N> — inline small-vector for waiter/demand lists whose
 //    overwhelmingly common size is 0–2 entries.
+//  * WarmStore<T>  — one spare block set per thread for objects built one
+//    after another on it (a flow model's resource chunks, its solver's
+//    per-resource arrays): a teardown hands its storage back and the next
+//    build takes it instead of faulting fresh pages in.
 //
 // CCI_SIM_POOLS=0 (or set_pools_enabled(false)) routes every request to the
 // global heap instead — the A/B reference path for the throughput bench and
@@ -23,8 +27,10 @@
 // may flip between runs without confusing deallocation.
 //
 // Stat counters (allocated/reused/live/slabs/slab bytes) are exported
-// through obs as `sim.pool.<name>.*` by Engine::run — see
-// docs/PERFORMANCE.md and docs/OBSERVABILITY.md.
+// through obs by Engine::run: `sim.pool.<name>.*` for an engine's own
+// pools, `host.pool.frames.*` for the thread's frame arena, whose counts
+// depend on what the thread ran before — see docs/PERFORMANCE.md and
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cassert>
@@ -392,6 +398,45 @@ class FrameArena : public PoolBase {
 
   void* free_[kMaxBucketBytes / kGranularity] = {};  ///< per-bucket free lists
   std::vector<void*> slab_mem_;  ///< slab base pointers, for teardown
+};
+
+/// Per-thread warm storage.  An object built on a thread takes the thread's
+/// spare `T` at construction (a default `T` when there is none) and hands
+/// its own back at teardown; the next object on the thread reuses those
+/// blocks instead of asking the heap again, which for large blocks would
+/// fault every page in afresh.  `T::clear()` must leave it empty (size 0:
+/// nothing of the earlier owner's contents survives) and `T::capacity()`
+/// measures it; the thread keeps the larger of its spare and the returned
+/// set, so it holds at most what one object used.  A give() during thread
+/// exit, after the spare died, frees the storage instead.
+template <class T>
+class WarmStore {
+ public:
+  static T take() {
+    if (gone()) return T{};
+    return std::exchange(slot().spare, T{});
+  }
+  static void give(T&& storage) {
+    if (gone()) return;
+    storage.clear();
+    T& spare = slot().spare;
+    if (storage.capacity() > spare.capacity()) spare = std::move(storage);
+  }
+
+ private:
+  struct Slot {
+    T spare;
+    ~Slot() { gone() = true; }
+  };
+  static Slot& slot() {
+    static thread_local Slot s;
+    return s;
+  }
+  /// Trivially destructible, so still readable after the slot died.
+  static bool& gone() {
+    static thread_local bool g = false;
+    return g;
+  }
 };
 
 /// Vector with N inline slots; spills to the heap only past N elements.

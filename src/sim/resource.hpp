@@ -1,20 +1,39 @@
 // A shared, capacity-limited resource (memory controller, link, core, NIC).
+//
+// A resource stores no name.  It keeps its owner (a ResourceNamer: the
+// machine, NIC or fabric that registered it, or the model's own table for
+// ad-hoc names) and a key, and name() has the owner format the name on
+// demand.  Names are read only off the hot path: obs binding, stall
+// reports, gauges named after a resource, fabric reports.  Resources keep
+// their registration order; index() is the position in it.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "sim/maxmin.hpp"
 
 namespace cci::sim {
 
 class FlowModel;
 
+/// Formats the names of the resources an object registered: each resource
+/// keeps its owner and a key, and Resource::name() asks the owner.  The
+/// owner must outlive every name() call on its resources.
+class ResourceNamer {
+ public:
+  [[nodiscard]] virtual std::string resource_name(std::uint32_t key) const = 0;
+
+ protected:
+  ~ResourceNamer() = default;
+};
+
 class Resource {
  public:
-  [[nodiscard]] const std::string& name() const { return name_; }
+  /// Formatted on demand by the resource's owner.
+  [[nodiscard]] std::string name() const { return namer_->resource_name(key_); }
   [[nodiscard]] double capacity() const { return capacity_; }
   /// Total usage allocated by the last max-min solve (read from the
   /// owning model's solver, which keeps the only copy).
@@ -38,32 +57,23 @@ class Resource {
 
  private:
   friend class FlowModel;
-  Resource(FlowModel* model, const MaxMinSolver* solver, std::size_t index, std::string name,
-           double capacity)
+  Resource(FlowModel* model, const MaxMinSolver* solver, std::uint32_t index,
+           const ResourceNamer* namer, std::uint32_t key, double capacity)
       : model_(model),
         solver_(solver),
+        namer_(namer),
         index_(index),
-        name_(std::move(name)),
+        key_(key),
         capacity_(capacity) {
     assert(capacity >= 0.0);
   }
 
   FlowModel* model_;
   const MaxMinSolver* solver_;  ///< the model's solver; index_ is our solver slot
-  std::size_t index_;  ///< position in the owning model's resource table
-  std::string name_;
+  const ResourceNamer* namer_;
+  std::uint32_t index_;  ///< position in the owning model's resource table
+  std::uint32_t key_;    ///< the owner's key for this resource's name
   double capacity_;
-  // Observability: work-unit integral (bytes for links/controllers, cycles
-  // for cores) plus the cached names of the load counter-sample series and
-  // the span track activities are traced on (built once when the owning
-  // model binds its metrics, so tracing never concatenates on the hot path).
-  // All null/empty while the model is unbound (registry and tracer off).
-  obs::Counter* obs_work_ = nullptr;
-  obs::Gauge* obs_util_ = nullptr;      ///< sim.resource.<name>.utilization
-  obs::Gauge* obs_pressure_ = nullptr;  ///< sim.resource.<name>.pressure
-  std::string obs_load_series_;
-  std::string obs_track_series_;
-  double obs_last_sampled_load_ = -1.0;
 };
 
 }  // namespace cci::sim

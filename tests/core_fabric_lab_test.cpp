@@ -3,15 +3,22 @@
 // determinism contract (threads, shards, schema-v3 cache keys).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/fabric_lab.hpp"
+#include "core/interference_lab.hpp"
+#include "net/cluster.hpp"
+#include "sim/maxmin.hpp"
+#include "sim/rng.hpp"
 
 namespace cci::core {
 namespace {
@@ -184,6 +191,137 @@ TEST(FabricLab, RepeatRunsAreBitwiseIdentical) {
     EXPECT_EQ(trace_a[i].src, trace_b[i].src);
     EXPECT_EQ(trace_a[i].dst, trace_b[i].dst);
     EXPECT_EQ(trace_a[i].via, trace_b[i].via);
+  }
+}
+
+// ---- warm per-thread storage ------------------------------------------------
+
+/// A run's outcome as words, doubles by their bits: equal vectors mean
+/// bit-identical runs.
+struct Bits {
+  std::vector<std::uint64_t> words;
+  void add(double v) { words.push_back(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::uint64_t v) { words.push_back(v); }
+  void add(const trace::Stats& s) {
+    add(static_cast<std::uint64_t>(s.n));
+    for (const double v : {s.median, s.decile1, s.decile9, s.mean, s.min, s.max}) add(v);
+  }
+  void add(const std::string& text) {
+    for (const char c : text) add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+    add(~std::uint64_t{0});
+  }
+};
+
+Bits adaptive_fabric_run() {
+  Scenario s = contended_fat_tree();
+  s.topology.routing(net::RoutingPolicy::kAdaptive);
+  FabricLab lab(s);
+  const FabricReport r = lab.run();
+  Bits b;
+  for (const TenantReport& t : r.tenants) {
+    b.add(t.label);
+    for (const double v : {t.bytes, t.finish, t.achieved_bw}) b.add(v);
+    b.add(t.delivery_latency);
+  }
+  for (const LinkReport& l : r.links) {
+    b.add(l.name);
+    b.add(l.peak);
+  }
+  for (const double v : {r.elapsed, r.total_bytes, r.aggregate_bw}) b.add(v);
+  for (const std::uint64_t v : {r.routes, r.reroutes, r.link_reads}) b.add(v);
+  const sim::MaxMinSolver::Stats& st = lab.cluster().model().solver().stats();
+  for (const std::uint64_t v : {st.solves, st.flow_visits, st.resource_visits}) b.add(v);
+  return b;
+}
+
+Bits interference_run() {
+  Scenario s;
+  s.computing_cores = 6;
+  s.message_bytes = std::size_t{1} << 20;
+  s.pingpong_iterations = 12;
+  s.compute_repetitions = 2;
+  InterferenceLab lab(s);
+  const SideBySideResult r = lab.run();
+  Bits b;
+  for (const ComputePhase* c : {&r.compute_alone, &r.compute_together}) {
+    b.add(c->pass_duration);
+    b.add(c->per_core_bandwidth);
+    b.add(c->mem_stall_fraction);
+  }
+  for (const CommPhase* c : {&r.comm_alone, &r.comm_together}) {
+    b.add(c->latency);
+    b.add(c->bandwidth);
+  }
+  return b;
+}
+
+/// Seeded churn straight on a solver: flows come and go, capacities move,
+/// and every solve's rates, loads and pressures are recorded.
+Bits solver_batch() {
+  sim::Rng rng(29);
+  sim::MaxMinSolver solver;
+  constexpr std::size_t kResources = 48;
+  for (std::size_t r = 0; r < kResources; ++r) solver.add_resource(rng.uniform(1.0, 50.0));
+  std::vector<sim::MaxMinSolver::FlowId> live;
+  Bits b;
+  for (int op = 0; op < 400; ++op) {
+    const std::uint64_t pick = rng.below(8);
+    if (pick < 4 || live.empty()) {
+      std::vector<sim::MaxMinFlow::Entry> entries;
+      const std::uint64_t n = 1 + rng.below(4);
+      for (std::uint64_t e = 0; e < n; ++e)
+        entries.push_back({static_cast<std::size_t>(rng.below(kResources)), rng.uniform(0.5, 2.0)});
+      live.push_back(solver.add_flow(rng.uniform(0.5, 2.0),
+                                     rng.below(3) == 0 ? rng.uniform(1.0, 10.0) : 0.0, entries));
+    } else if (pick < 7) {
+      const std::size_t i = static_cast<std::size_t>(rng.below(live.size()));
+      solver.remove_flow(live[i]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      solver.set_capacity(static_cast<std::size_t>(rng.below(kResources)),
+                          rng.uniform(1.0, 50.0));
+    }
+    solver.solve();
+    for (const sim::MaxMinSolver::FlowId f : live) b.add(solver.rate(f));
+    for (std::size_t r = 0; r < kResources; ++r) {
+      b.add(solver.load(r));
+      b.add(solver.pressure(r));
+    }
+  }
+  const sim::MaxMinSolver::Stats& st = solver.stats();
+  for (const std::uint64_t v : {st.flow_visits, st.resource_visits, st.components_filled,
+                                st.replay_resource_visits})
+    b.add(v);
+  return b;
+}
+
+TEST(FlowModelStorage, ReusedBuffersGiveBitIdenticalRuns) {
+  using Run = Bits (*)();
+  const Run runs[] = {adaptive_fabric_run, interference_run, solver_batch};
+  // Each run alone on a fresh thread: nothing warm to reuse.
+  std::vector<Bits> fresh;
+  for (const Run run : runs) std::thread([&] { fresh.push_back(run()); }).join();
+  // One thread that first builds and drops a 4,096-node and a 2-node
+  // cluster, then runs each of the three twice in a row, each run on the
+  // storage the run before it handed back.  A second run meets its twin's
+  // round and replay stamps at exactly the epochs that left them, so a
+  // store that kept them would change its result.
+  std::vector<Bits> warm;
+  std::thread([&] {
+    {
+      net::ClusterSpec big;
+      big.topology = net::Topology::dragonfly(16, 16, 16);
+      big.nodes = 4096;
+      const net::Cluster cluster(big);
+    }
+    { const net::Cluster small(net::ClusterSpec{}); }
+    for (const Run run : runs)
+      for (int twice = 0; twice < 2; ++twice) warm.push_back(run());
+  }).join();
+  ASSERT_EQ(warm.size(), 2 * fresh.size());
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_FALSE(fresh[i / 2].words.empty()) << i;
+    EXPECT_EQ(warm[i].words, fresh[i / 2].words) << "run " << i / 2 << ", pass " << i % 2;
   }
 }
 

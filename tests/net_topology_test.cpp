@@ -4,6 +4,7 @@
 // oracle over generated shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "hw/gpu.hpp"
 #include "net/cluster.hpp"
 #include "net/fabric_graph.hpp"
 #include "obs/metrics.hpp"
@@ -629,6 +631,125 @@ TEST(FabricRouting, ClusterRoutesAgreeWithTheGraphOnGeneratedShapes) {
         }
       }
   }
+}
+
+// ---- resource names ---------------------------------------------------------
+
+/// The names a cluster's resources had when each was formatted at
+/// registration, in index order: per node its machine's cores, memory
+/// controllers, meshes (NUMA-split sockets only) and cross-socket link,
+/// its NIC's DMA engine, its tx and rx ports; then every crossbar and link
+/// in key order.
+std::vector<std::string> eager_names(const hw::MachineConfig& m, const FabricGraph& fg,
+                                     int nodes) {
+  std::vector<std::string> names;
+  for (int n = 0; n < nodes; ++n) {
+    const std::string prefix = "node" + std::to_string(n) + ".";
+    for (int i = 0; i < m.total_cores(); ++i) names.push_back(prefix + "core" + std::to_string(i));
+    for (int i = 0; i < m.numa_count(); ++i)
+      names.push_back(prefix + "memctrl" + std::to_string(i));
+    if (m.numa_per_socket > 1)
+      for (int s = 0; s < m.sockets; ++s) names.push_back(prefix + "mesh" + std::to_string(s));
+    names.push_back(prefix + "xsocket");
+    names.push_back(prefix + "nic-dma");
+    names.push_back(fg.name(fg.tx_key(n)));
+    names.push_back(fg.name(fg.rx_key(n)));
+  }
+  for (int key = fg.xbar_key(0); key < fg.key_count(); ++key) names.push_back(fg.name(key));
+  return names;
+}
+
+/// Every resource of `cluster` through its public handles, in the order
+/// eager_names() lists them.
+std::vector<const sim::Resource*> cluster_resources(Cluster& cluster) {
+  std::vector<const sim::Resource*> res;
+  const FabricGraph& fg = cluster.fabric();
+  for (int n = 0; n < cluster.node_count(); ++n) {
+    hw::Machine& m = cluster.machine(n);
+    const hw::MachineConfig& c = m.config();
+    for (int i = 0; i < c.total_cores(); ++i) res.push_back(m.core(i));
+    for (int i = 0; i < c.numa_count(); ++i) res.push_back(m.mem_ctrl(i));
+    for (int s = 0; s < c.sockets; ++s)
+      if (m.intra_link(s) != nullptr) res.push_back(m.intra_link(s));
+    res.push_back(m.cross_link());
+    res.push_back(cluster.nic(n).dma_engine());
+    res.push_back(fg.at(fg.tx_key(n)));
+    res.push_back(fg.at(fg.rx_key(n)));
+  }
+  for (const sim::Resource* r : fg.switch_resources()) res.push_back(r);
+  return res;
+}
+
+/// Registered metric names derived from resource names or node prefixes.
+std::vector<std::string> named_metrics(const obs::Registry& reg) {
+  std::vector<std::string> names;
+  for (const obs::Snapshot::Entry& e : reg.snapshot().entries)
+    if (e.name.starts_with("sim.resource.") || e.name.starts_with("hw.freq.") ||
+        e.name.ends_with("nic-dma.queue_depth"))
+      names.push_back(e.name);
+  return names;
+}
+
+/// What a registry-on build registered for those names, name-sorted.
+std::vector<std::string> eager_metrics(const hw::MachineConfig& m,
+                                       const std::vector<std::string>& resources, int nodes) {
+  std::vector<std::string> names;
+  for (const std::string& r : resources)
+    for (const char* field : {".work_units", ".utilization", ".pressure"})
+      names.push_back("sim.resource." + r + field);
+  for (int n = 0; n < nodes; ++n) {
+    const std::string prefix = "node" + std::to_string(n) + ".";
+    for (int c = 0; c < m.total_cores(); ++c)
+      names.push_back("hw.freq." + prefix + "core" + std::to_string(c) + "_hz");
+    for (int s = 0; s < m.sockets; ++s)
+      names.push_back("hw.freq." + prefix + "uncore" + std::to_string(s) + "_hz");
+    names.push_back("net." + prefix + "nic-dma.queue_depth");
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(Cluster, ResourceNamesMatchTheEagerNames) {
+  for (const hw::MachineConfig& machine : hw::MachineConfig::all_presets())
+    for (const Shape& shape : generated_shapes()) {
+      SCOPED_TRACE(machine.name + " " + shape.describe());
+      ClusterSpec spec = spec_with(shape.topo, shape.nodes);
+      spec.machine = machine;
+      Cluster cluster(spec);
+      const std::vector<std::string> want = eager_names(machine, cluster.fabric(), shape.nodes);
+      const std::vector<const sim::Resource*> res = cluster_resources(cluster);
+      ASSERT_EQ(res.size(), want.size());
+      ASSERT_EQ(cluster.model().solver().resource_count(), want.size());
+      for (std::size_t i = 0; i < res.size(); ++i) {
+        EXPECT_EQ(res[i]->index(), i);
+        EXPECT_EQ(res[i]->name(), want[i]) << i;
+      }
+      // A registry-on build binds every resource as it registers it.
+      obs::Registry reg;
+      reg.set_enabled(true);
+      {
+        const obs::Registry::ScopedThreadLocal scope(reg);
+        const Cluster bound(spec);
+      }
+      EXPECT_EQ(named_metrics(reg), eager_metrics(machine, want, shape.nodes));
+    }
+
+  // A standalone machine (empty prefix) and an ad-hoc name from the
+  // model's own table.
+  sim::Engine engine;
+  sim::FlowModel model(engine);
+  hw::Machine machine(model, hw::MachineConfig::henri());
+  hw::GpuDevice gpu(machine, hw::GpuConfig{});
+  const hw::MachineConfig& c = machine.config();
+  EXPECT_EQ(machine.core(0)->name(), "core0");
+  EXPECT_EQ(machine.core(c.total_cores() - 1)->name(),
+            "core" + std::to_string(c.total_cores() - 1));
+  EXPECT_EQ(machine.mem_ctrl(c.numa_count() - 1)->name(),
+            "memctrl" + std::to_string(c.numa_count() - 1));
+  EXPECT_EQ(machine.intra_link(1)->name(), "mesh1");
+  EXPECT_EQ(machine.cross_link()->name(), "xsocket");
+  EXPECT_EQ(machine.cross_link()->index() + 1, gpu.pcie()->index());
+  EXPECT_EQ(gpu.pcie()->name(), "gpu0.pcie");
 }
 
 // ---- route-trace ring -------------------------------------------------------

@@ -110,12 +110,13 @@ TEST(ObsIntegration, IdenticalRunsProduceIdenticalSnapshots) {
     EXPECT_EQ(first.entries[i].name, second.entries[i].name);
     if (first.entries[i].name.find("wall_us") != std::string::npos)
       continue;  // solver wall-time is host-clock noise by design
-    if (first.entries[i].name.find("sim.pool.frames.") != std::string::npos)
-      continue;  // the frame arena is a thread-level cache that deliberately
-                 // stays warm across engines, so its allocated/reused split
-                 // depends on what already ran in this process.  Engine-owned
-                 // pools (activity, wait_node) are fresh per run and stay
-                 // under the exact comparison below.
+    if (first.entries[i].name.starts_with("host."))
+      continue;  // host-side rows: the frame arena (host.pool.frames.*) is a
+                 // thread-level cache that deliberately stays warm across
+                 // engines, so its allocated/reused split depends on what
+                 // already ran in this process.  Engine-owned pools
+                 // (activity, wait_node) are fresh per run and stay under
+                 // the exact comparison below.
     EXPECT_DOUBLE_EQ(first.entries[i].value, second.entries[i].value)
         << first.entries[i].name;
     EXPECT_EQ(first.entries[i].count, second.entries[i].count) << first.entries[i].name;

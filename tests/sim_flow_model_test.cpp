@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "obs/metrics.hpp"
 #include "sim/flow_model.hpp"
 
 namespace cci::sim {
@@ -173,6 +175,57 @@ TEST(FlowModel, ProcessCanAwaitActivityCompletion) {
   engine.spawn(await_activity(engine, model, pipe, done_at));
   engine.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);
+}
+
+
+/// Capacity changes before traffic, then two flows, with the registry as
+/// given: the solver's solve count and each flow's finish.
+struct FlowlessRun {
+  std::uint64_t solves_before_traffic = 0;
+  std::uint64_t solves = 0;
+  double resolves = 0.0;  ///< sim.flow.resolves
+  double finish_a = 0.0;
+  double finish_b = 0.0;
+};
+
+FlowlessRun run_with_flowless_changes(bool registry_on) {
+  obs::Registry reg;
+  reg.set_enabled(registry_on);
+  const obs::Registry::ScopedThreadLocal scope(reg);
+  Engine engine;
+  FlowModel model(engine);
+  Resource* a = model.add_resource("a", 10.0);
+  Resource* b = model.add_resource("b", 10.0);
+  a->set_capacity(8.0);  // machine clocks set as a cluster is built
+  b->set_capacity(4.0);
+  a->set_capacity(6.0);
+  FlowlessRun out;
+  out.solves_before_traffic = model.solver().stats().solves;
+  auto fa = model.start(flow_through(a, 30.0));
+  auto fb = model.start(flow_through(b, 20.0));
+  engine.run();
+  out.solves = model.solver().stats().solves;
+  out.resolves = reg.snapshot().value_of("sim.flow.resolves");
+  out.finish_a = fa->finished_at();
+  out.finish_b = fb->finished_at();
+  return out;
+}
+
+TEST(FlowModel, CapacityChangesBeforeTrafficSolveNothingWithTheRegistryOff) {
+  const FlowlessRun off = run_with_flowless_changes(false);
+  const FlowlessRun on = run_with_flowless_changes(true);
+  // Registry off: the changes only record capacities; registry on: each
+  // still re-solves and publishes (3 more sim.flow.resolves), but the
+  // solver counts neither, so its count is the same either way.
+  EXPECT_EQ(off.solves_before_traffic, 0u);
+  EXPECT_EQ(on.solves_before_traffic, 0u);
+  EXPECT_EQ(on.solves, off.solves);
+  EXPECT_EQ(on.resolves, static_cast<double>(on.solves) + 3.0);
+  // The recorded capacities hold when traffic starts.
+  EXPECT_DOUBLE_EQ(off.finish_a, 5.0);
+  EXPECT_DOUBLE_EQ(off.finish_b, 5.0);
+  EXPECT_EQ(on.finish_a, off.finish_a);
+  EXPECT_EQ(on.finish_b, off.finish_b);
 }
 
 }  // namespace

@@ -207,7 +207,7 @@ TEST(SimPool, ActivitiesStatesAndFramesRecycleAcrossRuns) {
   EXPECT_EQ(snap.value_of("sim.pool.activity.live"), 0.0);
   // The second spawn reuses the first run's frame, and spawning builds no
   // per-process completion record.
-  EXPECT_GE(snap.value_of("sim.pool.frames.reused"), 1.0);
+  EXPECT_GE(snap.value_of("host.pool.frames.reused"), 1.0);
   for (const obs::Snapshot::Entry& e : snap.entries)
     EXPECT_EQ(e.name.find("process_state"), std::string::npos) << e.name;
 }
