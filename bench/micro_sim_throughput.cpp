@@ -464,6 +464,11 @@ BENCHMARK(BM_SimShardSpeedup4)->Unit(benchmark::kMillisecond)->Iterations(8);
 //       over shards; deterministic, guarded at tolerance 0.  Each replica
 //       holds only the keys its own streams route over, so the sum stays
 //       near one fabric's worth at any shard count.
+//   allocs_per_run — operator-new calls of one more run_sharded once the
+//       coordinating thread's shard workers are warm, on every thread;
+//       deterministic from the second call on, guarded at tolerance 0.
+//       A run that started its own threads, or gave every stream its own
+//       route vector, would count more.
 
 core::Scenario dragonfly_scenario() {
   core::Scenario s;
@@ -503,6 +508,10 @@ void BM_DragonflyShardScaling(benchmark::State& state) {
   state.counters["shard_windows"] = static_cast<double>(windows);
   state.counters["link_reads_per_delivery"] = link_reads_per_delivery;
   state.counters["replica_resources"] = static_cast<double>(replica_resources);
+  (void)lab.run_sharded(shards);  // warm, whatever the iteration count
+  const std::uint64_t allocs0 = g_allocs.load();
+  benchmark::DoNotOptimize(lab.run_sharded(shards).elapsed);
+  state.counters["allocs_per_run"] = static_cast<double>(g_allocs.load() - allocs0);
 }
 // UseRealTime for the same reason as BM_SimShardScaling: the work happens on
 // shard workers while the coordinator blocks at window barriers.

@@ -341,6 +341,9 @@ struct FluidShard {
   std::unique_ptr<sim::FlowModel> model;
   std::vector<TenantAccum> tenants;
   LinkPeaks links;
+  /// The resource routes of this shard's streams, end to end, in stream
+  /// order; each stream coroutine reads its own slice.
+  std::vector<sim::Resource*> paths;
 
   /// Local fabric peak at a delivery event.  Loads are read against the
   /// *base* capacity: a boundary replica throttled by remote load would
@@ -358,7 +361,7 @@ struct FluidShard {
 /// schedule (sleep to the slot, then send to completion) with delivery
 /// accounting at completion.
 sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
-                       std::vector<sim::Resource*> path, sim::LabelId label) {
+                       std::span<sim::Resource* const> path, sim::LabelId label) {
   TenantAccum& acc = fs->tenants[s.tenant];
   for (int i = 0; i < s.iterations; ++i) {
     const double due = static_cast<double>(i) * s.gap;
@@ -366,8 +369,9 @@ sim::Coro fluid_stream(sim::Engine& eng, FluidShard* fs, StreamSpec s,
     sim::ActivitySpec spec;
     spec.label = label;
     spec.work = static_cast<double>(s.bytes);
+    spec.demands.reserve(path.size());
     for (sim::Resource* r : path) spec.demands.push_back({r, 1.0});
-    co_await *fs->model->start(spec);
+    co_await *fs->model->start(std::move(spec));
     const double now = eng.now();
     acc.bytes += static_cast<double>(s.bytes);
     acc.finish = std::max(acc.finish, now);
@@ -392,32 +396,36 @@ FabricReport FabricLab::run_sharded(int shards) {
         "the cluster RNG; sharded fabrics route minimally");
   net::FabricGraph shape(topo, scenario_.network, nodes);
 
-  // run()'s streams plus their static minimal route and owning shard (the
-  // source node's topology group).
-  struct Stream {
-    StreamSpec spec;
-    int shard = 0;
-    std::vector<int> keys;
-  };
+  // run()'s streams, each owned by its source node's topology group's
+  // shard.  Stream i's static minimal route is route_keys[route_at[i] ..
+  // route_at[i + 1]), one flat table for every stream.
   const std::vector<int> group_shard =
       sim::partition_groups(topo.group_graph(nodes), shards);
-  std::vector<Stream> streams;
-  for (const StreamSpec& spec : plan_streams(jobs, scenario_.network.wire_bw)) {
-    Stream& st = streams.emplace_back();
-    st.spec = spec;
+  const std::vector<StreamSpec> streams = plan_streams(jobs, scenario_.network.wire_bw);
+  std::vector<int> stream_shard;
+  stream_shard.reserve(streams.size());
+  std::vector<int> route_keys;
+  std::vector<std::size_t> route_at;
+  route_at.reserve(streams.size() + 1);
+  route_at.push_back(0);
+  for (const StreamSpec& spec : streams) {
     const int g = topo.group_of_node(spec.src_node);
-    st.shard = g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0;
-    shape.minimal_path(spec.src_node, spec.dst_node, st.keys);
+    stream_shard.push_back(g >= 0 ? group_shard[static_cast<std::size_t>(g)] : 0);
+    shape.minimal_path(spec.src_node, spec.dst_node, route_keys);
+    route_at.push_back(route_keys.size());
   }
+  const auto route = [&](std::size_t i) {
+    return std::span<const int>(route_keys).subspan(route_at[i], route_at[i + 1] - route_at[i]);
+  };
 
   // Boundary set: keys whose static routes span several shards.
   std::vector<int> first_user(static_cast<std::size_t>(shape.key_count()), -1);
-  for (const Stream& st : streams)
-    for (int key : st.keys) {
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    for (int key : route(i)) {
       int& u = first_user[static_cast<std::size_t>(key)];
       if (u == -1)
-        u = st.shard;
-      else if (u != st.shard)
+        u = stream_shard[i];
+      else if (u != stream_shard[i])
         u = -2;  // shared across shards: boundary proxy
     }
   bool any_boundary = false;
@@ -440,13 +448,13 @@ FabricReport FabricLab::run_sharded(int shards) {
           group.add_boundary_link(shape.base_capacity(key));
       boundary_users.emplace_back();
     }
-  for (const Stream& st : streams)
-    for (int key : st.keys) {
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    for (int key : route(i)) {
       const int id = boundary_id[static_cast<std::size_t>(key)];
       if (id < 0) continue;
       std::vector<int>& users = boundary_users[static_cast<std::size_t>(id)];
-      if (std::find(users.begin(), users.end(), st.shard) == users.end())
-        users.push_back(st.shard);
+      if (std::find(users.begin(), users.end(), stream_shard[i]) == users.end())
+        users.push_back(stream_shard[i]);
     }
   for (std::vector<int>& users : boundary_users) std::sort(users.begin(), users.end());
 
@@ -463,9 +471,13 @@ FabricReport FabricLab::run_sharded(int shards) {
     fs->fabric = std::make_unique<net::FabricGraph>(topo, scenario_.network, nodes);
     fs->model = std::make_unique<sim::FlowModel>(eng);
     std::vector<char> routed(static_cast<std::size_t>(shape.key_count()), 0);
-    for (const Stream& st : streams)
-      if (st.shard == s)
-        for (int key : st.keys) routed[static_cast<std::size_t>(key)] = 1;
+    std::size_t hops = 0;
+    for (std::size_t i = 0; i < streams.size(); ++i)
+      if (stream_shard[i] == s)
+        for (int key : route(i)) {
+          routed[static_cast<std::size_t>(key)] = 1;
+          ++hops;
+        }
     fs->links.peak.assign(topo.links().size(), 0.0);
     for (int key = 0; key < shape.key_count(); ++key) {
       if (routed[static_cast<std::size_t>(key)] == 0) continue;
@@ -477,13 +489,16 @@ FabricReport FabricLab::run_sharded(int shards) {
     std::vector<sim::LabelId> tenant_label(jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j)
       tenant_label[j] = eng.intern("fabric." + jobs[j].label);
-    for (const Stream& st : streams) {
-      if (st.shard != s) continue;
-      std::vector<sim::Resource*> path;
-      path.reserve(st.keys.size());
-      for (int key : st.keys) path.push_back(fs->fabric->at(key));
-      eng.spawn(fluid_stream(eng, fs.get(), st.spec, std::move(path),
-                             tenant_label[st.spec.tenant]));
+    // Sized once, so the slices the coroutines hold stay valid.
+    fs->paths.reserve(hops);
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (stream_shard[i] != s) continue;
+      const std::size_t first = fs->paths.size();
+      for (int key : route(i)) fs->paths.push_back(fs->fabric->at(key));
+      eng.spawn(fluid_stream(
+          eng, fs.get(), streams[i],
+          std::span<sim::Resource* const>(fs->paths).subspan(first, fs->paths.size() - first),
+          tenant_label[streams[i].tenant]));
     }
     ctx[static_cast<std::size_t>(s)] = std::move(fs);
   });
@@ -533,7 +548,7 @@ FabricReport FabricLab::run_sharded(int shards) {
   report.exchanges = group.stats().exchanges;
   {
     std::vector<int> streams_on(static_cast<std::size_t>(shards), 0);
-    for (const Stream& st : streams) ++streams_on[static_cast<std::size_t>(st.shard)];
+    for (int sh : stream_shard) ++streams_on[static_cast<std::size_t>(sh)];
     for (int c : streams_on) report.populated_shards += c > 0 ? 1 : 0;
   }
   // Shard accumulators merged in shard order.  Stats::of sorts, so the
@@ -559,10 +574,10 @@ FabricReport FabricLab::run_sharded(int shards) {
   }
   // Minimal routing: decisions are a pure function of the streams (run()'s
   // note_route fires once per cross-switch message).
-  for (const Stream& st : streams)
+  for (const StreamSpec& st : streams)
     if (topo.kind() != net::Topology::Kind::kSingleSwitch &&
-        topo.host_switch(st.spec.src_node) != topo.host_switch(st.spec.dst_node))
-      report.routes += static_cast<std::uint64_t>(st.spec.iterations);
+        topo.host_switch(st.src_node) != topo.host_switch(st.dst_node))
+      report.routes += static_cast<std::uint64_t>(st.iterations);
   for (int s = 0; s < shards; ++s) {
     report.replica_resources += ctx[static_cast<std::size_t>(s)]->model->solver().resource_count();
     report.solver_flow_visits +=

@@ -19,11 +19,10 @@ bool matches(int want_src, int want_tag, int src, int tag) {
 World::World(net::Cluster& cluster, std::vector<RankConfig> ranks) : cluster_(cluster) {
   ranks_.reserve(ranks.size());
   for (const RankConfig& rc : ranks) {
-    RankState state;
-    state.config = rc;
-    if (state.config.comm_core < 0)
-      state.config.comm_core = cluster_.machine(rc.node).config().total_cores() - 1;
-    ranks_.push_back(std::move(state));
+    RankConfig& config = ranks_.emplace_back().config;
+    config = rc;
+    if (config.comm_core < 0)
+      config.comm_core = cluster_.machine(rc.node).config().total_cores() - 1;
   }
   // The communication thread busy-polls for progression: its core is
   // permanently active at the stable comm frequency.

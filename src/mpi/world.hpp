@@ -36,7 +36,6 @@
 // never touches it.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "mpi/message.hpp"
@@ -116,12 +115,15 @@ class World {
     RequestPtr req;
   };
 
+  /// A rank's matching queues are vectors: they stay short, a match erases
+  /// in place (keeping the order first-match relies on), and an empty one
+  /// allocates nothing, where a std::deque allocates its map and a node.
   struct RankState {
     RankConfig config;
     double progress_overhead = 0.0;
     SendStats stats;
-    std::deque<PostedRecv> posted;
-    std::deque<ArrivalPtr> unexpected;
+    std::vector<PostedRecv> posted;     ///< posting order
+    std::vector<ArrivalPtr> unexpected;  ///< arrival order
   };
 
   RankState& rank(int r) { return ranks_.at(static_cast<std::size_t>(r)); }

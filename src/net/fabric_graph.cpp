@@ -1,6 +1,7 @@
 #include "net/fabric_graph.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 #include <string>
 
@@ -52,14 +53,31 @@ FabricGraph::FabricGraph(const Topology& topo, const NetworkParams& net, int nod
 }
 
 std::string FabricGraph::name(int key) const {
-  if (key < 2 * nodes_)
-    return "node" + std::to_string(key % nodes_) + (key < nodes_ ? ".tx" : ".rx");
-  if (key < link_key(0))
-    return topo_.kind() == Topology::Kind::kSingleSwitch
-               ? "switch"
-               : "switch." + topo_.switch_name(key - xbar_key(0));
-  const Topology::Link& l = topo_.links()[static_cast<std::size_t>(key - link_key(0))];
-  return "link." + topo_.switch_name(l.src) + "-" + topo_.switch_name(l.dst);
+  // Formatted into one buffer: "link." + two switch names + '-' fits.
+  char buf[8 + 2 * Topology::kMaxSwitchName];
+  char* out = buf;
+  const auto put = [&out](std::string_view text) {
+    out = std::copy(text.begin(), text.end(), out);
+  };
+  if (key < 2 * nodes_) {
+    put("node");
+    out = std::to_chars(out, buf + sizeof buf, key % nodes_).ptr;
+    put(key < nodes_ ? ".tx" : ".rx");
+  } else if (key < link_key(0)) {
+    if (topo_.kind() == Topology::Kind::kSingleSwitch) {
+      put("switch");
+    } else {
+      put("switch.");
+      out = topo_.format_switch_name(key - xbar_key(0), out);
+    }
+  } else {
+    const Topology::Link& l = topo_.links()[static_cast<std::size_t>(key - link_key(0))];
+    put("link.");
+    out = topo_.format_switch_name(l.src, out);
+    put("-");
+    out = topo_.format_switch_name(l.dst, out);
+  }
+  return std::string(buf, out);
 }
 
 void FabricGraph::materialize(sim::FlowModel& model, int key) {

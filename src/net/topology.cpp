@@ -1,9 +1,11 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 #include "net/network_params.hpp"
 
@@ -92,15 +94,32 @@ Topology Topology::dragonfly(int groups, int routers, int hosts) {
 }
 
 std::string Topology::switch_name(int s) const {
+  char buf[kMaxSwitchName];
+  return std::string(buf, format_switch_name(s, buf));
+}
+
+char* Topology::format_switch_name(int s, char* out) const {
+  char* const end = out + kMaxSwitchName;
+  const auto put = [&out](std::string_view text) {
+    out = std::copy(text.begin(), text.end(), out);
+  };
+  const auto num = [&out, end](int v) { out = std::to_chars(out, end, v).ptr; };
   switch (kind_) {
     case Kind::kSingleSwitch:
-      return "switch";
+      put("switch");
+      break;
     case Kind::kFatTree:
-      return s < k_ ? "leaf" + std::to_string(s) : "spine" + std::to_string(s - k_);
+      put(s < k_ ? "leaf" : "spine");
+      num(s < k_ ? s : s - k_);
+      break;
     case Kind::kDragonfly:
-      return "g" + std::to_string(s / routers_) + ".r" + std::to_string(s % routers_);
+      put("g");
+      num(s / routers_);
+      put(".r");
+      num(s % routers_);
+      break;
   }
-  return "?";
+  return out;
 }
 
 int Topology::group_of_switch(int s) const {

@@ -108,6 +108,12 @@ class Topology {
   [[nodiscard]] const std::vector<Link>& links() const { return links_; }
   /// Human name of switch `s` ("switch", "leaf3", "g1.r2").
   [[nodiscard]] std::string switch_name(int s) const;
+  /// Room format_switch_name() may write: two ints and three more chars.
+  static constexpr std::size_t kMaxSwitchName = 32;
+  /// Write switch_name(s) at `out`, which has kMaxSwitchName chars of room,
+  /// and return one past its end: lets a caller build a longer name (a
+  /// link's) in one buffer.
+  char* format_switch_name(int s, char* out) const;
   /// Hosts the topology can attach (kSingleSwitch: unbounded, returns 0).
   [[nodiscard]] int max_hosts() const { return max_hosts_; }
   /// Edge switch node `n` plugs into.

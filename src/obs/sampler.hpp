@@ -96,7 +96,7 @@ class Sampler {
 /// campaign engine installs this around each point so per-point sampling
 /// composes with worker threads and the result cache without touching
 /// Scenario (and so cache keys stay stable); sim::ShardGroup gives each
-/// worker its own store and folds them back in merge_obs().
+/// shard its own store and folds them back in merge_obs().
 struct RunSampling {
   double timeline_period = 0.0;
   TimelineStore* timeline = nullptr;

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
-
-#include <cmath>
 
 #include "sched/point.hpp"
 #include "sim/resource.hpp"
@@ -45,6 +48,98 @@ double seconds_since(Clock::time_point t0) {
 
 namespace cci::sim {
 
+/// One thread of a coordinating thread's shard pool.  It parks on its
+/// condition variable until a group posts a shard's job, runs it, and parks
+/// again, for as long as the coordinating thread lives.  Only the
+/// coordinating thread posts, waits and counts borrowers.
+class ShardGroup::Worker {
+ public:
+  explicit Worker(int index) : index_(index), thread_(&Worker::main, this) {}
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+  ~Worker() {
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  /// Hand the worker shard sh's job (run_job); it must be idle.
+  void post(Shard& sh) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    assert(job_ == nullptr);
+    job_ = &sh;
+    cv_.notify_all();
+  }
+
+  /// Wait until the posted job has finished.
+  void wait() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    CCI_SCHED_CV_WAIT(cv_, lk, static_cast<std::uint64_t>(index_),
+                      [this] { return job_ == nullptr; });
+  }
+
+  /// wait() for a job that left the explorer's session before it finished:
+  /// the rest of it runs uncontrolled, so the caller waits natively.
+  void wait_native() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    cv_.wait(lk, [this] { return job_ == nullptr; });
+  }
+
+  /// Groups alive that borrowed this worker, counted on the coordinating
+  /// thread: only the first borrower's first job joins the session and
+  /// only the last one's last job leaves it.
+  int borrowers = 0;
+
+  /// On the worker, from a group's first and last jobs: register with the
+  /// explorer's session under the shard's name, or leave it.
+  void join_session() {
+#ifdef CCI_SCHED
+    session_.emplace(shard_thread_name(index_).c_str());
+#endif
+  }
+  void leave_session() {
+#ifdef CCI_SCHED
+    session_.reset();
+#endif
+  }
+
+ private:
+  void main() {
+    std::unique_lock<std::mutex> lk(mutex_);
+    for (;;) {
+      CCI_SCHED_CV_WAIT(cv_, lk, static_cast<std::uint64_t>(index_),
+                        [this] { return stop_ || job_ != nullptr; });
+      if (job_ == nullptr) return;  // stop requested with no pending job
+      Shard& sh = *job_;
+      lk.unlock();
+      run_job(sh);
+      lk.lock();
+      job_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  const int index_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  Shard* job_ = nullptr;  ///< the posted job's shard, until it finished
+  bool stop_ = false;
+#ifdef CCI_SCHED
+  std::optional<sched::ThreadScope> session_;
+#endif
+  std::thread thread_;  ///< last: starts once every field above exists
+};
+
+std::vector<std::unique_ptr<ShardGroup::Worker>>& ShardGroup::pool() {
+  static thread_local std::vector<std::unique_ptr<Worker>> workers;
+  return workers;
+}
+
+int ShardGroup::pooled_workers() { return static_cast<int>(pool().size()); }
+
 ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
   if (n_ < 1)
     throw std::invalid_argument("ShardGroup: shards must be >= 1, got " +
@@ -57,7 +152,6 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
     // registry, no worker — indistinguishable from using Engine directly.
     auto sh = std::make_unique<Shard>();
     sh->engine = std::make_unique<Engine>();
-    sh->busy = false;
     shards_.push_back(std::move(sh));
     return;
   }
@@ -67,9 +161,13 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
   obs_exchanges_ = &reg_->counter("sim.shard.exchanges");
   const obs::RunSampling& sampling = obs::run_sampling();
   if (sampling.sampling_on()) timeline_ = sampling.timeline;
+  std::vector<std::unique_ptr<Worker>>& workers = pool();
+  while (static_cast<int>(workers.size()) < n_)
+    workers.push_back(std::make_unique<Worker>(static_cast<int>(workers.size())));
   for (int s = 0; s < n_; ++s) {
     auto sh = std::make_unique<Shard>();
     sh->index = s;
+    sh->worker = workers[static_cast<std::size_t>(s)].get();
     sh->registry = std::make_unique<obs::Registry>();
     sh->registry->set_enabled(obs_on);
     sh->sampling = sampling;
@@ -79,38 +177,58 @@ ShardGroup::ShardGroup(Options opts) : opts_(opts), n_(opts.shards) {
     }
     shards_.push_back(std::move(sh));
   }
-  for (int s = 0; s < n_; ++s) {
-    Shard* sh = shards_[static_cast<std::size_t>(s)].get();
-    CCI_SCHED_EXPECT_THREAD(shard_thread_name(s).c_str());
-    sh->thread = std::thread(&ShardGroup::worker_main, sh);
+  // The first job brings each engine up on its worker, so engine(s) is
+  // valid once the ctor returns.
+  for (auto& sh : shards_) {
+    Shard* p = sh.get();
+    if (p->worker->borrowers++ == 0) {
+      CCI_SCHED_EXPECT_THREAD(shard_thread_name(p->index).c_str());
+      submit(*p, [p] {
+        p->worker->join_session();
+        p->engine = std::make_unique<Engine>();
+      });
+    } else {
+      submit(*p, [p] { p->engine = std::make_unique<Engine>(); });
+    }
   }
-  // Engines come up on the workers (busy starts true, cleared after
-  // construction); wait so engine(s) is valid once the ctor returns.
-  for (auto& sh : shards_) wait(*sh);
+  for (auto& sh : shards_) sh->worker->wait();
   try {
     rethrow_any();
   } catch (...) {
-    stop_workers();  // the dtor will not run for a throwing ctor
+    release_workers();  // the dtor will not run for a throwing ctor
     throw;
   }
 }
 
-ShardGroup::~ShardGroup() { stop_workers(); }
+ShardGroup::~ShardGroup() { release_workers(); }
 
-void ShardGroup::stop_workers() {
+void ShardGroup::release_workers() noexcept {
   if (n_ == 1) return;
+  // Engines and stores die where they were built.  A worker no other group
+  // still borrows leaves the session with this last job and finishes it
+  // uncontrolled; one still borrowed stays in the session.
   for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mutex);
-    sh->stop = true;
-    sh->cv.notify_all();
+    Shard* p = sh.get();
+    const bool last = --p->worker->borrowers == 0;
+    submit(*p, [p, last] {
+      p->engine.reset();
+      p->timeline.reset();
+      if (last) p->worker->leave_session();
+    });
   }
+  for (auto& sh : shards_)
+    if (sh->worker->borrowers > 0) sh->worker->wait();
 #ifdef CCI_SCHED
   for (auto& sh : shards_)
-    sched::await_thread_exit(shard_thread_name(sh->index).c_str());
+    if (sh->worker->borrowers == 0)
+      sched::await_thread_exit(shard_thread_name(sh->index).c_str());
 #endif
-  CCI_SCHED_BLOCKED_SCOPE();
-  for (auto& sh : shards_)
-    if (sh->thread.joinable()) sh->thread.join();
+  {
+    CCI_SCHED_BLOCKED_SCOPE();
+    for (auto& sh : shards_)
+      if (sh->worker->borrowers == 0) sh->worker->wait_native();
+  }
+  for (auto& sh : shards_) sh->error = nullptr;
 }
 
 ShardGroup::Shard& ShardGroup::shard_at(int s) {
@@ -118,75 +236,27 @@ ShardGroup::Shard& ShardGroup::shard_at(int s) {
   return *shards_[static_cast<std::size_t>(s)];
 }
 
-void ShardGroup::worker_main(Shard* shard) {
-  // The shard registry is this thread's Registry::global() for the whole
-  // worker lifetime: the engine's metric handles, every FlowModel built via
-  // with_shard(), and all pool-stat channels bind into it.  The engine is
-  // built and destroyed here so coroutine frames stay in this thread's
-  // FrameArena from first allocation to final free.  The engine samples
-  // into the shard's own timeline store, whose row blocks come from this
-  // thread's pool, so the store is freed here too.
-  obs::Registry::ScopedThreadLocal scope(*shard->registry);
-  obs::ScopedRunSampling sampling(shard->sampling);
-#ifdef CCI_SCHED
-  sched::ThreadScope sched_scope(shard_thread_name(shard->index).c_str());
-#endif
+void ShardGroup::submit(Shard& sh, std::function<void()> task) {
+  assert(!sh.task);
+  sh.task = std::move(task);
+  sh.worker->post(sh);
+}
+
+void ShardGroup::run_job(Shard& sh) {
+  // The shard registry is the thread's Registry::global() for the job: the
+  // engine's metric handles, every FlowModel built via with_shard(), and all
+  // pool-stat channels bind into it.  The engine samples into the shard's
+  // own timeline store, whose row blocks come from this thread's pool, so
+  // the store is freed here too.
+  obs::Registry::ScopedThreadLocal scope(*sh.registry);
+  obs::ScopedRunSampling sampling(sh.sampling);
   try {
-    shard->engine = std::make_unique<Engine>();
+    sh.task();
   } catch (...) {
-    std::lock_guard<std::mutex> lk(shard->mutex);
-    shard->error = std::current_exception();
+    // Read by the coordinator only after the worker hands the job back.
+    sh.error = std::current_exception();
   }
-  {
-    std::lock_guard<std::mutex> lk(shard->mutex);
-    shard->busy = false;
-    shard->cv.notify_all();
-  }
-  [[maybe_unused]] const auto idle_id = static_cast<std::uint64_t>(shard->index);
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lk(shard->mutex);
-      CCI_SCHED_CV_WAIT(shard->cv, lk, idle_id,
-                        [shard] { return shard->stop || shard->busy; });
-      if (shard->busy) {
-        job = std::move(shard->job);
-        shard->job = nullptr;
-      } else {
-        break;  // stop requested with no pending job
-      }
-    }
-    std::exception_ptr error;
-    try {
-      job();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lk(shard->mutex);
-      // Moved, not copied: the worker keeps no reference to the exception
-      // once the coordinator may rethrow it and read it.
-      if (error) shard->error = std::move(error);
-      shard->busy = false;
-      shard->cv.notify_all();
-    }
-  }
-  shard->engine.reset();
-  shard->timeline.reset();
-}
-
-void ShardGroup::submit(Shard& sh, std::function<void()> job) {
-  std::lock_guard<std::mutex> lk(sh.mutex);
-  assert(!sh.busy && sh.job == nullptr);
-  sh.job = std::move(job);
-  sh.busy = true;
-  sh.cv.notify_all();
-}
-
-void ShardGroup::wait(Shard& sh) {
-  std::unique_lock<std::mutex> lk(sh.mutex);
-  CCI_SCHED_CV_WAIT(sh.cv, lk, static_cast<std::uint64_t>(sh.index),
-                    [&sh] { return !sh.busy; });
+  sh.task = nullptr;
 }
 
 void ShardGroup::rethrow_any() {
@@ -194,7 +264,6 @@ void ShardGroup::rethrow_any() {
   // rethrown one never resurfaces from a later call.
   std::exception_ptr first;
   for (auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mutex);
     if (!first) first = sh->error;
     sh->error = nullptr;
   }
@@ -208,7 +277,7 @@ void ShardGroup::with_shard(int s, const std::function<void(Engine&)>& fn) {
     return;
   }
   submit(sh, [&sh, &fn] { fn(*sh.engine); });
-  wait(sh);
+  sh.worker->wait();
   rethrow_any();
 }
 
@@ -221,7 +290,7 @@ void ShardGroup::with_each_shard(const std::function<void(int, Engine&)>& fn) {
     Shard* p = sh.get();
     submit(*p, [p, &fn] { fn(p->index, *p->engine); });
   }
-  for (auto& sh : shards_) wait(*sh);
+  for (auto& sh : shards_) sh->worker->wait();
   rethrow_any();
 }
 
@@ -237,7 +306,7 @@ Time ShardGroup::run(Time until) {
     Shard* p = sh.get();
     submit(*p, [this, p] { run_windows(*p); });
   }
-  for (auto& sh : shards_) wait(*sh);
+  for (auto& sh : shards_) sh->worker->wait();
   rethrow_any();
   publish_stats();
   Time t = 0.0;

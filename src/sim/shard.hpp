@@ -28,19 +28,33 @@
 // reproducible at a fixed shard count.
 //
 // Thread/memory discipline (this is what keeps the pooled hot path of
-// sim/pool.hpp safe): each shard's Engine is constructed, run, and
-// destroyed on its worker thread, with the shard's private obs::Registry
-// installed as the thread's Registry::global() for the worker's whole
-// lifetime.  Coroutine frames therefore live and die in the worker's
-// thread-local FrameArena, and metric handles bind into the shard
-// registry.  Build and tear down
-// shard-owned scenario state (FlowModel, activities, processes) inside
-// with_shard() or with_each_shard() for the same reason.
+// sim/pool.hpp safe): workers belong to the coordinating thread — the one
+// that builds the group — not to the group.  Each coordinating thread owns
+// a pool of shard workers, started on first use; worker i serves shard i
+// of every multi-shard group the thread builds, and the pool joins them
+// when the thread exits.  A group borrows the workers and leaves them
+// parked, with their frame arenas, warm stores and malloc arenas warm, for
+// the next group.  Each shard's Engine is constructed by the group's first
+// job on its worker, run there, and destroyed by the group's last job, and
+// every job installs the shard's private obs::Registry as the thread's
+// Registry::global() and the shard's sampling for its own duration.
+// Coroutine frames therefore live and die in the worker's thread-local
+// FrameArena, and metric handles bind into the shard registry.  Build and
+// tear down shard-owned scenario state (FlowModel, activities, processes)
+// inside with_shard() or with_each_shard() for the same reason, and destroy
+// a group on the thread that built it.
+//
+// Schedule exploration (-DCCI_SCHED=ON): a worker may have been started
+// outside any sched::Session, so it joins the session once per group
+// instead of once per life: the coordinator announces it before the
+// group's first job, that job opens the worker's sched::ThreadScope, and
+// the group's last job closes it while the coordinator waits for the
+// thread to leave the session.
 //
 // Sampling follows the engine rule (sim/engine.hpp): when the thread that
-// builds the group has an obs::RunSampling on, each worker installs one
-// naming the shard's own TimelineStore before it builds its engine, and
-// merge_obs() folds those stores into the builder's store.
+// builds the group has an obs::RunSampling on, each shard's jobs install one
+// naming the shard's own TimelineStore, and merge_obs() folds those stores
+// into the builder's store.
 //
 // Shard health: when the registry the group was constructed under is on,
 // each worker times its Engine::run calls and its barrier waits (total and
@@ -58,10 +72,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -91,6 +105,11 @@ class ShardGroup {
   ~ShardGroup();
 
   [[nodiscard]] int shards() const { return n_; }
+
+  /// Worker threads the calling thread's pool has started.  Worker i serves
+  /// shard i of every multi-shard group the thread builds, so a group needs
+  /// a new thread only for shards beyond every earlier group's count.
+  [[nodiscard]] static int pooled_workers();
 
   /// Run `fn(engine)` on shard s's worker thread (inline on the caller's
   /// thread when shards() == 1) and wait for it.  All construction and
@@ -177,32 +196,39 @@ class ShardGroup {
     double longest_wait_s = 0.0;  ///< longest single barrier wait
   };
 
+  /// A thread of the coordinating thread's pool (shard.cpp).
+  class Worker;
+  /// The calling thread's pool: worker i serves shard i of every group the
+  /// thread builds.  Started on first use, joined when the thread exits.
+  static std::vector<std::unique_ptr<Worker>>& pool();
+
   struct Shard {
     int index = 0;  ///< position in shards_; names the worker in diagnostics
+    Worker* worker = nullptr;  ///< borrowed from the builder's pool
     std::unique_ptr<obs::Registry> registry;
-    /// The worker's ambient sampling: the builder's, with `timeline`
-    /// pointing at the shard's own store when sampling is on.
+    /// The jobs' ambient sampling: the builder's, with `timeline` pointing
+    /// at the shard's own store when sampling is on.
     obs::RunSampling sampling;
     std::unique_ptr<obs::TimelineStore> timeline;  ///< appended to and freed on the worker
     std::uint64_t timeline_folded = 0;  ///< rows merge_obs() already appended
     std::unique_ptr<Engine> engine;  ///< built/destroyed on the worker
-    std::thread thread;
-    // Job slot: with_shard(), with_each_shard() and run() submit one job,
-    // the worker executes it, the submitter waits.
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::function<void()> job;
+    /// The posted job's body, run by run_job() on the worker; its exception,
+    /// if any, waits in `error` for the coordinator.
+    std::function<void()> task;
     std::exception_ptr error;
-    bool busy = true;  ///< set until the worker finishes engine construction
-    bool stop = false;
     Health health;  ///< this run's, written by the worker only
   };
 
   Shard& shard_at(int s);
-  void stop_workers();
-  void submit(Shard& sh, std::function<void()> job);
-  void wait(Shard& sh);
-  static void worker_main(Shard* shard);
+  /// Post `task` to shard sh's worker; the worker's wait() follows before
+  /// the next.
+  void submit(Shard& sh, std::function<void()> task);
+  /// A posted job on the worker: `sh.task` under the shard's registry and
+  /// sampling.
+  static void run_job(Shard& sh);
+  /// The group's last job on every worker: destroy the engines and
+  /// timeline stores there and hand the workers back to the pool.
+  void release_workers() noexcept;
   /// Clear every stored worker exception and rethrow the lowest shard
   /// index's, if any.
   void rethrow_any();

@@ -1,8 +1,9 @@
 // FabricLab::run_sharded — the cross-shard fabric simulation: thousand-node
 // dragonfly carves, boundary-proxy exchange, bitwise run-to-run determinism
 // (tables and timelines), serial-engine equivalence at shards == 1, lean
-// replicas against a fully materialized fabric on generated shapes, and the
-// degenerate shapes (single switch, adaptive routing).
+// replicas against a fully materialized fabric on generated shapes, shard
+// workers reused across runs and coordinators, and the degenerate shapes
+// (single switch, adaptive routing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fabric_lab.hpp"
@@ -23,6 +25,7 @@
 #include "sim/engine.hpp"
 #include "sim/flow_model.hpp"
 #include "sim/rng.hpp"
+#include "sim/shard.hpp"
 
 namespace cci::core {
 namespace {
@@ -85,6 +88,42 @@ std::string report_text(const FabricReport& r) {
                 static_cast<unsigned long long>(r.events));
   os << buf;
   return os.str();
+}
+
+/// Shard workers belong to the coordinating thread and outlive each run:
+/// after the first run_sharded(4) on a thread, later ones start no thread,
+/// and a run on warm workers is bit-identical to one on a fresh thread.
+TEST(FabricShard, RepeatedRunsStartNoThreadAndMatchAFreshThread) {
+  const Scenario s = interleaved_rings(8, 4, 4, /*iterations=*/3);
+  std::string fresh;
+  std::thread([&] { fresh = report_text(FabricLab(s).run_sharded(4)); }).join();
+  std::thread([&] {
+    FabricLab lab(s);
+    EXPECT_EQ(report_text(lab.run_sharded(4)), fresh);
+    EXPECT_EQ(sim::ShardGroup::pooled_workers(), 4);
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(report_text(lab.run_sharded(4)), fresh) << "run " << run;
+      EXPECT_EQ(report_text(lab.run_sharded(2)), report_text(FabricLab(s).run_sharded(2)));
+    }
+    EXPECT_EQ(sim::ShardGroup::pooled_workers(), 4);
+  }).join();
+}
+
+/// Coordinators running at once each use their own pool: every one matches
+/// the result of the same run made alone.
+TEST(FabricShard, ConcurrentCoordinatorsMatchTheirSerialResults) {
+  const Scenario scenarios[2] = {interleaved_rings(8, 4, 4, /*iterations=*/3),
+                                 interleaved_rings(4, 4, 4, /*iterations=*/4)};
+  std::string alone[2];
+  for (int c = 0; c < 2; ++c) alone[c] = report_text(FabricLab(scenarios[c]).run_sharded(4));
+  std::string got[2];
+  std::thread coordinators[2];
+  for (int c = 0; c < 2; ++c)
+    coordinators[c] = std::thread([&scenarios, &got, c] {
+      for (int run = 0; run < 2; ++run) got[c] = report_text(FabricLab(scenarios[c]).run_sharded(4));
+    });
+  for (std::thread& t : coordinators) t.join();
+  for (int c = 0; c < 2; ++c) EXPECT_EQ(got[c], alone[c]) << "coordinator " << c;
 }
 
 TEST(FabricShard, ThousandNodeDragonflyCarvesAcrossFourShards) {

@@ -98,6 +98,74 @@ TEST(World, WildcardsMatch) {
   EXPECT_TRUE(got);
 }
 
+/// MPI's first-match rule with several entries queued on one rank: a
+/// message matches the earliest posted receive that accepts it, and a
+/// receive matches the earliest unexpected arrival it accepts, wildcards
+/// included.  Each step runs the engine dry, so exactly one pair matches.
+TEST(World, MatchesInPostingAndArrivalOrderWithWildcards) {
+  ClusterSpec spec;
+  spec.nodes = 3;
+  Cluster cluster(spec);
+  World world(cluster, {{0, -1}, {1, -1}, {2, -1}});
+  const MsgView eager{64, 0, 0};
+  const MsgView rndv{1 << 20, 0, 0};
+
+  // Posted queue, in posting order; eager sends from ranks 0 and 1.
+  const std::vector<RequestPtr> posted = {
+      world.irecv(2, 0, 5, eager),                 // (0, 5)
+      world.irecv(2, kAnySource, 7, eager),        // (*, 7)
+      world.irecv(2, 1, kAnyTag, eager),           // (1, *)
+      world.irecv(2, kAnySource, kAnyTag, eager),  // (*, *)
+  };
+  // Each message, and the receive the first match picks: (1, 7) passes
+  // over (0, 5) to the middle entry, (1, 5) skips (0, 5) for (1, *), and
+  // (0, 9) falls through to (*, *) before (0, 5) takes its exact match.
+  const struct {
+    int src;
+    int tag;
+    std::size_t matched;
+  } sends[] = {{1, 7, 1}, {1, 5, 2}, {0, 9, 3}, {0, 5, 0}};
+  std::vector<bool> done(posted.size(), false);
+  for (const auto& s : sends) {
+    (void)world.isend(s.src, 2, s.tag, eager);
+    cluster.engine().run();
+    done[s.matched] = true;
+    for (std::size_t r = 0; r < posted.size(); ++r)
+      EXPECT_EQ(posted[r]->test(), done[r]) << "receive " << r << " after (" << s.src << ", "
+                                            << s.tag << ")";
+  }
+
+  // Unexpected queue, in arrival order: rendezvous sends complete only once
+  // a receive matched their RTS, which names the arrival each receive took.
+  const struct {
+    int src;
+    int tag;
+  } arrivals[] = {{0, 5}, {1, 7}, {0, 7}, {1, 9}};
+  std::vector<RequestPtr> sent;
+  for (const auto& a : arrivals) {
+    sent.push_back(world.isend(a.src, 2, a.tag, rndv));
+    cluster.engine().run();
+  }
+  for (const RequestPtr& s : sent) ASSERT_FALSE(s->test());
+  // (*, 7) passes over (0, 5) to the middle arrival (1, 7); (0, *) takes
+  // (0, 5); (*, *) the earlier of the two left; (1, 9) the last.
+  const struct {
+    int src;
+    int tag;
+    std::size_t matched;
+  } recvs[] = {{kAnySource, 7, 1}, {0, kAnyTag, 0}, {kAnySource, kAnyTag, 2}, {1, 9, 3}};
+  std::vector<bool> matched(sent.size(), false);
+  for (const auto& r : recvs) {
+    const RequestPtr req = world.irecv(2, r.src, r.tag, rndv);
+    cluster.engine().run();
+    EXPECT_TRUE(req->test());
+    matched[r.matched] = true;
+    for (std::size_t a = 0; a < sent.size(); ++a)
+      EXPECT_EQ(sent[a]->test(), matched[a]) << "arrival " << a << " after receive ("
+                                             << r.src << ", " << r.tag << ")";
+  }
+}
+
 /// Post a completed eager exchange, a never-matched receive and a
 /// rendezvous send whose receive never comes (its coroutine frame stays
 /// parked in the engine, holding pooled objects), then destroy the World

@@ -201,6 +201,17 @@ TEST(SchedExplore, AdaptiveRoutingTableIsScheduleInvariantAtJobs8) {
 
 // ---- sharded-sim oracle -----------------------------------------------------
 
+/// Window-barrier arrivals the session decided for shard workers.  Zero
+/// means the workers ran outside the session: a byte comparison would still
+/// pass, having explored nothing.  Each seeded session below runs after the
+/// uncontrolled reference, on the same coordinating thread.
+std::size_t shard_barrier_decisions(const sched::Session& session) {
+  std::size_t n = 0;
+  for (const sched::Decision& d : session.decisions())
+    if (d.kind == sched::Kind::kBarrierArrive && d.thread.rfind("sim.shard.", 0) == 0) ++n;
+  return n;
+}
+
 /// Tiny churn workload on a 2-shard group; returns per-group completion
 /// instants — the observable that must not depend on the schedule.
 std::vector<std::vector<sim::Time>> run_sharded_churn() {
@@ -260,6 +271,7 @@ TEST(SchedExplore, TwoShardRunsAreScheduleInvariant) {
     sched::Session session(o);
     const auto got = run_sharded_churn();
     ASSERT_EQ(session.error(), "") << "seed " << seed;
+    EXPECT_GT(shard_barrier_decisions(session), 0u) << "seed " << seed;
     if (got != ref)
       FAIL() << "2-shard completions diverged under schedule seed " << seed << "; "
              << save_failing_trace(session.trace(),
@@ -318,6 +330,7 @@ TEST(SchedExplore, BoundaryExchangeIsScheduleInvariant) {
     sched::Session session(o);
     const std::string got = fabric_report_text(run_boundary_exchange());
     ASSERT_EQ(session.error(), "") << "seed " << seed;
+    EXPECT_GT(shard_barrier_decisions(session), 0u) << "seed " << seed;
     if (got != ref_text)
       FAIL() << "boundary exchange diverged under schedule seed " << seed << "; "
              << save_failing_trace(session.trace(),

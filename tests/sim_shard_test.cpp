@@ -1,12 +1,15 @@
 // Conservative-window shard-parallel simulation: boundary-proxy exchange,
 // serial-path equivalence, run-to-run and cross-shard-count determinism,
-// jobs on every shard, and error propagation.
+// jobs on every shard, error propagation, and the coordinating thread's
+// worker pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -523,6 +526,188 @@ TEST(ShardGroupErrors, ShardCountBelowOneRejectedAtConstruction) {
     }
   }
 }
+
+// ---- the coordinating thread's worker pool -----------------------------------
+
+/// Run `fn` on a fresh thread, whose shard pool starts empty, and join it.
+template <typename Fn>
+void on_fresh_thread(Fn&& fn) {
+  std::thread t(std::forward<Fn>(fn));
+  t.join();
+}
+
+/// The worker thread of every shard of `group`.
+std::vector<std::thread::id> worker_ids(ShardGroup& group) {
+  std::vector<std::thread::id> ids(static_cast<std::size_t>(group.shards()));
+  group.with_each_shard(
+      [&ids](int s, Engine&) { ids[static_cast<std::size_t>(s)] = std::this_thread::get_id(); });
+  return ids;
+}
+
+TEST(ShardPool, GroupsInARowRunOnTheSameWorkers) {
+  on_fresh_thread([] {
+    EXPECT_EQ(ShardGroup::pooled_workers(), 0);
+    std::vector<std::thread::id> first;
+    {
+      ShardGroup group(shard_options(4));
+      EXPECT_EQ(ShardGroup::pooled_workers(), 4);
+      first = worker_ids(group);
+    }
+    for (std::thread::id id : first) EXPECT_NE(id, std::this_thread::get_id());
+    {
+      ShardGroup group(shard_options(4));
+      EXPECT_EQ(worker_ids(group), first);
+    }
+    {
+      // Fewer shards borrow the first workers; none starts a thread.
+      ShardGroup group(shard_options(2));
+      EXPECT_EQ(worker_ids(group), std::vector<std::thread::id>(first.begin(), first.begin() + 2));
+    }
+    EXPECT_EQ(ShardGroup::pooled_workers(), 4);
+  });
+}
+
+TEST(ShardPool, OverlappingGroupsShareTheWorkers) {
+  on_fresh_thread([] {
+    GroupedScenario outer(4, 2.5);
+    {
+      // A second group alive at once, built and run on the same workers.
+      GroupedScenario inner(2, 2.5);
+      inner.group.run();
+      EXPECT_EQ(ShardGroup::pooled_workers(), 4);
+    }
+    outer.group.run();
+    const ShardRunResult ref = run_sharded(4, 2.5, /*with_timeline=*/false);
+    for (int g = 0; g < kGroups; ++g) EXPECT_EQ(outer.groups[g].completions, ref.completions[g]);
+  });
+}
+
+TEST(ShardPool, ARepeatedRunMatchesAFreshThread) {
+  ShardRunResult fresh;
+  on_fresh_thread([&fresh] { fresh = run_sharded(4, 3.0, /*with_timeline=*/true); });
+  on_fresh_thread([&fresh] {
+    // An unsampled run first: the sampled one after it on warm workers
+    // writes the same rows.
+    (void)run_sharded(4, 3.0, /*with_timeline=*/false);
+    const ShardRunResult warm = run_sharded(4, 3.0, /*with_timeline=*/true);
+    EXPECT_EQ(warm.end, fresh.end);
+    EXPECT_EQ(warm.events, fresh.events);
+    EXPECT_EQ(warm.windows, fresh.windows);
+    EXPECT_EQ(warm.completions, fresh.completions);
+    EXPECT_EQ(warm.metrics, fresh.metrics);
+    EXPECT_FALSE(warm.timeline_csv.empty());
+    EXPECT_EQ(warm.timeline_csv, fresh.timeline_csv);
+  });
+}
+
+TEST(ShardPool, ARegistryOffGroupAfterARegistryOnOneAddsNothing) {
+  on_fresh_thread([] {
+    obs::Registry on;
+    on.set_enabled(true);
+    {
+      obs::Registry::ScopedThreadLocal scope(on);
+      GroupedScenario s(4, 2.5);
+      s.group.run();
+      s.group.merge_obs(on);
+    }
+    const std::string on_text = snapshot_text(on.snapshot());
+    ASSERT_NE(on_text.find("sim.shard.windows"), std::string::npos);
+    const std::string process_text = snapshot_text(obs::Registry::process().snapshot());
+    obs::Registry off;
+    off.set_enabled(false);
+    {
+      obs::Registry::ScopedThreadLocal scope(off);
+      GroupedScenario s(4, 2.5);
+      s.group.run();
+      s.group.merge_obs(off);
+    }
+    // A disabled registry still names what binds to it, and records nothing.
+    for (const obs::Snapshot::Entry& e : off.snapshot().entries) {
+      EXPECT_EQ(e.value, 0.0) << e.name;
+      EXPECT_EQ(e.count, 0u) << e.name;
+      EXPECT_EQ(e.sum, 0.0) << e.name;
+    }
+    EXPECT_EQ(snapshot_text(on.snapshot()), on_text);
+    EXPECT_EQ(snapshot_text(obs::Registry::process().snapshot()), process_text);
+  });
+}
+
+TEST(ShardPool, ConcurrentCoordinatorsKeepTheirOwnWorkers) {
+  const ShardRunResult ref = run_sharded(4, 2.5, /*with_timeline=*/false);
+  ShardRunResult got[2];
+  std::vector<std::thread::id> ids[2];
+  std::thread coordinators[2];
+  for (int c = 0; c < 2; ++c)
+    coordinators[c] = std::thread([&got, &ids, c] {
+      got[c] = run_sharded(4, 2.5, /*with_timeline=*/false);
+      obs::Registry reg;  // not the process registry the other coordinator sees
+      obs::Registry::ScopedThreadLocal scope(reg);
+      ShardGroup group(shard_options(4));
+      ids[c] = worker_ids(group);
+    });
+  for (std::thread& t : coordinators) t.join();
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(got[c].completions, ref.completions) << "coordinator " << c;
+    EXPECT_EQ(got[c].events, ref.events) << "coordinator " << c;
+    EXPECT_EQ(got[c].metrics, ref.metrics) << "coordinator " << c;
+  }
+  for (std::thread::id id : ids[0])
+    EXPECT_EQ(std::count(ids[1].begin(), ids[1].end(), id), 0);
+}
+
+TEST(ShardPool, AGroupAfterFailedJobsRunsNormally) {
+  on_fresh_thread([] {
+    {
+      ShardGroup group(shard_options(4));
+      EXPECT_THROW(group.with_each_shard([](int s, Engine&) {
+        if (s % 2 == 1) throw std::runtime_error("shard " + std::to_string(s));
+      }),
+                   std::runtime_error);
+    }
+    {
+      GroupedScenario s(2);
+      s.group.with_shard(1, [](Engine& eng) {
+        WatchdogConfig w;
+        w.max_events = 16;
+        eng.set_watchdog(w);
+      });
+      EXPECT_THROW(s.group.run(), SimStalled);
+    }
+    const ShardRunResult ref = run_sharded(4, 2.5, /*with_timeline=*/false);
+    ShardRunResult fresh;
+    on_fresh_thread([&fresh] { fresh = run_sharded(4, 2.5, /*with_timeline=*/false); });
+    EXPECT_EQ(ref.completions, fresh.completions);
+    EXPECT_EQ(ref.windows, fresh.windows);
+    EXPECT_EQ(ref.metrics, fresh.metrics);
+  });
+}
+
+#ifdef __linux__
+/// Threads of this process, from /proc.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(ShardPool, AnExitingCoordinatorJoinsItsWorkers) {
+  // A thread started and joined first, so helper threads a runtime starts
+  // with the first one (a sanitizer's) are in the baseline.
+  std::thread([] {}).join();
+  const std::size_t before = process_threads();
+  on_fresh_thread([before] {
+    (void)run_sharded(4, 2.5, /*with_timeline=*/false);
+    EXPECT_EQ(ShardGroup::pooled_workers(), 4);
+    EXPECT_EQ(process_threads(), before + 5);  // the coordinator and its workers
+  });
+  // A joined thread leaves the task list a moment after join() returns.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (process_threads() != before && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(process_threads(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace cci::sim
